@@ -11,9 +11,10 @@ seconds of CPU, for the remote execution.
 Run:  python examples/checkpoint_migration.py
 """
 
-from repro.core import CondorSystem, Job, StationSpec, events
+from repro.core import CondorSystem, Job, StationSpec
 from repro.machine import AlwaysActiveOwner, NeverActiveOwner, TraceOwner
 from repro.sim import DAY, HOUR, MINUTE, Simulation
+from repro.telemetry import kinds
 
 OWNER_RETURNS_AT = 2 * HOUR
 
@@ -38,18 +39,22 @@ def main():
     def note(message):
         log.append(f"  {stamp()}  {message}")
 
-    system.bus.subscribe(events.JOB_PLACED, lambda job, host, home: note(
-        f"image transferred, {job.name} executing on {host}"))
-    system.bus.subscribe(events.JOB_SUSPENDED, lambda job, host: note(
-        f"owner back at {host}: CPU handed over IMMEDIATELY, job "
-        f"suspended in place (5-minute grace starts)"))
-    system.bus.subscribe(events.JOB_VACATED, lambda job, host, reason: note(
-        f"grace expired: checkpoint written and shipped home from {host} "
-        f"({job.image_mb():.2f} MB)"))
-    system.bus.subscribe(events.JOB_RESUMED, lambda job, host: note(
-        f"owner left within grace, resumed on {host}"))
-    system.bus.subscribe(events.JOB_COMPLETED, lambda job, station: note(
-        f"{job.name} completed"))
+    def on(kind, describe):
+        # Subscribers get the typed event; its fields are in .payload.
+        system.telemetry.subscribe(kind, lambda event: note(
+            describe(event.payload["job"], event.payload.get("host"))))
+
+    on(kinds.JOB_PLACED, lambda job, host:
+       f"image transferred, {job.name} executing on {host}")
+    on(kinds.JOB_SUSPENDED, lambda job, host:
+       f"owner back at {host}: CPU handed over IMMEDIATELY, job "
+       f"suspended in place (5-minute grace starts)")
+    on(kinds.JOB_VACATED, lambda job, host:
+       f"grace expired: checkpoint written and shipped home from {host} "
+       f"({job.image_mb():.2f} MB)")
+    on(kinds.JOB_RESUMED, lambda job, host:
+       f"owner left within grace, resumed on {host}")
+    on(kinds.JOB_COMPLETED, lambda job, host: f"{job.name} completed")
 
     system.start()
     job = Job(user="ada", home="home", demand_seconds=4 * HOUR,

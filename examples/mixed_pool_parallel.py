@@ -10,9 +10,10 @@ it started on — resumes only on a matching machine.
 Run:  python examples/mixed_pool_parallel.py
 """
 
-from repro.core import CondorSystem, GangJob, StationSpec, events
+from repro.core import CondorSystem, GangJob, StationSpec
 from repro.machine import AlwaysActiveOwner, NeverActiveOwner, TraceOwner
 from repro.sim import DAY, HOUR, MINUTE, Simulation
+from repro.telemetry import kinds
 
 
 def main():
@@ -32,17 +33,19 @@ def main():
                              arch="sun"))
     system = CondorSystem(sim, specs, coordinator_host="home")
 
-    def stamp():
-        return f"[{sim.now / MINUTE:6.1f} min]"
+    def on(kind, describe):
+        # Subscribers get the typed event; its fields are in .payload.
+        def show(event):
+            job = event.payload["job"]
+            print(f"[{event.sim_time / MINUTE:6.1f} min] {job.name} "
+                  f"{describe(job, event.payload.get('host'))}")
+        system.telemetry.subscribe(kind, show)
 
-    system.bus.subscribe(events.JOB_PLACED, lambda job, host, home: print(
-        f"{stamp()} {job.name} running on {host} "
-        f"({system.station(host).arch} binary)"))
-    system.bus.subscribe(events.JOB_VACATED, lambda job, host, reason: print(
-        f"{stamp()} {job.name} checkpointed off {host} — image is "
-        f"{job.locked_arch}-only now"))
-    system.bus.subscribe(events.JOB_COMPLETED, lambda job, station: print(
-        f"{stamp()} {job.name} done"))
+    on(kinds.JOB_PLACED, lambda job, host:
+       f"running on {host} ({system.station(host).arch} binary)")
+    on(kinds.JOB_VACATED, lambda job, host:
+       f"checkpointed off {host} — image is {job.locked_arch}-only now")
+    on(kinds.JOB_COMPLETED, lambda job, host: "done")
 
     system.start()
     gang = GangJob(user="ada", home="home", demand_seconds=3 * HOUR,

@@ -10,10 +10,11 @@ per second of local support CPU).
 Run:  python examples/quickstart.py
 """
 
-from repro.core import CondorSystem, Job, StationSpec, events
+from repro.core import CondorSystem, Job, StationSpec
 from repro.machine import AlternatingOwner, AlwaysActiveOwner, NeverActiveOwner
 from repro.sim import DAY, HOUR, MINUTE, RandomStream, Simulation
 from repro.sim.randomness import Exponential, LogNormal
+from repro.telemetry import kinds
 
 
 def build_cluster(sim, stream):
@@ -38,31 +39,37 @@ def build_cluster(sim, stream):
     return CondorSystem(sim, specs, coordinator_host="submit-box")
 
 
-def watch_lifecycle(system, sim):
-    """Print every scheduling event as it happens."""
+def watch_lifecycle(system):
+    """Print every scheduling event as it happens.
 
-    def stamp():
-        return f"[{sim.now / HOUR:6.2f} h]"
+    Subscribers get the typed event: when (``sim_time``), who
+    (``source``), what (``kind``) and the event's own fields (``payload``).
+    """
 
-    system.bus.subscribe(events.JOB_PLACED, lambda job, host, home: print(
-        f"{stamp()} {job.name} started on {host}"))
-    system.bus.subscribe(events.JOB_SUSPENDED, lambda job, host: print(
-        f"{stamp()} {job.name} suspended — owner returned to {host}"))
-    system.bus.subscribe(events.JOB_RESUMED, lambda job, host: print(
-        f"{stamp()} {job.name} resumed — {host}'s owner left again"))
-    system.bus.subscribe(events.JOB_VACATED, lambda job, host, reason: print(
-        f"{stamp()} {job.name} checkpointed off {host} ({reason})"))
-    system.bus.subscribe(events.JOB_COMPLETED, lambda job, station: print(
-        f"{stamp()} {job.name} COMPLETED "
-        f"(demand {job.demand_seconds / HOUR:.1f} h, "
-        f"{job.checkpoint_count} migrations)"))
+    def on(kind, describe):
+        def show(event):
+            job = event.payload["job"]
+            print(f"[{event.sim_time / HOUR:6.2f} h] {job.name} "
+                  f"{describe(job, event.payload)}")
+        system.telemetry.subscribe(kind, show)
+
+    on(kinds.JOB_PLACED, lambda job, p: f"started on {p['host']}")
+    on(kinds.JOB_SUSPENDED, lambda job, p:
+       f"suspended — owner returned to {p['host']}")
+    on(kinds.JOB_RESUMED, lambda job, p:
+       f"resumed — {p['host']}'s owner left again")
+    on(kinds.JOB_VACATED, lambda job, p:
+       f"checkpointed off {p['host']} ({p['reason']})")
+    on(kinds.JOB_COMPLETED, lambda job, p:
+       f"COMPLETED (demand {job.demand_seconds / HOUR:.1f} h, "
+       f"{job.checkpoint_count} migrations)")
 
 
 def main():
     sim = Simulation()
     stream = RandomStream(seed=2024)
     system = build_cluster(sim, stream)
-    watch_lifecycle(system, sim)
+    watch_lifecycle(system)
     system.start()
 
     print("Submitting 6 background jobs (3-8 h of CPU each) from "

@@ -48,8 +48,7 @@ class ReplayRun:
         self.system = CondorSystem(self.sim, self.specs, config=self.config,
                                    policy=policy)
         self.replayer = TraceReplayer(self.sim, self.system, records)
-        self.util = UtilizationMonitor(self.system.stations.values(),
-                                       hub=self.system.telemetry)
+        self.util = UtilizationMonitor(self.system.stations.values())
         users = {record["user"] for record in records}
         self.light_users = frozenset(users - {HEAVY_USER})
         self.queues = QueueLengthMonitor(self.sim, self.system,

@@ -289,7 +289,7 @@ def run_chaos(schedule_name, seed=7, stations=6, n_jobs=8,
         lambda event: trace_lines.append(encode_event(event))
     )
     invariants = InvariantChecker(system)
-    no_lost = NoLostJobsChecker(system.bus)
+    no_lost = NoLostJobsChecker(system.telemetry)
     jobs = []
     demand = Uniform(10 * MINUTE, 6 * HOUR)
     workload_stream = stream.fork("jobs")

@@ -73,11 +73,11 @@ class ExperimentRun:
         self.trace_path = trace_path
         self._recorder = (TraceRecorder(self.telemetry, trace_path)
                           if trace_path else None)
-        # Direct ledger attachment (not hub mode): the monitor sees every
-        # entry either way, but this keeps ``wants(ledger_entry)`` false
-        # in unrecorded runs, so the ledgers skip building ~1.6M event
-        # objects per simulated day at 50k stations.  A trace recorder
-        # subscribes the hub wholesale and still captures every entry.
+        # The monitor attaches to the ledgers, not the hub, so
+        # ``wants(ledger_entry)`` stays false in unrecorded runs and the
+        # ledgers skip building ~1.6M event objects per simulated day at
+        # 50k stations.  A trace recorder subscribes the hub wholesale
+        # and still captures every entry.
         self.util = UtilizationMonitor(self.system.stations.values())
         self.queues = QueueLengthMonitor(
             self.sim, self.system, self.generator.light_user_names(),

@@ -47,7 +47,6 @@ from repro.analysis.executor import spawn_workers
 from repro.core.condor import placement_cells
 from repro.core.config import CondorConfig
 from repro.core.coordinator import Coordinator
-from repro.core.events import EventBus
 from repro.core.federation import (
     Matchmaker,
     PoolCoordinator,
@@ -75,6 +74,7 @@ from repro.sim import DAY, HOUR, MINUTE, RandomStream, Simulation
 from repro.sim.errors import SimulationError
 from repro.sim.kernel import CHAOS_LOCUS
 from repro.sim.sharded import ShardedSimulation, serve_shard
+from repro.telemetry.events import TelemetryHub
 from repro.telemetry.trace import (
     ShardTraceRecorder,
     merge_shard_lines,
@@ -418,12 +418,11 @@ class ShardSystem:
     generator, chaos context and invariant checkers touch.
     """
 
-    def __init__(self, sim, network, bus, stations, schedulers,
+    def __init__(self, sim, network, hub, stations, schedulers,
                  coordinators, matchmaker=None):
         self.sim = sim
         self.network = network
-        self.bus = bus
-        self.telemetry = bus.hub
+        self.telemetry = hub
         self.stations = stations
         self.schedulers = schedulers
         #: pool index -> coordinator living on this rank.  Non-federated
@@ -515,8 +514,7 @@ def build_shard(spec, rank, shards):
 
     sim = Simulation()
     sim.enable_locus_mode()
-    bus = EventBus()
-    hub = bus.hub
+    hub = TelemetryHub()
     hub.bind_clock(lambda: sim.now)
     net = ShardNetwork(
         sim, rank, owners, latency=spec.latency,
@@ -549,7 +547,7 @@ def build_shard(spec, rank, shards):
             )
             station.ledger.attach_hub(hub)
             stations[name] = station
-            schedulers[name] = LocalScheduler(sim, net, station, bus,
+            schedulers[name] = LocalScheduler(sim, net, station, hub,
                                               config)
 
     # One coordinator per pool, each under its own locus on its pool's
@@ -570,7 +568,7 @@ def build_shard(spec, rank, shards):
             coordinator_locus[k] = loci[coord]
             with sim.locus(loci[coord]):
                 coordinators[k] = PoolCoordinator(
-                    sim, net, list(members), UpDownPolicy(), bus, config,
+                    sim, net, list(members), UpDownPolicy(), hub, config,
                     pool_index=k, host_station=stations[members[0]],
                     cells=cell_of, name=coord,
                     matchmaker_name=MATCHMAKER,
@@ -578,7 +576,7 @@ def build_shard(spec, rank, shards):
         if rank == 0:
             with sim.locus(loci[MATCHMAKER]):
                 matchmaker = Matchmaker(
-                    sim, net, bus, config,
+                    sim, net, hub, config,
                     [pool_name(k, spec.pools)
                      for k in range(spec.pools)])
     elif rank == 0:
@@ -588,25 +586,25 @@ def build_shard(spec, rank, shards):
                 # Byte-identical to the classic build (same name, same
                 # locus, no matchmaker): the federated degenerate case.
                 coordinators[0] = PoolCoordinator(
-                    sim, net, names, UpDownPolicy(), bus, config,
+                    sim, net, names, UpDownPolicy(), hub, config,
                     pool_index=0, host_station=stations[names[0]],
                     cells=cell_of, name=COORDINATOR,
                     matchmaker_name=None,
                 )
             else:
                 coordinators[0] = Coordinator(
-                    sim, net, names, UpDownPolicy(), bus, config,
+                    sim, net, names, UpDownPolicy(), hub, config,
                     host_station=stations[names[0]],
                     reservations=None, cells=cell_of,
                 )
 
-    system = ShardSystem(sim, net, bus, stations, schedulers,
+    system = ShardSystem(sim, net, hub, stations, schedulers,
                          coordinators, matchmaker)
 
     no_lost = None
     injector = None
     if spec.scenario is not None:
-        no_lost = NoLostJobsChecker(bus)
+        no_lost = NoLostJobsChecker(hub)
         schedule = SHARD_SCENARIOS[spec.scenario](names, cell_of, spec)
         if schedule.horizon() >= horizon:
             raise SimulationError(

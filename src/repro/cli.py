@@ -619,8 +619,8 @@ def _cmd_drain(args):
 
 
 def _cmd_demo(args):
-    from repro.core import CondorSystem, Job, StationSpec, events
-    from repro.telemetry import TraceRecorder
+    from repro.core import CondorSystem, Job, StationSpec
+    from repro.telemetry import TraceRecorder, kinds
     from repro.machine import (
         AlternatingOwner,
         AlwaysActiveOwner,
@@ -643,10 +643,11 @@ def _cmd_demo(args):
     system = CondorSystem(sim, specs, coordinator_host="submit-box")
     recorder = (TraceRecorder(system.telemetry, args.trace)
                 if args.trace else None)
-    for name in (events.JOB_PLACED, events.JOB_SUSPENDED,
-                 events.JOB_VACATED, events.JOB_COMPLETED):
-        system.bus.subscribe(name, lambda event=name, **kw: print(
-            f"[{sim.now / HOUR:6.2f} h] {kw['job'].name}: {event}"))
+    for kind in (kinds.JOB_PLACED, kinds.JOB_SUSPENDED,
+                 kinds.JOB_VACATED, kinds.JOB_COMPLETED):
+        system.telemetry.subscribe(kind, lambda event: print(
+            f"[{event.sim_time / HOUR:6.2f} h] "
+            f"{event.payload['job'].name}: {event.kind}"))
     system.start()
     jobs = [Job(user="you", home="submit-box",
                 demand_seconds=(2 + i) * HOUR, name=f"job-{i}",

@@ -1,15 +1,12 @@
 """The Condor scheduling system: the paper's primary contribution."""
 
-from repro.core import events
 from repro.core.condor import CondorSystem, StationSpec
 from repro.core.config import CondorConfig
 from repro.core.coordinator import Coordinator
 from repro.core.dag import JobDag
 from repro.core.errors import SchedulingError, SubmissionRefused
-from repro.core.faults import CrashInjector
 from repro.core.federation import Matchmaker, PoolCoordinator, federation_pools
 from repro.core.invariants import InvariantChecker, InvariantViolation
-from repro.core.events import EventBus
 from repro.core.job import (
     COMPLETED,
     PENDING,
@@ -22,7 +19,6 @@ from repro.core.job import (
     Job,
     reset_job_ids,
 )
-from repro.core.local_runner import LocalRunner
 from repro.core.parallel import GangJob
 from repro.core.local_scheduler import (
     REASON_OWNER_RETURNED,
@@ -50,12 +46,9 @@ __all__ = [
     "JobDag",
     "GangJob",
     "LocalScheduler",
-    "LocalRunner",
     "Job",
     "reset_job_ids",
     "BackgroundJobQueue",
-    "EventBus",
-    "events",
     "UpDownPolicy",
     "AllocationPolicy",
     "FcfsPolicy",
@@ -65,7 +58,6 @@ __all__ = [
     "SubmissionRefused",
     "InvariantChecker",
     "InvariantViolation",
-    "CrashInjector",
     "Reservation",
     "ReservationBook",
     "PENDING",

@@ -16,7 +16,6 @@ import copy
 
 from repro.core.config import CondorConfig
 from repro.core.coordinator import Coordinator
-from repro.core.events import EventBus
 from repro.core.federation import (
     Matchmaker,
     PoolCoordinator,
@@ -30,6 +29,7 @@ from repro.machine import Workstation
 from repro.net import Network
 from repro.sim import HOUR
 from repro.sim.errors import SimulationError
+from repro.telemetry import TelemetryHub
 
 
 def placement_cells(names, n_cells):
@@ -67,7 +67,7 @@ class CondorSystem:
     """A complete Condor installation over a set of workstations."""
 
     def __init__(self, sim, specs, config=None, policy=None, network=None,
-                 bus=None, coordinator_host=None):
+                 coordinator_host=None):
         if not specs:
             raise SimulationError("CondorSystem needs at least one station")
         names = [spec.name for spec in specs]
@@ -75,10 +75,9 @@ class CondorSystem:
             raise SimulationError(f"duplicate station names in {names}")
         self.sim = sim
         self.config = config or CondorConfig()
-        self.bus = bus or EventBus()
         #: The run's telemetry spine: every lifecycle event and ledger
         #: entry flows through it; trace recorders subscribe here.
-        self.telemetry = self.bus.hub
+        self.telemetry = TelemetryHub()
         self.telemetry.bind_clock(lambda: sim.now)
         #: The run's metric instruments (counters/gauges/histograms).
         self.metrics = self.telemetry.metrics
@@ -96,7 +95,7 @@ class CondorSystem:
             station.ledger.attach_hub(self.telemetry)
             self.stations[spec.name] = station
             self.schedulers[spec.name] = LocalScheduler(
-                sim, self.network, station, self.bus, self.config
+                sim, self.network, station, self.telemetry, self.config
             )
 
         host_name = coordinator_host or names[0]
@@ -117,8 +116,8 @@ class CondorSystem:
             self.coordinators = self._build_pools(names, cells, host_name)
         else:
             self.coordinators = [Coordinator(
-                sim, self.network, names, self.policy, self.bus, self.config,
-                host_station=self.stations[host_name],
+                sim, self.network, names, self.policy, self.telemetry,
+                self.config, host_station=self.stations[host_name],
                 reservations=self.reservations,
                 cells=cells,
             )]
@@ -160,7 +159,7 @@ class CondorSystem:
             pool_policy = (self.policy if n_pools == 1
                            else copy.deepcopy(self.policy))
             coordinators.append(PoolCoordinator(
-                self.sim, self.network, members, pool_policy, self.bus,
+                self.sim, self.network, members, pool_policy, self.telemetry,
                 self.config, pool_index=k,
                 host_station=self.stations[pool_host],
                 cells=cells, name=pool_name(k, n_pools),
@@ -171,7 +170,7 @@ class CondorSystem:
                     pool_name(k, n_pools))
         if matchmaker_name is not None:
             self.matchmaker = Matchmaker(
-                self.sim, self.network, self.bus, self.config,
+                self.sim, self.network, self.telemetry, self.config,
                 [c.name for c in coordinators],
             )
         return coordinators

@@ -30,13 +30,13 @@ but affects nothing already running, and it can be restarted anywhere.
 import time as _wallclock
 from functools import partial
 
-from repro.core import events as ev
 from repro.core.cluster_view import ClusterView
 from repro.machine.accounting import COORDINATOR
 from repro.net import Node, ReliableSender
 from repro.sim import Signal
 from repro.sim.errors import SimulationError
 from repro.sim.randomness import RandomStream
+from repro.telemetry import kinds as ev
 
 
 class PollResult:
@@ -131,7 +131,7 @@ class CycleSnapshot:
 class Coordinator(Node):
     """Capacity allocator for the whole cluster."""
 
-    def __init__(self, sim, net, station_names, policy, bus, config,
+    def __init__(self, sim, net, station_names, policy, hub, config,
                  host_station=None, reservations=None, cells=None,
                  name="coordinator"):
         super().__init__(name)
@@ -141,7 +141,7 @@ class Coordinator(Node):
         self.net = net
         self.station_names = list(station_names)
         self.policy = policy
-        self.bus = bus
+        self.hub = hub
         self.config = config
         #: Optional placement-cell map (station -> cell id).  When set,
         #: every grant, gang and preemption stays inside the requester's
@@ -190,7 +190,7 @@ class Coordinator(Node):
         #: The two per-observation counters, resolved once — ``_absorb``
         #: runs for every push and probe reply (millions per simulated
         #: day at 50k stations), so the registry lookup is hoisted out.
-        metrics = bus.metrics
+        metrics = hub.metrics
         self._ctr_applied = metrics.counter("coordinator.updates_applied")
         self._ctr_stale = metrics.counter("coordinator.updates_stale")
         #: At-least-once delivery for host_lost notices: a home that
@@ -198,7 +198,7 @@ class Coordinator(Node):
         self._retry = ReliableSender(
             net, self.name,
             RandomStream(config.retry_seed, f"retry.{self.name}"),
-            bus=bus,
+            hub=hub,
             backoff_base=config.retry_backoff_base,
             backoff_cap=config.retry_backoff_cap,
             jitter_frac=config.retry_jitter_frac,
@@ -385,7 +385,7 @@ class Coordinator(Node):
             targets.append(name)
         self._ae_cursor = (cursor + chunk) % len(names)
         if self._ae_cursor < cursor:
-            self.bus.metrics.counter("coordinator.anti_entropy_polls").inc()
+            self.hub.metrics.counter("coordinator.anti_entropy_polls").inc()
         if not targets:
             # No probes needed; still wait the two message hops a poll
             # round takes, so state changes already in flight settle and
@@ -394,7 +394,7 @@ class Coordinator(Node):
             yield self.net.latency
             return
         self._work_units += len(targets)
-        self.bus.metrics.counter("coordinator.probes_sent").inc(len(targets))
+        self.hub.metrics.counter("coordinator.probes_sent").inc(len(targets))
         poll = yield from self._poll_all(targets)
         if self.crashed:
             return   # don't absorb observations made by a dead daemon
@@ -458,10 +458,10 @@ class Coordinator(Node):
                 and seq is not None and seq > prev_seq):
             # A pushed update never arrived; the anti-entropy poll (or a
             # probe) repaired the drift.  Absent on a healthy network.
-            self.bus.publish(ev.COORDINATOR_VIEW_REPAIR, station=name,
-                             time=self.sim.now, seq_from=prev_seq,
-                             seq_to=seq)
-            self.bus.metrics.counter("coordinator.view_repairs").inc()
+            self.hub.emit(ev.COORDINATOR_VIEW_REPAIR, station=name,
+                          time=self.sim.now, seq_from=prev_seq,
+                          seq_to=seq)
+            self.hub.metrics.counter("coordinator.view_repairs").inc()
 
     def _note_unreachable(self, name):
         """A probed station failed to answer: quarantine it and notify
@@ -518,18 +518,18 @@ class Coordinator(Node):
         preemptions = reserved_preemptions + self._order_preemptions(
             snapshot, ranked, grants, removed, allocated_counts)
         idle_count = snapshot.idle_count - len(removed)
-        if self.bus.hub.wants(ev.COORDINATOR_CYCLE):
+        if self.hub.wants(ev.COORDINATOR_CYCLE):
             idle_hosts = snapshot.idle_hosts
             if removed:
                 idle_hosts = [h for h in idle_hosts if h not in removed]
-            self.bus.publish(
+            self.hub.emit(
                 ev.COORDINATOR_CYCLE,
                 time=now, wanting=sorted(wanting), idle=sorted(idle_hosts),
                 grants=grants, preemptions=preemptions,
                 gang_grants=gang_grants,
                 unreachable=sorted(snapshot.unreachable),
             )
-        metrics = self.bus.metrics
+        metrics = self.hub.metrics
         metrics.counter("coordinator.cycles").inc()
         metrics.counter("coordinator.grants").inc(len(grants))
         metrics.counter("coordinator.preemptions").inc(len(preemptions))

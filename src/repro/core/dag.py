@@ -11,9 +11,9 @@ Purely client-side: the scheduler below is unchanged — the DAG simply
 defers ``system.submit`` calls, exactly like a user watching their jobs.
 """
 
-from repro.core import events as ev
 from repro.core import job as jobstate
 from repro.core.errors import SchedulingError, SubmissionRefused
+from repro.telemetry import kinds as ev
 
 
 class JobDag:
@@ -38,7 +38,7 @@ class JobDag:
         #: stall rather than run on missing inputs.
         self.refused = []
         self._started = False
-        system.bus.subscribe_event(ev.JOB_COMPLETED, self._on_completed)
+        system.telemetry.subscribe(ev.JOB_COMPLETED, self._on_completed)
 
     def add(self, job, after=()):
         """Register ``job``, to run after all jobs in ``after``.

@@ -62,12 +62,12 @@ protocol needs no shard awareness and the merged trace stays
 byte-identical to the single-process federated run.
 """
 
-from repro.core import events as ev
 from repro.core.cluster_view import observable_idle, observable_wanting
 from repro.core.coordinator import Coordinator
 from repro.net import Node, ReliableSender
 from repro.sim.errors import SimulationError
 from repro.sim.randomness import RandomStream
+from repro.telemetry import kinds as ev
 
 
 def pool_name(index, n_pools):
@@ -109,10 +109,10 @@ class PoolCoordinator(Coordinator):
     upkeep (:meth:`_post_cycle`) and the three lease message handlers.
     """
 
-    def __init__(self, sim, net, station_names, policy, bus, config,
+    def __init__(self, sim, net, station_names, policy, hub, config,
                  pool_index=0, host_station=None, cells=None,
                  name="coordinator", matchmaker_name=None):
-        super().__init__(sim, net, station_names, policy, bus, config,
+        super().__init__(sim, net, station_names, policy, hub, config,
                          host_station=host_station, reservations=None,
                          cells=cells, name=name)
         self.pool_index = pool_index
@@ -194,8 +194,8 @@ class PoolCoordinator(Coordinator):
         self._last_advert = dict(advert)
         self._advert_seq += 1
         seq = self._advert_seq
-        self.bus.publish(ev.POOL_ADVERT, station=self.name,
-                         time=self.sim.now, **advert)
+        self.hub.emit(ev.POOL_ADVERT, station=self.name,
+                      time=self.sim.now, **advert)
         # Best-effort with a small cap: a newer advert supersedes this
         # one, and the matchmaker's seq gate drops reordered stragglers.
         self._retry.send(
@@ -299,11 +299,11 @@ class PoolCoordinator(Coordinator):
             "stations": list(stations),
             "expires_at": expires_at,
         }
-        self.bus.publish(ev.CROSS_POOL_LEASE_GRANTED, station=self.name,
-                         time=self.sim.now, lease_id=lease_id,
-                         borrower=borrower, stations=list(stations),
-                         expires_at=expires_at)
-        self.bus.metrics.counter("federation.stations_lent").inc(
+        self.hub.emit(ev.CROSS_POOL_LEASE_GRANTED, station=self.name,
+                      time=self.sim.now, lease_id=lease_id,
+                      borrower=borrower, stations=list(stations),
+                      expires_at=expires_at)
+        self.hub.metrics.counter("federation.stations_lent").inc(
             len(stations))
         # Capped: if the borrower never hears about the lease the
         # stations idle in limbo until the reclaim timer takes them back.
@@ -352,9 +352,9 @@ class PoolCoordinator(Coordinator):
             return
         del self._on_loan[lease_id]
         for name in lease["stations"]:
-            self.bus.publish(ev.CROSS_POOL_LEASE_EXPIRED, station=name,
-                             time=self.sim.now, lease_id=lease_id,
-                             borrower=lease["borrower"])
+            self.hub.emit(ev.CROSS_POOL_LEASE_EXPIRED, station=name,
+                          time=self.sim.now, lease_id=lease_id,
+                          borrower=lease["borrower"])
             self._admit_member(name, None)   # re-probed from scratch
             self._send_rehome(name)
 
@@ -398,7 +398,7 @@ class PoolCoordinator(Coordinator):
             }
             self._admit_member(name, entry["state"])
             self._send_rehome(name)
-        self.bus.metrics.counter("federation.stations_borrowed").inc(
+        self.hub.metrics.counter("federation.stations_borrowed").inc(
             len(payload["stations"]))
         return True
 
@@ -406,9 +406,9 @@ class PoolCoordinator(Coordinator):
         """Hand one idle borrowed station back to its lender."""
         info = self._borrowed.pop(name)
         state = self._drop_member(name)
-        self.bus.publish(ev.CROSS_POOL_LEASE_RETURNED, station=name,
-                         time=self.sim.now, lease_id=info["lease_id"],
-                         pool=self.pool_index, reason=reason)
+        self.hub.emit(ev.CROSS_POOL_LEASE_RETURNED, station=name,
+                      time=self.sim.now, lease_id=info["lease_id"],
+                      pool=self.pool_index, reason=reason)
         # Must deliver: a return lost forever would strand the station
         # (until the lender's reclaim timer — but that is a backstop,
         # not the protocol).
@@ -433,10 +433,10 @@ class PoolCoordinator(Coordinator):
             self._drop_member(name)
         super().recover_at(station)
         for name, info in borrowed.items():
-            self.bus.publish(ev.CROSS_POOL_LEASE_RETURNED, station=name,
-                             time=self.sim.now, lease_id=info["lease_id"],
-                             pool=self.pool_index,
-                             reason="borrower_recovered")
+            self.hub.emit(ev.CROSS_POOL_LEASE_RETURNED, station=name,
+                          time=self.sim.now, lease_id=info["lease_id"],
+                          pool=self.pool_index,
+                          reason="borrower_recovered")
             self._retry.send(
                 info["lender"], "lease_return",
                 {"station": name, "state": None,
@@ -468,11 +468,11 @@ class Matchmaker(Node):
     but unprocessed adverts (the next changed advert repopulates it).
     """
 
-    def __init__(self, sim, net, bus, config, pool_names):
+    def __init__(self, sim, net, hub, config, pool_names):
         super().__init__("matchmaker")
         self.sim = sim
         self.net = net
-        self.bus = bus
+        self.hub = hub
         self.config = config
         #: pool index -> coordinator node name.
         self.pool_names = list(pool_names)
@@ -484,7 +484,7 @@ class Matchmaker(Node):
         self._retry = ReliableSender(
             net, self.name,
             RandomStream(config.retry_seed, "retry.matchmaker"),
-            bus=bus,
+            hub=hub,
             backoff_base=config.retry_backoff_base,
             backoff_cap=config.retry_backoff_cap,
             jitter_frac=config.retry_jitter_frac,
@@ -546,7 +546,7 @@ class Matchmaker(Node):
                     max_attempts=3,
                     abort=lambda: self.crashed,
                 )
-                self.bus.metrics.counter("federation.leases_brokered").inc()
+                self.hub.metrics.counter("federation.leases_brokered").inc()
 
     def __repr__(self):
         return (

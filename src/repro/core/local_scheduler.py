@@ -16,7 +16,6 @@ home station while the job runs, and the daemon's own <1 % background
 load.
 """
 
-from repro.core import events as ev
 from repro.core import job as jobstate
 from repro.core.errors import SchedulingError, SubmissionRefused
 from repro.core.queue import BackgroundJobQueue
@@ -32,7 +31,7 @@ from repro.remote_unix import (
 )
 from repro.sim import HOUR
 from repro.sim.randomness import RandomStream
-from repro.telemetry import kinds as tk
+from repro.telemetry import kinds as ev
 
 #: Vacate reasons recorded on JOB_VACATED events.
 REASON_OWNER_RETURNED = "owner_returned"
@@ -77,12 +76,12 @@ class HostedExecution:
 class LocalScheduler(Node):
     """One station's Condor daemon (submit side + host side)."""
 
-    def __init__(self, sim, net, station, bus, config):
+    def __init__(self, sim, net, station, hub, config):
         super().__init__(station.name)
         self.sim = sim
         self.net = net
         self.station = station
-        self.bus = bus
+        self.hub = hub
         self.config = config
         self.queue = BackgroundJobQueue(station.name, config.queue_discipline)
         self.store = CheckpointStore(
@@ -140,7 +139,7 @@ class LocalScheduler(Node):
         self._retry = ReliableSender(
             net, self.name,
             RandomStream(config.retry_seed, f"retry.{station.name}"),
-            bus=bus,
+            hub=hub,
             backoff_base=config.retry_backoff_base,
             backoff_cap=config.retry_backoff_cap,
             jitter_frac=config.retry_jitter_frac,
@@ -307,7 +306,7 @@ class LocalScheduler(Node):
         job.submitted_at = self.sim.now
         image_mb = job.image_mb()
         if not self.store.can_store(job.id, image_mb):
-            self.bus.publish(ev.JOB_REFUSED, job=job, station=self.name)
+            self.hub.emit(ev.JOB_REFUSED, job=job, station=self.name)
             raise SubmissionRefused(
                 f"{self.name}: no disk for {job.name}'s {image_mb:.2f} MB image"
             )
@@ -317,12 +316,12 @@ class LocalScheduler(Node):
                 sequence=self.store.images_stored + 1,
             ))
         except (DiskFullError, CheckpointTornWrite) as exc:
-            self.bus.publish(ev.JOB_REFUSED, job=job, station=self.name)
+            self.hub.emit(ev.JOB_REFUSED, job=job, station=self.name)
             raise SubmissionRefused(
                 f"{self.name}: could not spool {job.name}'s image ({exc})"
             ) from None
         self.queue.enqueue(job)
-        self.bus.publish(ev.JOB_SUBMITTED, job=job, station=self.name)
+        self.hub.emit(ev.JOB_SUBMITTED, job=job, station=self.name)
         self._mark_dirty()
 
     def remove(self, job):
@@ -334,7 +333,7 @@ class LocalScheduler(Node):
         self.queue.retire(job)
         self.store.discard(job.id)
         job.transition(jobstate.REMOVED)
-        self.bus.publish(ev.JOB_REMOVED, job=job, station=self.name)
+        self.hub.emit(ev.JOB_REMOVED, job=job, station=self.name)
         self._mark_dirty()
 
     def _handle_poll(self, payload):
@@ -375,7 +374,7 @@ class LocalScheduler(Node):
             )
         total_mb = sum(member.image_mb() for member in gang.members)
         if total_mb > self.station.disk.free_mb + 1e-9:
-            self.bus.publish(ev.JOB_REFUSED, job=gang, station=self.name)
+            self.hub.emit(ev.JOB_REFUSED, job=gang, station=self.name)
             raise SubmissionRefused(
                 f"{self.name}: no disk for {gang.name}'s "
                 f"{total_mb:.2f} MB of member images"
@@ -387,8 +386,8 @@ class LocalScheduler(Node):
                 member.id, 0.0, member.image_mb(), self.sim.now,
                 sequence=self.store.images_stored + 1,
             ))
-            self.bus.publish(ev.JOB_SUBMITTED, job=member,
-                             station=self.name)
+            self.hub.emit(ev.JOB_SUBMITTED, job=member,
+                          station=self.name)
         self.pending_gangs.append(gang)
         self._mark_dirty()
 
@@ -464,9 +463,9 @@ class LocalScheduler(Node):
         restored = image.cpu_progress if image is not None else 0.0
         job.checkpointed_progress = restored
         lost = job.roll_back_to_checkpoint()
-        self.bus.metrics.counter("checkpoint.restore_fallback").inc()
-        self.bus.publish(
-            tk.CHECKPOINT_RESTORE_FALLBACK, job=job, station=self.name,
+        self.hub.metrics.counter("checkpoint.restore_fallback").inc()
+        self.hub.emit(
+            ev.CHECKPOINT_RESTORE_FALLBACK, job=job, station=self.name,
             discarded=discarded, restored_progress=restored,
             lost_progress=max(0.0, lost),
             fallback="generation" if image is not None else "restart",
@@ -498,9 +497,9 @@ class LocalScheduler(Node):
             return
         if self.crashed:
             return  # we died mid-ship; recover() requeues the placement
-        self.bus.publish(tk.TRANSFER_FAILED, station=self.name,
-                         dst=host_name, job=job, purpose="placement",
-                         reason=detail)
+        self.hub.emit(ev.TRANSFER_FAILED, station=self.name,
+                      dst=host_name, job=job, purpose="placement",
+                      reason=detail)
         # No blind retry: the image never reached the host, so the
         # cheapest recovery is to requeue and let the coordinator grant a
         # (possibly different) machine next cycle.
@@ -535,7 +534,7 @@ class LocalScheduler(Node):
         if accepted and started_at is not None:
             # Simulated latency from shipping the image to execution
             # starting on the host (transfer + start RPC).
-            self.bus.metrics.histogram("placement.latency_s").observe(
+            self.hub.metrics.histogram("placement.latency_s").observe(
                 self.sim.now - started_at
             )
         if accepted:
@@ -558,8 +557,8 @@ class LocalScheduler(Node):
             reason = f"transfer_{detail}"
         else:
             reason = "host_unreachable"
-        self.bus.publish(ev.JOB_PLACEMENT_FAILED, job=job, host=host_name,
-                         reason=reason)
+        self.hub.emit(ev.JOB_PLACEMENT_FAILED, job=job, host=host_name,
+                      reason=reason)
         self._mark_dirty()
 
     def _record_slices(self, job, slices):
@@ -589,8 +588,8 @@ class LocalScheduler(Node):
         cost = checkpoint_cpu_cost(image_mb)
         self.station.ledger.charge(CHECKPOINT, cost)
         job.add_support("checkpoint", cost)
-        self.bus.metrics.histogram("checkpoint.image_mb").observe(image_mb)
-        self.bus.metrics.counter("checkpoint.vacate").inc()
+        self.hub.metrics.histogram("checkpoint.image_mb").observe(image_mb)
+        self.hub.metrics.counter("checkpoint.vacate").inc()
         try:
             self.store.store(CheckpointImage(
                 job.id, job.progress, image_mb, self.sim.now,
@@ -603,24 +602,24 @@ class LocalScheduler(Node):
             # previous generation, so only this image's progress is lost.
             job.roll_back_to_checkpoint()
             job.checkpoint_lost_count += 1
-            self.bus.metrics.counter("checkpoint.dropped_torn_write").inc()
-            self.bus.publish(tk.CHECKPOINT_WRITE_TORN, job=job,
-                             station=self.name, purpose="vacate")
+            self.hub.metrics.counter("checkpoint.dropped_torn_write").inc()
+            self.hub.emit(ev.CHECKPOINT_WRITE_TORN, job=job,
+                          station=self.name, purpose="vacate")
         except DiskFullError:
             # The checkpoint came home to a full (or failed) disk: the
             # image is lost and the job will restart from its previous
             # stored image.  Loud, not silent — the loss re-runs work.
             job.roll_back_to_checkpoint()
             job.checkpoint_lost_count += 1
-            self.bus.metrics.counter("checkpoint.dropped_disk_full").inc()
-            self.bus.publish(tk.CHECKPOINT_IMAGE_LOST, job=job,
-                             station=self.name, purpose="vacate",
-                             reason="disk_full")
+            self.hub.metrics.counter("checkpoint.dropped_disk_full").inc()
+            self.hub.emit(ev.CHECKPOINT_IMAGE_LOST, job=job,
+                          station=self.name, purpose="vacate",
+                          reason="disk_full")
         self.active_by_host.pop(host, None)
         job.transition(jobstate.PENDING)
         self.queue.return_to_pending(job)
-        self.bus.publish(ev.JOB_VACATED, job=job, host=host,
-                         reason=payload["reason"])
+        self.hub.emit(ev.JOB_VACATED, job=job, host=host,
+                      reason=payload["reason"])
         self._mark_dirty()
 
     def _handle_job_completed(self, payload):
@@ -647,7 +646,7 @@ class LocalScheduler(Node):
         shadow = self.shadows.pop(job.id, None)
         if shadow is not None:
             shadow.retire()
-        self.bus.publish(ev.JOB_COMPLETED, job=job, station=self.name)
+        self.hub.emit(ev.JOB_COMPLETED, job=job, station=self.name)
         self._mark_dirty()
 
     def _handle_job_killed(self, payload):
@@ -664,7 +663,7 @@ class LocalScheduler(Node):
         self.active_by_host.pop(host, None)
         job.transition(jobstate.PENDING)
         self.queue.return_to_pending(job)
-        self.bus.publish(ev.JOB_KILLED, job=job, host=host)
+        self.hub.emit(ev.JOB_KILLED, job=job, host=host)
         self._mark_dirty()
 
     def _handle_host_lost(self, payload):
@@ -684,7 +683,7 @@ class LocalScheduler(Node):
         job.incarnation += 1
         job.transition(jobstate.PENDING)
         self.queue.return_to_pending(job)
-        self.bus.publish(ev.HOST_LOST, job=job, host=host)
+        self.hub.emit(ev.HOST_LOST, job=job, host=host)
         self._mark_dirty()
 
     def _handle_periodic_checkpoint(self, payload):
@@ -699,8 +698,8 @@ class LocalScheduler(Node):
         cost = checkpoint_cpu_cost(image_mb)
         self.station.ledger.charge(CHECKPOINT, cost)
         job.add_support("checkpoint", cost)
-        self.bus.metrics.histogram("checkpoint.image_mb").observe(image_mb)
-        self.bus.metrics.counter("checkpoint.periodic").inc()
+        self.hub.metrics.histogram("checkpoint.image_mb").observe(image_mb)
+        self.hub.metrics.counter("checkpoint.periodic").inc()
         try:
             self.store.store(CheckpointImage(
                 job.id, progress, image_mb, self.sim.now,
@@ -710,18 +709,18 @@ class LocalScheduler(Node):
             # The older generations survive the torn write; the job
             # merely loses this interval's durability.
             job.checkpoint_lost_count += 1
-            self.bus.metrics.counter("checkpoint.dropped_torn_write").inc()
-            self.bus.publish(tk.CHECKPOINT_WRITE_TORN, job=job,
-                             station=self.name, purpose="periodic")
+            self.hub.metrics.counter("checkpoint.dropped_torn_write").inc()
+            self.hub.emit(ev.CHECKPOINT_WRITE_TORN, job=job,
+                          station=self.name, purpose="periodic")
             return
         except DiskFullError:
             # Keep the older image; strictly worse but safe — and loud,
             # so disk pressure eating durability shows up in traces.
             job.checkpoint_lost_count += 1
-            self.bus.metrics.counter("checkpoint.dropped_disk_full").inc()
-            self.bus.publish(tk.CHECKPOINT_IMAGE_LOST, job=job,
-                             station=self.name, purpose="periodic",
-                             reason="disk_full")
+            self.hub.metrics.counter("checkpoint.dropped_disk_full").inc()
+            self.hub.emit(ev.CHECKPOINT_IMAGE_LOST, job=job,
+                          station=self.name, purpose="periodic",
+                          reason="disk_full")
             return
         job.checkpointed_progress = progress
         if job.state == jobstate.PENDING and progress > job.progress:
@@ -729,8 +728,8 @@ class LocalScheduler(Node):
             # recovers work the rollback had written off.
             job.progress = progress
         job.periodic_checkpoint_count += 1
-        self.bus.publish(ev.JOB_PERIODIC_CHECKPOINT, job=job,
-                         station=self.name)
+        self.hub.emit(ev.JOB_PERIODIC_CHECKPOINT, job=job,
+                      station=self.name)
         self._mark_dirty()
 
     # ==================================================================
@@ -775,7 +774,7 @@ class LocalScheduler(Node):
         self.hosted = HostedExecution(job, home, allocation, incarnation)
         self.station.running_job = job
         self._begin_run_slice()
-        self.bus.publish(ev.JOB_PLACED, job=job, host=self.name, home=home)
+        self.hub.emit(ev.JOB_PLACED, job=job, host=self.name, home=home)
         self._mark_dirty()
         return ("started", None)
 
@@ -839,8 +838,8 @@ class LocalScheduler(Node):
         hosted.allocation.release()
         self.station.running_job = None
         self.hosted = None
-        self.bus.publish(tk.STALE_EXECUTION_REAPED, job=hosted.job,
-                         host=self.name)
+        self.hub.emit(ev.STALE_EXECUTION_REAPED, job=hosted.job,
+                      host=self.name)
         self._mark_dirty()
 
     def _owner_changed(self, station, active):
@@ -862,13 +861,13 @@ class LocalScheduler(Node):
             self.hosted.grace_handle = self.sim.schedule(
                 self.config.grace_period, self._grace_expired
             )
-            self.bus.publish(ev.JOB_SUSPENDED, job=job, host=self.name)
+            self.hub.emit(ev.JOB_SUSPENDED, job=job, host=self.name)
         elif not active and job.state == jobstate.SUSPENDED:
             self.hosted.grace_handle.cancel()
             self.hosted.grace_handle = None
             job.transition(jobstate.RUNNING)
             self._begin_run_slice()
-            self.bus.publish(ev.JOB_RESUMED, job=job, host=self.name)
+            self.hub.emit(ev.JOB_RESUMED, job=job, host=self.name)
 
     def _grace_expired(self):
         """Owner stayed past the grace period: checkpoint the job away."""
@@ -897,7 +896,7 @@ class LocalScheduler(Node):
         else:
             return  # already vacating
         job.priority_preemptions += 1
-        self.bus.publish(ev.JOB_PREEMPTED, job=job, host=self.name)
+        self.hub.emit(ev.JOB_PREEMPTED, job=job, host=self.name)
         self._vacate(REASON_PRIORITY)
 
     def _vacate(self, reason):
@@ -932,9 +931,9 @@ class LocalScheduler(Node):
             # its last image is lost: retry with backoff until it lands
             # or the lease dies (home crash heals on recovery; partition
             # heals by schedule).
-            self.bus.publish(tk.TRANSFER_FAILED, station=self.name,
-                             dst=hosted.home_name, job=hosted.job,
-                             purpose="vacate", reason=detail)
+            self.hub.emit(ev.TRANSFER_FAILED, station=self.name,
+                          dst=hosted.home_name, job=hosted.job,
+                          purpose="vacate", reason=detail)
             self.sim.schedule(self._retry.backoff(attempt + 1),
                               self._retry_vacate_transfer,
                               hosted, image_mb, reason, attempt + 1)
@@ -956,9 +955,9 @@ class LocalScheduler(Node):
         if not self._lease_valid(hosted):
             self._reap_stale_execution()
             return
-        self.bus.publish(tk.MESSAGE_RETRY, station=self.name,
-                         dst=hosted.home_name, op="vacate_transfer",
-                         attempt=attempt)
+        self.hub.emit(ev.MESSAGE_RETRY, station=self.name,
+                      dst=hosted.home_name, op="vacate_transfer",
+                      attempt=attempt)
         self._send_vacate_image(hosted, image_mb, reason, attempt)
 
     def _notify_home(self, home_name, op, payload):
@@ -1029,10 +1028,10 @@ class LocalScheduler(Node):
                 # most one interval of re-execution; the next one (or the
                 # vacate checkpoint) supersedes it.
                 if not self.crashed:
-                    self.bus.publish(tk.TRANSFER_FAILED, station=self.name,
-                                     dst=home, job=job,
-                                     purpose="periodic_checkpoint",
-                                     reason=detail)
+                    self.hub.emit(ev.TRANSFER_FAILED, station=self.name,
+                                  dst=home, job=job,
+                                  purpose="periodic_checkpoint",
+                                  reason=detail)
                 return
             self.net.message(home, "periodic_checkpoint", {
                 "job": job, "image_mb": image_mb, "progress": progress_now,
@@ -1095,8 +1094,8 @@ class LocalScheduler(Node):
                 job.incarnation += 1
                 job.transition(jobstate.PENDING)
                 self.queue.return_to_pending(job)
-                self.bus.publish(ev.JOB_PLACEMENT_FAILED, job=job,
-                                 host=host_name, reason="home_rebooted")
+                self.hub.emit(ev.JOB_PLACEMENT_FAILED, job=job,
+                              host=host_name, reason="home_rebooted")
         # The bumped epoch is itself the readmission ticket: a push with
         # a newer boot epoch lifts the coordinator's quarantine.
         self._mark_dirty()

@@ -69,6 +69,12 @@ class UpDownPolicy:
             self._index[name] = 0.0
             self._synced[name] = len(self._history)
 
+    def restore_index(self, name, value):
+        """Start (or resume) tracking ``name`` at a saved index — a
+        restarted coordinator reloading what its predecessor persisted."""
+        self._index[name] = value
+        self._synced[name] = len(self._history)
+
     def _materialize(self, name, through):
         """Replay the decay steps ``name`` missed, up to cycle ``through``."""
         synced = self._synced[name]

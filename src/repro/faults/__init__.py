@@ -1,10 +1,8 @@
 """Fault injection and recovery validation (the chaos subsystem).
 
-Grown out of ``repro.core.faults`` (which re-exports from here for
-compatibility): declarative seed-deterministic chaos schedules, the
-injectors that run them, and the standing no-lost-jobs invariant checker
-that validates the paper's §2 fault-tolerance promise against the
-telemetry spine.
+Declarative seed-deterministic chaos schedules, the injectors that run
+them, and the standing no-lost-jobs invariant checker that validates the
+paper's §2 fault-tolerance promise against the telemetry spine.
 """
 
 from repro.faults.injector import ChaosContext, ChaosInjector, CrashInjector

@@ -2,14 +2,14 @@
 
 Two drivers share this module:
 
-* :class:`CrashInjector` — the original randomized process (formerly
-  ``repro.core.faults``): every targeted station independently
-  alternates seeded up/down times.  Good for long soak/property tests.
+* :class:`CrashInjector` — the randomized process: every targeted
+  station independently alternates seeded up/down times.  Good for long
+  soak/property tests.
 * :class:`ChaosInjector` — executes a declarative
   :class:`~repro.faults.schedule.ChaosSchedule`: each action's inject
   and clear are placed on the agenda at fixed instants and telemetered
-  (``fault_injected`` / ``fault_cleared``) through the system's event
-  bus, so a chaos trace records exactly which fault was live when.
+  (``fault_injected`` / ``fault_cleared``) on the system's telemetry
+  hub, so a chaos trace records exactly which fault was live when.
 """
 
 from repro.sim.errors import SimulationError
@@ -20,17 +20,17 @@ class ChaosContext:
     """What a fault action may touch: the system, its network, the clock.
 
     Also the telemetry outlet — actions that fire at data-dependent
-    instants (crash-mid-transfer) publish through it so every fault the
+    instants (crash-mid-transfer) emit through it so every fault the
     run experienced lands in the trace, not just the scheduled ones.
     """
 
-    __slots__ = ("sim", "system", "net", "bus")
+    __slots__ = ("sim", "system", "net", "hub")
 
     def __init__(self, sim, system):
         self.sim = sim
         self.system = system
         self.net = system.network
-        self.bus = system.bus
+        self.hub = system.telemetry
 
     def scheduler(self, name):
         return self.system.scheduler(name)
@@ -44,7 +44,7 @@ class ChaosContext:
     def _publish(self, kind, action, extra):
         payload = dict(action.describe())
         payload.update(extra)
-        self.bus.publish(kind, fault=action.kind, **payload)
+        self.hub.emit(kind, fault=action.kind, **payload)
 
 
 class ChaosInjector:

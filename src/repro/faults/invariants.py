@@ -50,7 +50,7 @@ class NoLostJobsChecker:
 
     Attach before submitting the workload::
 
-        checker = NoLostJobsChecker(system.bus)
+        checker = NoLostJobsChecker(system.telemetry)
         ... run ...
         checker.check_final()          # raises NoLostJobsViolation
 
@@ -59,8 +59,7 @@ class NoLostJobsChecker:
     duplicates and no checkpoint regression.
     """
 
-    def __init__(self, bus):
-        self.bus = bus
+    def __init__(self, hub):
         #: job id -> Job object, in submission order.
         self.submitted = {}
         #: job id -> number of job_completed events seen.
@@ -77,15 +76,15 @@ class NoLostJobsChecker:
         self.restore_fallbacks = 0
         #: Violation descriptions, in order of detection.
         self.violations = []
-        bus.subscribe_event(kinds.JOB_SUBMITTED, self._on_submitted)
-        bus.subscribe_event(kinds.JOB_COMPLETED, self._on_completed)
-        bus.subscribe_event(kinds.JOB_REMOVED, self._on_removed)
-        bus.subscribe_event(kinds.CHECKPOINT_RESTORE_FALLBACK,
-                            self._on_restore_fallback)
-        bus.subscribe_event(kinds.FAULT_INJECTED, self._on_fault_injected)
-        bus.subscribe_event(kinds.JOB_PLACED, self._on_placed)
+        hub.subscribe(kinds.JOB_SUBMITTED, self._on_submitted)
+        hub.subscribe(kinds.JOB_COMPLETED, self._on_completed)
+        hub.subscribe(kinds.JOB_REMOVED, self._on_removed)
+        hub.subscribe(kinds.CHECKPOINT_RESTORE_FALLBACK,
+                      self._on_restore_fallback)
+        hub.subscribe(kinds.FAULT_INJECTED, self._on_fault_injected)
+        hub.subscribe(kinds.JOB_PLACED, self._on_placed)
         for kind in _OBSERVED_KINDS:
-            bus.subscribe_event(kind, self._on_observed)
+            hub.subscribe(kind, self._on_observed)
 
     # ------------------------------------------------------------------
     # subscribers (collect, never raise — see module docstring)

@@ -26,7 +26,7 @@ SYSCALL = "syscall"
 SCHEDULER = "scheduler"
 #: Background cost of hosting the central coordinator.
 COORDINATOR = "coordinator"
-#: CPU burned by a job executing locally (used by the local-only baseline).
+#: CPU burned by a job executing on its own home station.
 LOCAL_JOB = "local_job"
 
 ALL_CATEGORIES = (

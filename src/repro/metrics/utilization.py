@@ -23,7 +23,6 @@ from repro.machine.accounting import (
 )
 from repro.metrics.timeseries import HourlyAccumulator
 from repro.sim import HOUR
-from repro.telemetry.kinds import LEDGER_ENTRY
 
 GROUP_OF = {
     OWNER: "local",
@@ -42,33 +41,20 @@ GROUPS = ("local", "remote", "support", "daemon")
 class UtilizationMonitor:
     """Integrates every ledger entry of a set of stations by hour.
 
-    Two attachment modes: given a telemetry ``hub``, it subscribes to
-    the typed ``ledger_entry`` event stream (the spine every collector
-    shares — also what a trace replayer feeds); without one it falls
-    back to subscribing each ledger directly (legacy path, still used
-    by fixtures that build stations without a system).
+    Attaches to each station's ledger directly rather than to the hub's
+    ``ledger_entry`` stream, so an unrecorded run never builds an event
+    object per ledger entry (``hub.wants(ledger_entry)`` stays false).
     """
 
-    def __init__(self, stations, hub=None):
+    def __init__(self, stations):
         self.stations = list(stations)
         self.accumulators = {group: HourlyAccumulator() for group in GROUPS}
         #: category -> accumulator, flattened so the per-entry hot path
         #: (millions of calls in a 50k-station day) does one lookup.
         self._acc_of = {category: self.accumulators[group]
                         for category, group in GROUP_OF.items()}
-        if hub is not None:
-            self._station_names = {s.name for s in self.stations}
-            hub.subscribe(LEDGER_ENTRY, self._on_ledger_event)
-        else:
-            for station in self.stations:
-                station.ledger.subscribe(self._on_entry)
-
-    def _on_ledger_event(self, event):
-        if event.source not in self._station_names:
-            return
-        payload = event.payload
-        self._on_entry(payload["category"], payload["t0"], payload["t1"],
-                       payload["fraction"])
+        for station in self.stations:
+            station.ledger.subscribe(self._on_entry)
 
     def _on_entry(self, category, t0, t1, fraction):
         self._acc_of[category].add_interval(t0, t1, fraction)

@@ -22,7 +22,7 @@ byte-identically from the same seed).  Callers choose:
   or when the message became moot (a newer delta was pushed).
 
 Every retry and give-up is telemetered (``message_retry`` /
-``message_give_up``) through the event bus so chaos traces expose the
+``message_give_up``) on the telemetry hub so chaos traces expose the
 recovery machinery, not just its outcome.
 
 On a healthy network the first attempt is acknowledged and **no RNG is
@@ -43,7 +43,7 @@ class ReliableSender:
     simulation.
     """
 
-    def __init__(self, net, src, stream, bus=None,
+    def __init__(self, net, src, stream, hub=None,
                  backoff_base=2.0, backoff_cap=120.0, jitter_frac=0.5,
                  ack_timeout=10.0):
         if backoff_base <= 0 or backoff_cap < backoff_base:
@@ -55,7 +55,7 @@ class ReliableSender:
         self.net = net
         self.src = src
         self.stream = stream
-        self.bus = bus
+        self.hub = hub
         self.backoff_base = float(backoff_base)
         self.backoff_cap = float(backoff_cap)
         self.jitter_frac = float(jitter_frac)
@@ -126,6 +126,6 @@ class ReliableSender:
         attempt()
 
     def _publish(self, kind, station, dst, op, attempt):
-        if self.bus is not None:
-            self.bus.publish(kind, station=station, dst=dst, op=op,
-                             attempt=attempt)
+        if self.hub is not None:
+            self.hub.emit(kind, station=station, dst=dst, op=op,
+                          attempt=attempt)

@@ -38,6 +38,42 @@ from repro.service.errors import ProtocolError, ServiceError
 from repro.service.jobdb import JobDatabase
 
 
+def _field(msg, name, kind, default=None):
+    """``msg[name]`` as ``kind``, or ``default`` when absent.
+
+    A value of the wrong type raises a :class:`ServiceError` naming the
+    field, which the serve loop turns into an error reply — the
+    connection and its thread survive a malformed request.
+    """
+    value = msg.get(name)
+    if value is None:
+        return default
+    if kind in (int, float):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    elif isinstance(value, kind):
+        return value
+    raise ServiceError(
+        f"bad field {name!r}: expected {kind.__name__}, got {value!r}")
+
+
+def _running_reports(msg):
+    """An agent message's ``running`` list as
+    ``[(key, incarnation, progress), ...]``."""
+    reports = []
+    for report in _field(msg, "running", list, ()):
+        key = _field(report, "key", str) if isinstance(report, dict) else None
+        if not key:
+            raise ServiceError(
+                "bad field 'running': expected a list of "
+                "{key, incarnation, progress} objects")
+        reports.append((key, report.get("incarnation"),
+                        _field(report, "progress", int, 0)))
+    return reports
+
+
 class _AgentState:
     """In-memory cache of one registered agent (rebuildable)."""
 
@@ -113,8 +149,7 @@ class CoordinatorDaemon:
         """Rebuild the volatile picture from the durable one."""
         saved = self.db.load_owner_indices()
         for owner in sorted(saved):
-            self.policy.register_station(owner)
-            self.policy._index[owner] = saved[owner]
+            self.policy.restore_index(owner, saved[owner])
             self._owners.append(owner)
         deadline = self.clock() + self.reconcile_timeout
         for key, _agent, _inc, _epoch, _prog, _owner in self.db.inflight():
@@ -236,13 +271,14 @@ class CoordinatorDaemon:
             return {"ok": False, "error": "stale_coordinator"}
         if self._draining:
             return {"ok": False, "error": "draining"}
-        entry = msg.get("entry")
+        entry = _field(msg, "entry", str)
         if not entry:
             return {"ok": False, "error": "submit needs an entry"}
         key = self.db.submit(
-            entry, payload=msg.get("payload") or {},
-            name=msg.get("name"), owner=msg.get("owner") or "anonymous",
-            demand_seconds=float(msg.get("demand_seconds") or 0.0))
+            entry, payload=_field(msg, "payload", dict, {}),
+            name=_field(msg, "name", str),
+            owner=_field(msg, "owner", str) or "anonymous",
+            demand_seconds=_field(msg, "demand_seconds", float, 0.0))
         self._wake.set()
         return {"ok": True, "key": key}
 
@@ -258,22 +294,13 @@ class CoordinatorDaemon:
             {"key": key, "state": record_state, "agent": agent,
              "progress": progress, "owner": owner}
             for key, record_state, agent, progress, owner
-            in self._job_rows(msg.get("limit"))
+            in self.db.job_rows(_field(msg, "limit", int))
         ]
         return {"ok": True, "epoch": self.epoch, "agents": agents,
                 "jobs": jobs, **self._progress_snapshot()}
 
-    def _job_rows(self, limit=None):
-        sql = ("SELECT s.key, s.state, s.agent, s.progress, j.user "
-               "FROM service_jobs s JOIN jobs j ON j.key = s.key "
-               "ORDER BY j.id")
-        if limit:
-            sql += f" LIMIT {int(limit)}"
-        with self.db._lock:
-            return self.db._db.execute(sql).fetchall()
-
     def _op_rm(self, msg):
-        key = msg.get("key")
+        key = _field(msg, "key", str)
         record = self.db.job(key) if key else None
         if record is None:
             return {"ok": False, "error": f"unknown job {key!r}"}
@@ -293,12 +320,12 @@ class CoordinatorDaemon:
     # -- agent verbs ---------------------------------------------------
 
     def _agent_dispatch(self, op, msg):
-        agent = msg.get("agent")
+        agent = _field(msg, "agent", str)
         if not agent:
             return {"ok": False, "error": "missing agent name"}
         if op == "register":
             return self._op_register(agent, msg)
-        epoch = int(msg.get("epoch", -1))
+        epoch = _field(msg, "epoch", int, -1)
         if epoch != self.epoch or self.deposed:
             self.db.count_stale_epoch()
             return {"ok": False, "error": "stale_epoch",
@@ -315,13 +342,12 @@ class CoordinatorDaemon:
         self.db.register_agent(agent, self.epoch)
         drop = []
         adopted = None
-        for report in msg.get("running", ()):
-            key = report.get("key")
-            record = self.db.job(key) if key else None
+        for key, incarnation, _progress in _running_reports(msg):
+            record = self.db.job(key)
             if (record is not None
                     and record["state"] in db_states.INFLIGHT_STATES
                     and record["agent"] == agent
-                    and record["incarnation"] == report.get("incarnation")):
+                    and record["incarnation"] == incarnation):
                 adopted = key
                 self._reconcile.pop(key, None)
             else:
@@ -355,21 +381,20 @@ class CoordinatorDaemon:
             self.db.count_stale_epoch()
             return {"ok": False, "error": "stale_epoch",
                     "epoch": self.epoch}
-        reported = {report["key"]: report
-                    for report in msg.get("running", ())}
+        reported = {key: (incarnation, progress)
+                    for key, incarnation, progress in _running_reports(msg)}
         commands = []
-        for key, report in sorted(reported.items()):
+        for key, (incarnation, progress) in sorted(reported.items()):
             record = self.db.job(key)
             owned = (record is not None
                      and record["state"] in db_states.INFLIGHT_STATES
                      and record["agent"] == agent
-                     and record["incarnation"] == report.get("incarnation"))
+                     and record["incarnation"] == incarnation)
             if not owned:
                 commands.append({"cmd": "vacate", "key": key})
                 continue
             if record["state"] == db_states.PLACED:
                 self.db.running(key, agent, record["incarnation"])
-            progress = int(report.get("progress") or 0)
             if progress > record["progress"]:
                 self.db.checkpoint(key, agent, record["incarnation"],
                                    progress)
@@ -380,10 +405,10 @@ class CoordinatorDaemon:
         return {"ok": True, "epoch": self.epoch, "commands": commands}
 
     def _op_job_exit(self, agent, msg):
-        key = msg.get("key")
-        incarnation = int(msg.get("incarnation", -1))
+        key = _field(msg, "key", str)
+        incarnation = _field(msg, "incarnation", int, -1)
         outcome = msg.get("outcome")
-        progress = int(msg.get("progress") or 0)
+        progress = _field(msg, "progress", int, 0)
         if progress:
             self.db.checkpoint(key, agent, incarnation, progress)
         if outcome == "completed":
@@ -391,7 +416,7 @@ class CoordinatorDaemon:
                                         result=msg.get("result"))
         elif outcome == "failed":
             accepted = self.db.fail(key, agent, incarnation,
-                                    msg.get("error") or "unknown")
+                                    _field(msg, "error", str) or "unknown")
         elif outcome == "vacated":
             record = self.db.job(key)
             accepted = (record is not None
@@ -463,7 +488,7 @@ class CoordinatorDaemon:
             self.db.vacate(key, reason="unreconciled_after_takeover")
 
     def _register_owner(self, owner):
-        if owner not in self.policy._index:
+        if owner not in self._owners:
             self.policy.register_station(owner)
             self._owners.append(owner)
 

@@ -404,6 +404,16 @@ class JobDatabase:
         record["payload"] = json.loads(record["payload"])
         return record
 
+    def job_rows(self, limit=None):
+        """The ``q`` verb's listing, oldest first (all of it without a
+        ``limit``): ``[(key, state, agent, progress, owner), ...]``."""
+        with self._lock:
+            return self._db.execute(
+                "SELECT s.key, s.state, s.agent, s.progress, j.user "
+                "FROM service_jobs s JOIN jobs j ON j.key = s.key "
+                "ORDER BY j.id LIMIT ?",
+                (limit or -1,)).fetchall()
+
     def counts(self):
         """``{state: jobs}`` plus queue depth (the ``q`` verb's core)."""
         with self._lock:

@@ -16,7 +16,6 @@ from repro.sim.errors import (
     SimulationError,
     StopProcess,
 )
-from repro.sim.combinators import all_of, any_of
 from repro.sim.events import EventHandle, Signal
 from repro.sim.kernel import Simulation
 from repro.sim.process import Process
@@ -49,8 +48,6 @@ __all__ = [
     "Signal",
     "Process",
     "EventHandle",
-    "all_of",
-    "any_of",
     "SimulationError",
     "Interrupted",
     "StopProcess",

@@ -30,6 +30,7 @@ processes, each dispatching only its own loci, reproduce the serial
 order by merging on the same key.  See ``repro/sim/sharded.py``.
 """
 
+import math
 from contextlib import contextmanager
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
 
@@ -345,27 +346,10 @@ class Simulation:
         self._running = True
         try:
             if until is None:
-                heap = self._heap
-                pop = _heappop
-                lm = self.locus_mode
-                while heap:
-                    handle = pop(heap)
-                    if handle[2]:
-                        self._ncancelled -= 1
-                        continue
-                    self._now = handle[0]
-                    if lm:
-                        self._locus = handle[1][0]
-                    handle[2] = FIRED
-                    callback = handle[3]
-                    args = handle[4]
-                    handle[3] = None
-                    handle[4] = None
-                    self.events_dispatched += 1
-                    callback(*args)
-                return
-            self.step_until(until)
-            self._now = until
+                self.step_until(math.inf)
+            else:
+                self.step_until(until)
+                self._now = until
         finally:
             self._running = False
 

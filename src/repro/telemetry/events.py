@@ -67,8 +67,7 @@ class TelemetryHub:
     """Central pub/sub spine for typed telemetry events.
 
     Subscribers receive the :class:`TelemetryEvent` object itself
-    (``callback(event)``).  The legacy ``callback(**payload)`` style
-    lives in the :class:`repro.core.events.EventBus` shim on top.
+    (``callback(event)``).
     """
 
     #: Isolated subscriber failures kept in memory, oldest dropped first.
@@ -169,8 +168,12 @@ class TelemetryHub:
     # ------------------------------------------------------------------
     # emission
 
-    def emit(self, kind, source="", **payload):
+    def emit(self, kind, source=None, **payload):
         """Build, count, and deliver one typed event; returns it.
+
+        An emitter that names no ``source`` gets the component its
+        payload is about: the ``station`` field, else the ``host``
+        field, else ``""``.  This is the only place that default lives.
 
         The delivery list is the precomputed per-kind tuple maintained by
         :meth:`_rebuild_dispatch` — emit never copies subscriber lists,
@@ -181,6 +184,8 @@ class TelemetryHub:
             callbacks = self._dispatch[kind]
         except KeyError:
             raise UnknownEventKind(f"unknown event kind {kind!r}") from None
+        if source is None:
+            source = payload.get("station") or payload.get("host") or ""
         with self._lock:
             seq = self._seq
             self._seq = seq + 1

@@ -5,9 +5,8 @@ discrete-event simulator, the accounting ledgers, and the live
 (threaded) runtime — so a dashboard, trace file, or report built against
 these names works identically on simulated and real executions.
 
-The job-lifecycle names are exactly the strings the original
-``repro.core.events`` module used; ``repro.core.events`` re-exports them
-from here, so string values recorded in old traces stay valid.
+The string values are part of the trace format: recorded traces carry
+them verbatim, so renaming a constant's value invalidates old traces.
 """
 
 # -- job lifecycle (simulator local schedulers AND live runtime) --------
@@ -112,7 +111,7 @@ OWNER_DEPARTED = "owner_departed"
 #: A subscriber callback raised; the exception was isolated and recorded.
 TELEMETRY_ERROR = "telemetry_error"
 
-#: The scheduler-facing lifecycle vocabulary (what EventBus validates).
+#: The scheduler-facing lifecycle vocabulary (jobs and the daemons).
 JOB_LIFECYCLE = (
     JOB_SUBMITTED, JOB_REFUSED, JOB_PLACED, JOB_PLACEMENT_FAILED,
     JOB_SUSPENDED, JOB_RESUMED, JOB_VACATED, JOB_KILLED, JOB_PREEMPTED,

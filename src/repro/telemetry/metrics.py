@@ -3,10 +3,10 @@
 Instruments are cheap, dependency-free, and deterministic given the same
 sequence of updates, so collectors and reports read *these* instead of
 reaching into scheduler internals.  The registry rides on the telemetry
-hub (``hub.metrics``); any component holding the bus can do::
+hub (``hub.metrics``); any component holding the hub can do::
 
-    bus.metrics.counter("coordinator.grants").inc()
-    bus.metrics.histogram("checkpoint.image_mb").observe(0.5)
+    hub.metrics.counter("coordinator.grants").inc()
+    hub.metrics.histogram("checkpoint.image_mb").observe(0.5)
 
 Wall-clock timings (e.g. coordinator cycle duration) belong here — the
 registry is *not* part of the deterministic trace stream, so real-time

@@ -8,12 +8,12 @@ from repro.core import (
     Job,
     StationSpec,
     UpDownPolicy,
-    events,
 )
 from repro.machine import AlwaysActiveOwner, NeverActiveOwner, TraceOwner
 from repro.sim import HOUR, Simulation, SimulationError
 from repro.core.coordinator import Coordinator
 from repro.net import Network
+from repro.telemetry import kinds
 
 
 def build(sim, host_specs, config=None, policy=None):
@@ -57,9 +57,9 @@ class TestHostSelection:
         system = build(sim, self.specs(), config=config)
         system.start()
         placed = []
-        system.bus.subscribe(
-            events.JOB_PLACED,
-            lambda job, host, home: placed.append(host),
+        system.telemetry.subscribe(
+            kinds.JOB_PLACED,
+            lambda event: placed.append(event.payload["host"]),
         )
         sim.run(until=1000.0)   # let the owner traces play out
         submit(system, 1)
@@ -125,7 +125,7 @@ class TestLostHostDetection:
         system.scheduler("h0").crash()
         sim.run(until=1200.0)
         assert job.state == "pending"    # rolled back and requeued
-        assert system.bus.counts[events.HOST_LOST] == 1
+        assert system.telemetry.counts[kinds.HOST_LOST] == 1
 
     def test_lost_notice_sent_once_per_outage(self):
         sim = Simulation()
@@ -136,7 +136,7 @@ class TestLostHostDetection:
         sim.run(until=600.0)
         system.scheduler("h0").crash()
         sim.run(until=3000.0)    # several polls while the host stays dead
-        assert system.bus.counts[events.HOST_LOST] == 1
+        assert system.telemetry.counts[kinds.HOST_LOST] == 1
 
 
 class TestCycleTelemetry:
@@ -145,8 +145,9 @@ class TestCycleTelemetry:
         system = build(sim, [StationSpec("h0",
                                          owner_model=NeverActiveOwner())])
         cycles = []
-        system.bus.subscribe(events.COORDINATOR_CYCLE,
-                             lambda **payload: cycles.append(payload))
+        system.telemetry.subscribe(
+            kinds.COORDINATOR_CYCLE,
+            lambda event: cycles.append(event.payload))
         system.start()
         submit(system, 1)
         sim.run(until=130.0)
@@ -181,8 +182,9 @@ class TestPollParallelism:
         for i in range(20):
             system.scheduler(f"h{i}").crash()
         cycles = []
-        system.bus.subscribe(events.COORDINATOR_CYCLE,
-                             lambda **payload: cycles.append(payload))
+        system.telemetry.subscribe(
+            kinds.COORDINATOR_CYCLE,
+            lambda event: cycles.append(event.payload))
         sim.run(until=600.0)
         # Cycles still complete roughly every poll interval + one timeout.
         assert len(cycles) >= 3

@@ -32,10 +32,10 @@ def build(sim, host_owners, config=None):
     return CondorSystem(sim, specs, config=config, coordinator_host="home")
 
 
-def collect(bus, *event_kinds):
+def collect(hub, *event_kinds):
     events = []
     for kind in event_kinds:
-        bus.subscribe_event(kind, events.append)
+        hub.subscribe(kind, events.append)
     return events
 
 
@@ -82,14 +82,14 @@ def test_host_crash_mid_placement_transfer_requeues_and_completes():
     system = build(sim, {"h0": NeverActiveOwner()})
     job = Job(user="u", home="home", demand_seconds=2 * HOUR)
     system.submit(job)
-    failures = collect(system.bus, kinds.TRANSFER_FAILED,
+    failures = collect(system.telemetry, kinds.TRANSFER_FAILED,
                        kinds.JOB_PLACEMENT_FAILED)
     crash_at_transfer_midpoint(sim, system, victim="h0",
                                downtime=10 * MINUTE, dst="h0")
     run_checked(sim, system, 12 * HOUR)
 
     assert job.finished
-    assert system.bus.counts[kinds.JOB_COMPLETED] == 1
+    assert system.telemetry.counts[kinds.JOB_COMPLETED] == 1
     transfer_failures = [e for e in failures
                          if e.kind == kinds.TRANSFER_FAILED]
     assert transfer_failures
@@ -112,8 +112,8 @@ def test_home_crash_mid_checkpoint_back_retries_until_delivered():
     system = build(sim, {"h0": TraceOwner([(2 * HOUR, 3 * HOUR)])})
     job = Job(user="u", home="home", demand_seconds=4 * HOUR)
     system.submit(job)
-    failures = collect(system.bus, kinds.TRANSFER_FAILED)
-    retries = collect(system.bus, kinds.MESSAGE_RETRY)
+    failures = collect(system.telemetry, kinds.TRANSFER_FAILED)
+    retries = collect(system.telemetry, kinds.MESSAGE_RETRY)
     # Home dies halfway through the checkpoint-back and reboots 10
     # minutes later; the host must retry until the image lands.
     crash_at_transfer_midpoint(sim, system, victim="home",
@@ -121,7 +121,7 @@ def test_home_crash_mid_checkpoint_back_retries_until_delivered():
     run_checked(sim, system, 12 * HOUR)
 
     assert job.finished
-    assert system.bus.counts[kinds.JOB_COMPLETED] == 1
+    assert system.telemetry.counts[kinds.JOB_COMPLETED] == 1
     vacate_failures = [e for e in failures
                        if e.payload["purpose"] == "vacate"]
     assert vacate_failures, "the checkpoint-back was never interrupted"
@@ -162,7 +162,7 @@ def test_coordinator_crash_and_failover_under_delta_mode():
     system.finalize()
 
     assert first.finished and stranded.finished
-    assert system.bus.counts[kinds.JOB_COMPLETED] == 2
+    assert system.telemetry.counts[kinds.JOB_COMPLETED] == 2
     InvariantChecker(system).check_final()
 
 
@@ -192,9 +192,9 @@ def test_partition_zombie_is_reaped_and_books_balance():
     system.finalize()
 
     assert job.finished
-    assert system.bus.counts[kinds.JOB_COMPLETED] == 1
-    assert system.bus.counts[kinds.HOST_LOST] >= 1
-    assert system.bus.counts[kinds.STALE_EXECUTION_REAPED] == 1
+    assert system.telemetry.counts[kinds.JOB_COMPLETED] == 1
+    assert system.telemetry.counts[kinds.HOST_LOST] >= 1
+    assert system.telemetry.counts[kinds.STALE_EXECUTION_REAPED] == 1
     assert system.schedulers[hosting[0]].hosted is None
     # The zombie's revoked slice was written off against the rolled-back
     # checkpoint credit: the books closed (no refund left pending) and

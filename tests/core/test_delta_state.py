@@ -13,11 +13,11 @@ from repro.core import (
     CondorSystem,
     Job,
     StationSpec,
-    events,
 )
 from repro.core.cluster_view import ClusterView
 from repro.machine import AlwaysActiveOwner, NeverActiveOwner
 from repro.sim import HOUR, Simulation, SimulationError
+from repro.telemetry import kinds
 
 
 def build(sim, n_hosts, config=None):
@@ -134,7 +134,7 @@ class TestDeltaLostHost:
         system.scheduler("h0").crash()
         sim.run(until=1200.0)
         assert job.state == "pending"
-        assert system.bus.counts[events.HOST_LOST] == 1
+        assert system.telemetry.counts[kinds.HOST_LOST] == 1
         assert "h0" in system.coordinator.view.quarantined
 
     def test_lost_notice_sent_once_while_dead(self):
@@ -145,7 +145,7 @@ class TestDeltaLostHost:
         sim.run(until=600.0)
         system.scheduler("h0").crash()
         sim.run(until=3000.0)
-        assert system.bus.counts[events.HOST_LOST] == 1
+        assert system.telemetry.counts[kinds.HOST_LOST] == 1
 
     def test_crash_and_reboot_between_anti_entropy_polls(self):
         # The whole outage fits between two anti-entropy polls (interval
@@ -164,7 +164,7 @@ class TestDeltaLostHost:
         host.crash()
         sim.schedule(30.0, host.recover)   # back up within one cycle
         sim.run(until=1500.0)
-        assert system.bus.counts[events.HOST_LOST] == 1
+        assert system.telemetry.counts[kinds.HOST_LOST] == 1
         assert job.state in ("pending", "placing", "running")
         # The rebooted host is back in rotation: the job lands again.
         sim.run(until=3 * HOUR)
@@ -213,7 +213,7 @@ class TestStaleUpdateAfterUnreachable:
         grants_before = coordinator.grants_issued
         sim.run(until=3000.0)
         assert coordinator.grants_issued == grants_before
-        assert system.bus.counts[events.HOST_LOST] == 1
+        assert system.telemetry.counts[kinds.HOST_LOST] == 1
 
 
 class TestAntiEntropyRepair:
@@ -257,7 +257,7 @@ class TestAntiEntropyRepair:
         # ahead of the last applied push, the drift is repaired, and the
         # job is finally granted a machine.
         sim.run(until=600.0)
-        repairs = system.bus.counts.get(events.COORDINATOR_VIEW_REPAIR, 0)
+        repairs = system.telemetry.counts.get(kinds.COORDINATOR_VIEW_REPAIR, 0)
         assert repairs >= 1
         assert coordinator.grants_issued >= 1
         assert job.state == "running"

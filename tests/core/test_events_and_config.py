@@ -1,45 +1,9 @@
-"""Tests for the event bus and configuration validation."""
+"""Tests for configuration validation."""
 
 import pytest
 
-from repro.core import CondorConfig, EventBus, events
+from repro.core import CondorConfig
 from repro.sim import SimulationError
-
-
-class TestEventBus:
-    def test_publish_reaches_subscribers(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(events.JOB_SUBMITTED,
-                      lambda **payload: seen.append(payload))
-        bus.publish(events.JOB_SUBMITTED, job="j", station="ws-1")
-        assert seen == [{"job": "j", "station": "ws-1"}]
-
-    def test_counts_increment(self):
-        bus = EventBus()
-        bus.publish(events.JOB_PLACED, job=None, host="h", home="m")
-        bus.publish(events.JOB_PLACED, job=None, host="h", home="m")
-        assert bus.counts[events.JOB_PLACED] == 2
-
-    def test_multiple_subscribers_all_called(self):
-        bus = EventBus()
-        seen = []
-        for tag in ("a", "b"):
-            bus.subscribe(events.JOB_COMPLETED,
-                          lambda tag=tag, **payload: seen.append(tag))
-        bus.publish(events.JOB_COMPLETED, job=None, station="s")
-        assert sorted(seen) == ["a", "b"]
-
-    def test_unknown_event_rejected_on_publish(self):
-        with pytest.raises(SimulationError):
-            EventBus().publish("job_teleported")
-
-    def test_unknown_event_rejected_on_subscribe(self):
-        with pytest.raises(SimulationError):
-            EventBus().subscribe("job_teleported", lambda **kw: None)
-
-    def test_publish_without_subscribers_is_fine(self):
-        EventBus().publish(events.JOB_KILLED, job=None, host="h")
 
 
 class TestCondorConfig:

@@ -7,7 +7,6 @@ from repro.core import (
     CondorSystem,
     Job,
     StationSpec,
-    events,
 )
 from repro.machine import AlwaysActiveOwner, NeverActiveOwner, TraceOwner
 from repro.sim import DAY, HOUR, Simulation, SimulationError

@@ -13,7 +13,7 @@ the two guarantees the flocking tree must preserve.
 
 import pytest
 
-from repro.core import CondorConfig, CondorSystem, Job, StationSpec, events
+from repro.core import CondorConfig, CondorSystem, Job, StationSpec
 from repro.core.federation import federation_pools, pool_name
 from repro.core.job import reset_job_ids
 from repro.machine import AlwaysActiveOwner, NeverActiveOwner, TraceOwner
@@ -21,6 +21,7 @@ from repro.metrics import jobs as job_metrics
 from repro.sim import HOUR, MINUTE, Simulation, SimulationError
 from repro.analysis.experiment import ExperimentRun
 from repro.workload.users import paper_profiles
+from repro.telemetry import kinds
 
 SEED = 42
 
@@ -71,9 +72,9 @@ def lease_specs(lender_owner=None):
     ]
 
 
-def collect(bus, kind):
+def collect(hub, kind):
     records = []
-    bus.subscribe_event(kind, lambda evt: records.append(evt.payload))
+    hub.subscribe(kind, lambda evt: records.append(evt.payload))
     return records
 
 
@@ -91,11 +92,12 @@ class TestCrossPoolLeases:
             sim, lease_specs(),
             federation_lease_duration=8 * HOUR,
         )
-        grants = collect(system.bus, events.CROSS_POOL_LEASE_GRANTED)
+        grants = collect(system.telemetry, kinds.CROSS_POOL_LEASE_GRANTED)
         placed = []
-        system.bus.subscribe(
-            events.JOB_PLACED,
-            lambda job, host, home: placed.append((host, home)),
+        system.telemetry.subscribe(
+            kinds.JOB_PLACED,
+            lambda evt: placed.append(
+                (evt.payload["host"], evt.payload["home"])),
         )
         system.start()
         job = Job(user="A", home="b0", demand_seconds=1 * HOUR)
@@ -116,7 +118,7 @@ class TestCrossPoolLeases:
             sim, lease_specs(),
             federation_lease_duration=8 * HOUR,
         )
-        grants = collect(system.bus, events.CROSS_POOL_LEASE_GRANTED)
+        grants = collect(system.telemetry, kinds.CROSS_POOL_LEASE_GRANTED)
         system.start()
         for _ in range(3):
             system.submit(Job(user="A", home="b0",
@@ -131,7 +133,7 @@ class TestCrossPoolLeases:
             sim, lease_specs(),
             federation_lease_duration=30 * MINUTE,
         )
-        returns = collect(system.bus, events.CROSS_POOL_LEASE_RETURNED)
+        returns = collect(system.telemetry, kinds.CROSS_POOL_LEASE_RETURNED)
         system.start()
         job = Job(user="A", home="b0", demand_seconds=5 * HOUR)
         system.submit(job)
@@ -153,8 +155,8 @@ class TestCrossPoolLeases:
             sim, lease_specs(TraceOwner([(2 * HOUR, 10 * HOUR)])),
             federation_lease_duration=8 * HOUR,
         )
-        grants = collect(system.bus, events.CROSS_POOL_LEASE_GRANTED)
-        returns = collect(system.bus, events.CROSS_POOL_LEASE_RETURNED)
+        grants = collect(system.telemetry, kinds.CROSS_POOL_LEASE_GRANTED)
+        returns = collect(system.telemetry, kinds.CROSS_POOL_LEASE_RETURNED)
         system.start()
         system.submit(Job(user="A", home="b0", demand_seconds=6 * HOUR))
         sim.run(until=4 * HOUR)

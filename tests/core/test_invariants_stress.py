@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from repro.core import (
     CondorConfig,
     CondorSystem,
-    CrashInjector,
     InvariantChecker,
     Job,
     StationSpec,
 )
+from repro.faults import CrashInjector
 from repro.machine import AlternatingOwner, AlwaysActiveOwner
 from repro.metrics.timeseries import PeriodicSampler
 from repro.sim import DAY, HOUR, MINUTE, RandomStream, Simulation

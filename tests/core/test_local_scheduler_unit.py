@@ -8,12 +8,11 @@ from repro.core import (
     Job,
     SchedulingError,
     StationSpec,
-    events,
 )
 from repro.core import job as jobstate
 from repro.machine import AlwaysActiveOwner, NeverActiveOwner
 from repro.sim import DAY, HOUR, Simulation
-from repro.telemetry import kinds as tk
+from repro.telemetry import kinds
 
 
 def build(hosts=1, config=None, home_disk=None):
@@ -61,7 +60,7 @@ class TestRemoval:
         system.scheduler("home").remove(job)
         assert job.state == jobstate.REMOVED
         assert system.queue_length() == 0
-        assert system.bus.counts[events.JOB_REMOVED] == 1
+        assert system.telemetry.counts[kinds.JOB_REMOVED] == 1
 
     def test_remove_running_job_rejected(self):
         sim, system = build()
@@ -166,14 +165,14 @@ class TestStorageDurability:
         disk = system.station("home").disk
         disk.allocate(disk.free_mb, purpose="filler")
         seen = []
-        system.bus.subscribe_event(tk.CHECKPOINT_IMAGE_LOST, seen.append)
+        system.telemetry.subscribe(kinds.CHECKPOINT_IMAGE_LOST, seen.append)
         scheduler._handle_job_vacated(self._vacate_payload(job))
         # The image was lost, telemetered, and not counted as stored.
         assert [e.payload["purpose"] for e in seen] == ["vacate"]
         assert seen[0].payload["reason"] == "disk_full"
         assert job.checkpoint_count == 0
         assert job.checkpoint_lost_count == 1
-        counter = system.bus.metrics.counter("checkpoint.dropped_disk_full")
+        counter = system.metrics.counter("checkpoint.dropped_disk_full")
         assert counter.value == 1
         # The job rolled back to its last stored image and is queued.
         assert job.progress == job.checkpointed_progress == 0.0
@@ -187,12 +186,12 @@ class TestStorageDurability:
         job.transition(jobstate.VACATING)
         scheduler.store.arm_torn_writes(1)
         seen = []
-        system.bus.subscribe_event(tk.CHECKPOINT_WRITE_TORN, seen.append)
+        system.telemetry.subscribe(kinds.CHECKPOINT_WRITE_TORN, seen.append)
         scheduler._handle_job_vacated(self._vacate_payload(job))
         assert [e.payload["purpose"] for e in seen] == ["vacate"]
         assert job.checkpoint_count == 0
         assert job.checkpoint_lost_count == 1
-        counter = system.bus.metrics.counter("checkpoint.dropped_torn_write")
+        counter = system.metrics.counter("checkpoint.dropped_torn_write")
         assert counter.value == 1
         # The initial (submit-time) image survived the torn write.
         image = scheduler.store.fetch(job.id)
@@ -205,7 +204,7 @@ class TestStorageDurability:
         disk = system.station("home").disk
         disk.allocate(disk.free_mb, purpose="filler")
         seen = []
-        system.bus.subscribe_event(tk.CHECKPOINT_IMAGE_LOST, seen.append)
+        system.telemetry.subscribe(kinds.CHECKPOINT_IMAGE_LOST, seen.append)
         scheduler._handle_periodic_checkpoint({
             "job": job, "image_mb": job.image_mb(), "progress": 600.0,
             "incarnation": job.incarnation,
@@ -214,7 +213,7 @@ class TestStorageDurability:
         assert job.periodic_checkpoint_count == 0
         assert job.checkpoint_lost_count == 1
         assert job.checkpointed_progress == 0.0
-        counter = system.bus.metrics.counter("checkpoint.dropped_disk_full")
+        counter = system.metrics.counter("checkpoint.dropped_disk_full")
         assert counter.value == 1
 
     def test_restore_fallback_on_corrupt_image(self):
@@ -224,7 +223,7 @@ class TestStorageDurability:
         system.submit(job)
         scheduler.store.corrupt(job.id)
         seen = []
-        system.bus.subscribe_event(tk.CHECKPOINT_RESTORE_FALLBACK,
+        system.telemetry.subscribe(kinds.CHECKPOINT_RESTORE_FALLBACK,
                                    seen.append)
         scheduler._restore_verified(job)
         assert len(seen) == 1
@@ -233,7 +232,7 @@ class TestStorageDurability:
         assert job.checkpointed_progress == 0.0
         # The corrupt image was discarded, never shipped.
         assert scheduler.store.fetch(job.id) is None
-        counter = system.bus.metrics.counter("checkpoint.restore_fallback")
+        counter = system.metrics.counter("checkpoint.restore_fallback")
         assert counter.value == 1
 
     def test_clean_restore_emits_nothing(self):
@@ -242,7 +241,7 @@ class TestStorageDurability:
         job = Job(user="u", home="home", demand_seconds=HOUR)
         system.submit(job)
         seen = []
-        system.bus.subscribe_event(tk.CHECKPOINT_RESTORE_FALLBACK,
+        system.telemetry.subscribe(kinds.CHECKPOINT_RESTORE_FALLBACK,
                                    seen.append)
         scheduler._restore_verified(job)
         assert seen == []

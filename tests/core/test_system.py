@@ -13,10 +13,10 @@ from repro.core import (
     Job,
     StationSpec,
     SubmissionRefused,
-    events,
 )
 from repro.machine import AlwaysActiveOwner, NeverActiveOwner, TraceOwner
 from repro.sim import HOUR, MINUTE, Simulation
+from repro.telemetry import kinds
 
 FOREVER = 10_000_000.0
 
@@ -95,11 +95,11 @@ class TestBasicPlacement:
         system.start()
         submit_job(system, demand=600.0)
         system.run(until=2000.0)
-        counts = system.bus.counts
-        assert counts[events.JOB_SUBMITTED] == 1
-        assert counts[events.JOB_PLACED] == 1
-        assert counts[events.JOB_COMPLETED] == 1
-        assert counts[events.JOB_VACATED] == 0
+        counts = system.telemetry.counts
+        assert counts[kinds.JOB_SUBMITTED] == 1
+        assert counts[kinds.JOB_PLACED] == 1
+        assert counts[kinds.JOB_COMPLETED] == 1
+        assert counts[kinds.JOB_VACATED] == 0
 
 
 class TestOwnerReturns:
@@ -119,8 +119,8 @@ class TestOwnerReturns:
         assert job.finished
         assert job.checkpoint_count == 0          # never moved
         assert job.placements == ["host-1"]
-        assert system.bus.counts[events.JOB_SUSPENDED] == 1
-        assert system.bus.counts[events.JOB_RESUMED] == 1
+        assert system.telemetry.counts[kinds.JOB_SUSPENDED] == 1
+        assert system.telemetry.counts[kinds.JOB_RESUMED] == 1
         # The visit added ~120 s of dead time to the turnaround.
         assert job.completed_at == pytest.approx(840.0, abs=10.0)
 
@@ -140,7 +140,7 @@ class TestOwnerReturns:
         assert job.remote_cpu_seconds == pytest.approx(600.0, abs=1.0)
         assert job.wasted_cpu_seconds == 0.0
         assert job.support_seconds["checkpoint"] > 0.0
-        assert system.bus.counts[events.JOB_VACATED] == 1
+        assert system.telemetry.counts[kinds.JOB_VACATED] == 1
 
     def test_vacate_happens_after_grace_period(self):
         sim = Simulation()
@@ -150,9 +150,9 @@ class TestOwnerReturns:
         system.start()
         job = submit_job(system, demand=600.0)
         vacate_times = []
-        system.bus.subscribe(
-            events.JOB_VACATED,
-            lambda job, host, reason: vacate_times.append(sim.now),
+        system.telemetry.subscribe(
+            kinds.JOB_VACATED,
+            lambda event: vacate_times.append(event.sim_time),
         )
         system.run(until=3000.0)
         # Owner at 300, grace 5 min -> vacate completes shortly after 600.
@@ -191,7 +191,7 @@ class TestButlerMode:
         # ~180 s of work at host-1 was thrown away and redone at host-2.
         assert job.wasted_cpu_seconds == pytest.approx(180.0, abs=10.0)
         assert job.remote_cpu_seconds == pytest.approx(780.0, abs=15.0)
-        assert system.bus.counts[events.JOB_KILLED] == 1
+        assert system.telemetry.counts[kinds.JOB_KILLED] == 1
 
 
 class TestPeriodicCheckpointing:
@@ -213,7 +213,7 @@ class TestPeriodicCheckpointing:
         assert job.periodic_checkpoint_count >= 2
         # Work lost at the kill is at most one checkpoint interval.
         assert job.wasted_cpu_seconds <= 60.0 + 5.0
-        assert system.bus.counts[events.JOB_PERIODIC_CHECKPOINT] >= 2
+        assert system.telemetry.counts[kinds.JOB_PERIODIC_CHECKPOINT] >= 2
 
 
 class TestUpDownPreemption:
@@ -237,7 +237,7 @@ class TestUpDownPreemption:
         assert light_job.finished
         preempted = [j for j in heavy_jobs if j.priority_preemptions > 0]
         assert len(preempted) == 1
-        assert system.bus.counts[events.JOB_PREEMPTED] == 1
+        assert system.telemetry.counts[kinds.JOB_PREEMPTED] == 1
         # The light job waited only a few coordinator cycles.
         assert light_job.wait_ratio() < 3.0
 
@@ -258,7 +258,7 @@ class TestUpDownPreemption:
         sim.run(until=4000.0)
 
         assert light_job.finished
-        assert system.bus.counts[events.JOB_PREEMPTED] == 0
+        assert system.telemetry.counts[kinds.JOB_PREEMPTED] == 0
 
 
 class TestPlacementThrottle:
@@ -298,7 +298,7 @@ class TestDiskPressure:
         submit_job(system, demand=HOUR)       # 1.0 MB total fits
         with pytest.raises(SubmissionRefused):
             submit_job(system, demand=HOUR)   # 1.5 MB does not
-        assert system.bus.counts[events.JOB_REFUSED] == 1
+        assert system.telemetry.counts[kinds.JOB_REFUSED] == 1
 
     def test_grant_ignored_when_no_job_fits_host_disk(self):
         sim = Simulation()
@@ -331,7 +331,7 @@ class TestHostFailure:
         assert job.placements == ["host-1", "host-2"]
         # No checkpoint existed beyond the submit image: progress redone.
         assert job.wasted_cpu_seconds == pytest.approx(180.0, abs=15.0)
-        assert system.bus.counts[events.HOST_LOST] == 1
+        assert system.telemetry.counts[kinds.HOST_LOST] == 1
 
     def test_crashed_host_refuses_placements(self):
         sim = Simulation()

@@ -128,8 +128,8 @@ class TestChaosInjector:
             Partition(("h1",), at=30.0, duration=5.0),
         ])
         events = []
-        system.bus.subscribe_event(kinds.FAULT_INJECTED, events.append)
-        system.bus.subscribe_event(kinds.FAULT_CLEARED, events.append)
+        system.telemetry.subscribe(kinds.FAULT_INJECTED, events.append)
+        system.telemetry.subscribe(kinds.FAULT_CLEARED, events.append)
         injector = ChaosInjector(sim, system, schedule)
         system.start()
         injector.start()
@@ -202,11 +202,11 @@ class TestNoLostJobsChecker:
 
     def test_duplicate_completion_detected(self):
         _, system = build_system(hosts=0)
-        checker = NoLostJobsChecker(system.bus)
+        checker = NoLostJobsChecker(system.telemetry)
         job = self.make_job()
-        system.bus.publish(kinds.JOB_SUBMITTED, job=job)
-        system.bus.publish(kinds.JOB_COMPLETED, job=job)
-        system.bus.publish(kinds.JOB_COMPLETED, job=job)
+        system.telemetry.emit(kinds.JOB_SUBMITTED, job=job)
+        system.telemetry.emit(kinds.JOB_COMPLETED, job=job)
+        system.telemetry.emit(kinds.JOB_COMPLETED, job=job)
         assert not checker.ok
         assert "completed 2 times" in checker.violations[0]
         with pytest.raises(NoLostJobsViolation):
@@ -214,20 +214,20 @@ class TestNoLostJobsChecker:
 
     def test_checkpoint_regression_detected(self):
         _, system = build_system(hosts=0)
-        checker = NoLostJobsChecker(system.bus)
+        checker = NoLostJobsChecker(system.telemetry)
         job = self.make_job()
-        system.bus.publish(kinds.JOB_SUBMITTED, job=job)
+        system.telemetry.emit(kinds.JOB_SUBMITTED, job=job)
         job.checkpointed_progress = 60.0
-        system.bus.publish(kinds.JOB_VACATED, job=job, station="h0")
+        system.telemetry.emit(kinds.JOB_VACATED, job=job, station="h0")
         job.checkpointed_progress = 40.0
-        system.bus.publish(kinds.JOB_RESUMED, job=job, station="h0")
+        system.telemetry.emit(kinds.JOB_RESUMED, job=job, station="h0")
         assert not checker.ok
         assert "checkpoint regressed" in checker.violations[0]
 
     def test_never_completed_job_flagged_at_final(self):
         _, system = build_system(hosts=0)
-        checker = NoLostJobsChecker(system.bus)
-        system.bus.publish(kinds.JOB_SUBMITTED, job=self.make_job())
+        checker = NoLostJobsChecker(system.telemetry)
+        system.telemetry.emit(kinds.JOB_SUBMITTED, job=self.make_job())
         assert checker.ok                       # nothing wrong live
         with pytest.raises(NoLostJobsViolation, match="never completed"):
             checker.check_final()
@@ -236,10 +236,10 @@ class TestNoLostJobsChecker:
 
     def test_removed_job_may_never_complete(self):
         _, system = build_system(hosts=0)
-        checker = NoLostJobsChecker(system.bus)
+        checker = NoLostJobsChecker(system.telemetry)
         job = self.make_job()
-        system.bus.publish(kinds.JOB_SUBMITTED, job=job)
-        system.bus.publish(kinds.JOB_REMOVED, job=job)
+        system.telemetry.emit(kinds.JOB_SUBMITTED, job=job)
+        system.telemetry.emit(kinds.JOB_REMOVED, job=job)
         assert checker.check_final() == 1
 
 
@@ -253,7 +253,7 @@ def test_chaos_scenario_no_lost_jobs_and_byte_identical_replay(name):
     # no-lost-jobs violation; assert the headline outcomes explicitly.
     assert identical, f"{name}: replay trace differs"
     assert all(job.finished for job in run.jobs)
-    counts = run.system.bus.counts
+    counts = run.system.telemetry.counts
     assert counts[kinds.JOB_COMPLETED] == len(run.jobs)   # zero duplicates
     assert run.injector.injected > 0
     assert run.no_lost.ok

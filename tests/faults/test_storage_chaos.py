@@ -60,7 +60,7 @@ class TestStorageActions:
         schedule = ChaosSchedule("c", [CorruptCheckpoint("home", at=10.0)])
         injector = ChaosInjector(sim, system, schedule)
         seen = []
-        system.bus.subscribe_event(kinds.FAULT_INJECTED, seen.append)
+        system.telemetry.subscribe(kinds.FAULT_INJECTED, seen.append)
         system.start()
         injector.start()
         sim.run(until=20.0)
@@ -146,78 +146,78 @@ class TestCheckerStorageExtensions:
 
     def test_restore_fallback_legitimately_lowers_the_floor(self):
         _, system = build_system(hosts=0)
-        checker = NoLostJobsChecker(system.bus)
+        checker = NoLostJobsChecker(system.telemetry)
         job = self.make_job()
-        system.bus.publish(kinds.JOB_SUBMITTED, job=job)
+        system.telemetry.emit(kinds.JOB_SUBMITTED, job=job)
         job.checkpointed_progress = 60.0
-        system.bus.publish(kinds.JOB_VACATED, job=job, station="h0")
+        system.telemetry.emit(kinds.JOB_VACATED, job=job, station="h0")
         job.checkpointed_progress = 40.0
-        system.bus.publish(kinds.CHECKPOINT_RESTORE_FALLBACK, job=job,
-                           restored_progress=40.0)
-        system.bus.publish(kinds.JOB_RESUMED, job=job, station="h0")
+        system.telemetry.emit(kinds.CHECKPOINT_RESTORE_FALLBACK, job=job,
+                              restored_progress=40.0)
+        system.telemetry.emit(kinds.JOB_RESUMED, job=job, station="h0")
         assert checker.ok
         assert checker.restore_fallbacks == 1
         assert checker.checkpoint_floor[job.id] == 40.0
 
     def test_fallback_raising_the_floor_is_a_violation(self):
         _, system = build_system(hosts=0)
-        checker = NoLostJobsChecker(system.bus)
+        checker = NoLostJobsChecker(system.telemetry)
         job = self.make_job()
-        system.bus.publish(kinds.JOB_SUBMITTED, job=job)
-        system.bus.publish(kinds.CHECKPOINT_RESTORE_FALLBACK, job=job,
-                           restored_progress=90.0)
+        system.telemetry.emit(kinds.JOB_SUBMITTED, job=job)
+        system.telemetry.emit(kinds.CHECKPOINT_RESTORE_FALLBACK, job=job,
+                              restored_progress=90.0)
         assert not checker.ok
         assert "raised" in checker.violations[0]
 
     def test_resume_beyond_verified_floor_is_a_violation(self):
         _, system = build_system(hosts=0)
-        checker = NoLostJobsChecker(system.bus)
+        checker = NoLostJobsChecker(system.telemetry)
         job = self.make_job()
-        system.bus.publish(kinds.JOB_SUBMITTED, job=job)
+        system.telemetry.emit(kinds.JOB_SUBMITTED, job=job)
         job.progress = 50.0          # nothing ever checkpointed that much
-        system.bus.publish(kinds.JOB_PLACED, job=job, host="h0")
+        system.telemetry.emit(kinds.JOB_PLACED, job=job, host="h0")
         assert not checker.ok
         assert "beyond verified checkpoint" in checker.violations[0]
 
     def test_resume_from_poisoned_image_is_a_violation(self):
         _, system = build_system(hosts=0)
-        checker = NoLostJobsChecker(system.bus)
+        checker = NoLostJobsChecker(system.telemetry)
         job = self.make_job()
-        system.bus.publish(kinds.JOB_SUBMITTED, job=job)
+        system.telemetry.emit(kinds.JOB_SUBMITTED, job=job)
         job.checkpointed_progress = 50.0
-        system.bus.publish(kinds.JOB_VACATED, job=job, station="h0")
-        system.bus.publish(kinds.FAULT_INJECTED, fault="checkpoint_corrupt",
-                           poisoned=[[job.id, 50.0]])
+        system.telemetry.emit(kinds.JOB_VACATED, job=job, station="h0")
+        system.telemetry.emit(kinds.FAULT_INJECTED, fault="checkpoint_corrupt",
+                              poisoned=[[job.id, 50.0]])
         job.progress = 50.0
-        system.bus.publish(kinds.JOB_PLACED, job=job, host="h0")
+        system.telemetry.emit(kinds.JOB_PLACED, job=job, host="h0")
         assert not checker.ok
         assert "corrupt image" in checker.violations[0]
 
     def test_fallback_clears_poisoned_resume_points(self):
         _, system = build_system(hosts=0)
-        checker = NoLostJobsChecker(system.bus)
+        checker = NoLostJobsChecker(system.telemetry)
         job = self.make_job()
-        system.bus.publish(kinds.JOB_SUBMITTED, job=job)
+        system.telemetry.emit(kinds.JOB_SUBMITTED, job=job)
         job.checkpointed_progress = 50.0
-        system.bus.publish(kinds.JOB_VACATED, job=job, station="h0")
-        system.bus.publish(kinds.FAULT_INJECTED, fault="checkpoint_corrupt",
-                           poisoned=[[job.id, 50.0]])
+        system.telemetry.emit(kinds.JOB_VACATED, job=job, station="h0")
+        system.telemetry.emit(kinds.FAULT_INJECTED, fault="checkpoint_corrupt",
+                              poisoned=[[job.id, 50.0]])
         # Verify-on-restore discarded the poisoned image and fell back.
         job.checkpointed_progress = 0.0
-        system.bus.publish(kinds.CHECKPOINT_RESTORE_FALLBACK, job=job,
-                           restored_progress=0.0)
+        system.telemetry.emit(kinds.CHECKPOINT_RESTORE_FALLBACK, job=job,
+                              restored_progress=0.0)
         job.progress = 0.0
-        system.bus.publish(kinds.JOB_PLACED, job=job, host="h0")
+        system.telemetry.emit(kinds.JOB_PLACED, job=job, host="h0")
         assert checker.ok
 
     def test_poison_during_inflight_placement_is_not_recorded(self):
         _, system = build_system(hosts=0)
-        checker = NoLostJobsChecker(system.bus)
+        checker = NoLostJobsChecker(system.telemetry)
         job = self.make_job()
-        system.bus.publish(kinds.JOB_SUBMITTED, job=job)
+        system.telemetry.emit(kinds.JOB_SUBMITTED, job=job)
         job.state = "placing"      # image already read and verified
-        system.bus.publish(kinds.FAULT_INJECTED, fault="checkpoint_corrupt",
-                           poisoned=[[job.id, 0.0]])
+        system.telemetry.emit(kinds.FAULT_INJECTED, fault="checkpoint_corrupt",
+                              poisoned=[[job.id, 0.0]])
         assert checker.poisoned == {}
 
 

@@ -33,6 +33,17 @@ class TestLifecycle:
         assert record["agent"] == "agent-a"
         assert record["payload"] == {"steps": 3}
 
+    def test_job_rows_lists_oldest_first_up_to_a_limit(self, db):
+        k1 = db.submit("m:f", owner="ann")
+        k2 = db.submit("m:f", owner="bob")
+        db.place(k1, "agent-a", epoch=1)
+        assert db.job_rows() == [
+            (k1, jobdb.PLACED, "agent-a", 0, "ann"),
+            (k2, jobdb.SUBMITTED, None, 0, "bob"),
+        ]
+        assert [row[0] for row in db.job_rows(limit=1)] == [k1]
+        assert len(db.job_rows(limit=0)) == 2     # no limit, like q
+
     def test_place_requires_queued_state(self, db):
         key = db.submit("m:f")
         db.place(key, "a", 1)

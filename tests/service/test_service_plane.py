@@ -370,3 +370,47 @@ class TestFailover:
         finally:
             fake.close()
             daemon.stop()
+
+
+class TestMalformedRequests:
+    """A field of the wrong type gets an error reply naming it; the
+    serve thread survives and the connection stays usable."""
+
+    @pytest.mark.parametrize("request_msg, field", [
+        ({"op": "q", "limit": "abc"}, "limit"),
+        ({"op": "q", "limit": [5]}, "limit"),
+        ({"op": "submit", "entry": INSTANT, "demand_seconds": "x"},
+         "demand_seconds"),
+        ({"op": "submit", "entry": INSTANT, "payload": "not-a-dict"},
+         "payload"),
+        ({"op": "submit", "entry": 17}, "entry"),
+        ({"op": "heartbeat", "agent": "fake", "epoch": "new"}, "epoch"),
+        ({"op": "heartbeat", "agent": "fake", "epoch": None,
+          "running": "job-1"}, "running"),
+        ({"op": "heartbeat", "agent": "fake", "epoch": None,
+          "running": [{"key": "#1", "progress": "half"}]}, "progress"),
+        ({"op": "register", "agent": "fake", "running": [17]}, "running"),
+        ({"op": "job_exit", "agent": "fake", "epoch": None, "key": "#1",
+          "incarnation": "first", "outcome": "completed"}, "incarnation"),
+        ({"op": "job_exit", "agent": "fake", "epoch": None, "key": "#1",
+          "incarnation": 1, "outcome": "completed", "progress": {}},
+         "progress"),
+    ])
+    def test_wrong_type_is_an_error_reply(self, db_path, request_msg,
+                                          field):
+        daemon = CoordinatorDaemon(db_path, poll_interval=0.01)
+        daemon.start()
+        fake = FakeAgent("fake", daemon.endpoint)
+        try:
+            fake.register()
+            if "epoch" in request_msg and request_msg["epoch"] is None:
+                request_msg = {**request_msg, "epoch": fake.epoch}
+            reply = fake.rpc(request_msg)
+            assert reply["ok"] is False
+            assert field in reply["error"]
+            # Same connection, next request: still served.
+            assert fake.rpc({"op": "ping"})["ok"]
+            assert fake.rpc({"op": "q", "limit": 1})["ok"]
+        finally:
+            fake.close()
+            daemon.stop()

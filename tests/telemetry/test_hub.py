@@ -1,8 +1,7 @@
-"""Tests for the typed telemetry hub and the EventBus shim on top."""
+"""Tests for the typed telemetry hub."""
 
 import pytest
 
-from repro.core import EventBus, events
 from repro.sim import SimulationError
 from repro.telemetry import TelemetryHub, kinds
 
@@ -110,75 +109,35 @@ class TestTelemetryHub:
         assert len(hub.errors) == hub.MAX_ERRORS
 
 
-class TestEventBusShim:
-    def test_legacy_kwargs_subscription(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(events.JOB_SUBMITTED,
-                      lambda **payload: seen.append(payload))
-        bus.publish(events.JOB_SUBMITTED, job="j", station="ws-1")
-        assert seen == [{"job": "j", "station": "ws-1"}]
+class TestSourceDefault:
+    """An emitter that names no source gets the station (else the host)
+    its payload is about — what every daemon call site relies on."""
 
-    def test_publish_returns_typed_event(self):
-        bus = EventBus()
-        event = bus.publish(events.JOB_PLACED, job="j", host="h", home="m")
-        assert event.kind == events.JOB_PLACED
+    def test_station_field_is_the_source(self):
+        event = TelemetryHub().emit(kinds.JOB_SUBMITTED, job="j",
+                                    station="ws-1")
+        assert event.source == "ws-1"
+        assert event.payload == {"job": "j", "station": "ws-1"}
+
+    def test_host_field_when_there_is_no_station(self):
+        event = TelemetryHub().emit(kinds.JOB_PLACED, job="j", host="h",
+                                    home="m")
         assert event.source == "h"
-        assert event.seq == 0
 
-    def test_unsubscribe_legacy_callback(self):
-        bus = EventBus()
-        seen = []
+    def test_station_wins_over_host(self):
+        event = TelemetryHub().emit(kinds.TRANSFER_FAILED, station="s",
+                                    host="h")
+        assert event.source == "s"
 
-        def on_submit(**payload):
-            seen.append(payload)
+    def test_neither_field_leaves_the_source_empty(self):
+        assert TelemetryHub().emit(kinds.COORDINATOR_CYCLE).source == ""
 
-        bus.subscribe(events.JOB_SUBMITTED, on_submit)
-        assert bus.unsubscribe(events.JOB_SUBMITTED, on_submit)
-        bus.publish(events.JOB_SUBMITTED, job="j", station="s")
-        assert seen == []
-
-    def test_unsubscribe_typed_callback(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe_event(events.JOB_SUBMITTED, seen.append)
-        assert bus.unsubscribe(events.JOB_SUBMITTED, seen.append)
-        bus.publish(events.JOB_SUBMITTED, job="j", station="s")
-        assert seen == []
-
-    def test_double_subscribe_then_single_unsubscribe(self):
-        bus = EventBus()
-        seen = []
-
-        def on_submit(**payload):
-            seen.append(payload)
-
-        bus.subscribe(events.JOB_SUBMITTED, on_submit)
-        bus.subscribe(events.JOB_SUBMITTED, on_submit)
-        bus.unsubscribe(events.JOB_SUBMITTED, on_submit)
-        bus.publish(events.JOB_SUBMITTED, job="j", station="s")
-        assert len(seen) == 1
-
-    def test_failing_subscriber_does_not_abort_publish(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(events.JOB_VACATED, lambda **kw: 1 / 0)
-        bus.subscribe(events.JOB_VACATED,
-                      lambda **kw: seen.append(kw))
-        bus.publish(events.JOB_VACATED, job="j", host="h", reason="r")
-        assert len(seen) == 1
-        assert len(bus.errors) == 1
-
-    def test_shared_hub_between_buses(self):
+    def test_explicit_source_is_kept(self):
         hub = TelemetryHub()
-        a, b = EventBus(hub=hub), EventBus(hub=hub)
-        a.publish(events.JOB_SUBMITTED, job="j", station="s")
-        assert b.counts[events.JOB_SUBMITTED] == 1
-
-    def test_metrics_registry_rides_on_bus(self):
-        bus = EventBus()
-        bus.metrics.counter("x").inc(3)
-        assert bus.hub.metrics.counter("x").value == 3
+        assert hub.emit(kinds.JOB_SUBMITTED, source="owner",
+                        station="ws-1").source == "owner"
+        assert hub.emit(kinds.JOB_SUBMITTED, source="",
+                        station="ws-1").source == ""
 
 
 class TestDispatchFastPath:
