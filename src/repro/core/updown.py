@@ -24,9 +24,20 @@ applies the same float operations in the same order as the original
 every-station-every-cycle loop, so materialized values are bit-identical
 to the eager implementation — a requirement of the delta-vs-poll
 golden-trace equivalence test.
+
+The history is bounded: once it holds :data:`HISTORY_LIMIT` cycles every
+station is folded up to date (the same replay, merely run earlier, so
+the values stay bit-identical) and the consumed prefix is dropped.  A
+pass over the stations every ``HISTORY_LIMIT`` cycles keeps the
+per-cycle cost O(changed) amortised, and a daemon cycling a hundred
+times a second for weeks holds a few thousand floats, not millions.
 """
 
 from repro.sim.errors import SimulationError
+
+#: Cycles of decay history kept before lagging stations are folded up to
+#: date and the history dropped.
+HISTORY_LIMIT = 4096
 
 
 class UpDownPolicy:
@@ -57,23 +68,26 @@ class UpDownPolicy:
         self.decay_rate = decay_rate
         self.preemption_margin = preemption_margin
         self._index = {}
-        #: dt (minutes) of every cycle seen so far; the decay schedule a
+        #: dt (minutes) of the most recent cycles; the decay schedule a
         #: lagging station replays when its index is next needed.
         self._history = []
-        #: name -> number of history entries already folded into _index.
+        #: Cycles seen so far: ``_history`` holds the last of them, the
+        #: ones before are folded into every index and dropped.
+        self._cycle = 0
+        #: name -> number of cycles already folded into _index.
         self._synced = {}
 
     def register_station(self, name):
         """Start tracking a station; initial index is zero (§2.4)."""
         if name not in self._index:
             self._index[name] = 0.0
-            self._synced[name] = len(self._history)
+            self._synced[name] = self._cycle
 
     def restore_index(self, name, value):
         """Start (or resume) tracking ``name`` at a saved index — a
         restarted coordinator reloading what its predecessor persisted."""
         self._index[name] = value
-        self._synced[name] = len(self._history)
+        self._synced[name] = self._cycle
 
     def _materialize(self, name, through):
         """Replay the decay steps ``name`` missed, up to cycle ``through``."""
@@ -85,8 +99,9 @@ class UpDownPolicy:
             self._synced[name] = through
             return
         history = self._history
+        dropped = self._cycle - len(history)
         decay_rate = self.decay_rate
-        for k in range(synced, through):
+        for k in range(synced - dropped, through - dropped):
             step = decay_rate * history[k]
             if value > 0:
                 value = max(0.0, value - step)
@@ -101,7 +116,7 @@ class UpDownPolicy:
         """Current schedule index of ``name`` (0.0 if never seen)."""
         if name not in self._index:
             return 0.0
-        self._materialize(name, len(self._history))
+        self._materialize(name, self._cycle)
         return self._index[name]
 
     def update(self, wanting, allocated_counts, dt_seconds):
@@ -115,8 +130,12 @@ class UpDownPolicy:
         lazily against the appended history entry.
         """
         dt_minutes = dt_seconds / 60.0
+        if len(self._history) >= HISTORY_LIMIT:
+            for name in self._index:
+                self._materialize(name, self._cycle)
+            self._history.clear()
         self._history.append(dt_minutes)
-        cycle = len(self._history)
+        cycle = self._cycle = self._cycle + 1
         index = self._index
         for name in wanting:
             if name not in index:

@@ -5,7 +5,11 @@ collapsed into a single process: it keeps a persistent socket to the
 coordinator, heartbeats on a short interval, accepts at most one foreign
 job, runs it with the live runtime's cooperative-checkpoint contract,
 and reports exits at-least-once (an exit report stays in the outbox
-until the coordinator acknowledges it).
+until the coordinator acknowledges it).  The acknowledgement carries a
+``commands`` list just as a heartbeat reply does — usually the ``start``
+of the job that takes the freed slot — and both go through
+:meth:`StationAgent._apply_commands`, so a busy agent moves from job to
+job on its acks and heartbeats only when it has nothing to report.
 
 Failure discipline — :class:`~repro.net.reliable.ReliableSender` ported
 to real sockets:
@@ -237,22 +241,27 @@ class StationAgent:
                 sock.close()
 
     def _session(self, sock):
+        next_beat = 0.0
         while not self._halt.is_set():
             self._flush_outbox(sock)
-            reply = self._rpc(sock, {
-                "op": "heartbeat", "agent": self.name,
-                "epoch": self._epoch,
-                "running": self._running_report(),
-            })
-            if not reply.get("ok"):
-                if reply.get("error") == "stale_epoch":
-                    self.reregistrations += 1
-                    self._register(sock)
-                    continue
-                raise ProtocolError(f"heartbeat rejected: {reply}")
-            for command in reply.get("commands", ()):
-                self._apply(command)
-            self._wake.wait(self.heartbeat_interval)
+            # An exit report wakes the loop to be flushed at once; its
+            # ack already brought whatever the coordinator had for this
+            # agent, so the heartbeat keeps to its own schedule.
+            if time.monotonic() >= next_beat:
+                reply = self._rpc(sock, {
+                    "op": "heartbeat", "agent": self.name,
+                    "epoch": self._epoch,
+                    "running": self._running_report(),
+                })
+                if not reply.get("ok"):
+                    if reply.get("error") == "stale_epoch":
+                        self.reregistrations += 1
+                        self._register(sock)
+                        continue
+                    raise ProtocolError(f"heartbeat rejected: {reply}")
+                self._apply_commands(reply)
+                next_beat = time.monotonic() + self.heartbeat_interval
+            self._wake.wait(max(0.0, next_beat - time.monotonic()))
             self._wake.clear()
 
     def _flush_outbox(self, sock):
@@ -274,13 +283,16 @@ class StationAgent:
             if msg["outcome"] == "completed" and reply.get("accepted"):
                 self.store.discard(_JobHandle(msg["key"], msg["key"],
                                               msg["incarnation"]))
+            self._apply_commands(reply)
 
-    def _apply(self, command):
-        kind = command.get("cmd")
-        if kind == "start":
-            self._start_job(command["job"])
-        elif kind == "vacate":
-            self._request_vacate(command["key"])
+    def _apply_commands(self, reply):
+        """Act on the ``commands`` of a heartbeat reply or an exit ack."""
+        for command in reply.get("commands", ()):
+            kind = command.get("cmd")
+            if kind == "start":
+                self._start_job(command["job"])
+            elif kind == "vacate":
+                self._request_vacate(command["key"])
 
     # ------------------------------------------------------------------
     # execution

@@ -16,8 +16,21 @@ Epoch fencing (PR 4/7's placement-lease machinery on real sockets):
   heartbeat and exit report; a mismatch is rejected with
   ``stale_epoch`` and the agent re-registers;
 * a deposed coordinator notices the database epoch has moved past its
-  own during its placement cycle and abdicates (stops placing, answers
-  agents with ``stale_coordinator``) instead of fighting the new one.
+  own — polled by the place thread, and checked again *inside* every
+  placement transaction, so it cannot place in the gap between two
+  polls — and abdicates (stops placing, answers agents with
+  ``stale_coordinator``) instead of fighting the new one.
+
+Placement is one function, :meth:`CoordinatorDaemon._place_cycle`, under
+one lock.  The place thread runs it on every wake, as the polling
+coordinator of the paper does; the serving thread that has just made a
+job's completion durable runs it too, and the ``job_exit`` reply carries
+the resulting ``commands`` exactly as a heartbeat reply does — a freed
+slot is refilled on the exit ack instead of a heartbeat later.  A cycle
+asks the database only for what it will act on (the wanting owners, the
+in-flight rows, and per owner in Up-Down order the few head rows that
+fit the idle agents), so its cost does not grow with the queue behind
+them, and commits everything it decided in one transaction.
 
 Recovery sequence on start: bump epoch → read queue + in-flight rows →
 give each in-flight job a reconcile window.  Agents that re-register
@@ -34,7 +47,7 @@ import time
 from repro.core.updown import UpDownPolicy
 from repro.service import jobdb as db_states
 from repro.service import protocol
-from repro.service.errors import ProtocolError, ServiceError
+from repro.service.errors import ProtocolError, ServiceError, StaleEpochError
 from repro.service.jobdb import JobDatabase
 
 
@@ -81,7 +94,7 @@ class _AgentState:
         self.name = name
         self.last_beat = now
         self.job = None             # key the daemon believes it hosts
-        self.commands = []          # queued for the next heartbeat reply
+        self.commands = []          # queued for the agent's next reply
 
 
 class CoordinatorDaemon:
@@ -115,6 +128,9 @@ class CoordinatorDaemon:
         self._owners = []           # registration order for the policy
         self._last_update = None
         self._lock = threading.RLock()
+        #: Serialises placement cycles and agent expiry across the place
+        #: thread and the serving threads.
+        self._place_lock = threading.Lock()
         self._halt = threading.Event()
         self._wake = threading.Event()
         self._listener = None
@@ -400,24 +416,32 @@ class CoordinatorDaemon:
                                    progress)
         with self._lock:
             state.last_beat = now
-            commands = state.commands + commands
-            state.commands = []
-        return {"ok": True, "epoch": self.epoch, "commands": commands}
+        return {"ok": True, "epoch": self.epoch,
+                "commands": self._take_commands(state) + commands}
+
+    def _take_commands(self, state):
+        """Drain what is queued for an agent into the reply being built
+        (heartbeat reply or exit ack: same list, same handling)."""
+        with self._lock:
+            commands, state.commands = state.commands, []
+        return commands
 
     def _op_job_exit(self, agent, msg):
         key = _field(msg, "key", str)
         incarnation = _field(msg, "incarnation", int, -1)
         outcome = msg.get("outcome")
         progress = _field(msg, "progress", int, 0)
-        if progress:
-            self.db.checkpoint(key, agent, incarnation, progress)
         if outcome == "completed":
             accepted = self.db.complete(key, agent, incarnation,
-                                        result=msg.get("result"))
+                                        result=msg.get("result"),
+                                        progress=progress)
         elif outcome == "failed":
             accepted = self.db.fail(key, agent, incarnation,
-                                    _field(msg, "error", str) or "unknown")
+                                    _field(msg, "error", str) or "unknown",
+                                    progress=progress)
         elif outcome == "vacated":
+            if progress:
+                self.db.checkpoint(key, agent, incarnation, progress)
             record = self.db.job(key)
             accepted = (record is not None
                         and record["agent"] == agent
@@ -427,13 +451,26 @@ class CoordinatorDaemon:
                 self.db.count_stale_result()
         else:
             return {"ok": False, "error": f"unknown outcome {outcome!r}"}
+        now = self.clock()
         with self._lock:
             state = self._agents.get(agent)
-            if state is not None and state.job == key:
-                state.job = None
+            if state is not None:
+                # A report is a sign of life: an agent fed job after job
+                # on its acks may not heartbeat for a while.
+                state.last_beat = now
+                if state.job == key:
+                    state.job = None
         self._reconcile.pop(key, None)
-        self._wake.set()
-        return {"ok": True, "accepted": bool(accepted)}
+        if outcome == "vacated":
+            # Possibly a bounce off a still-busy agent: refilling the
+            # slot on this ack would spin; the place thread re-places
+            # and the next heartbeat delivers, paced by the beat.
+            self._wake.set()
+        else:
+            self._place_cycle()
+        return {"ok": True, "accepted": bool(accepted),
+                "commands": [] if state is None
+                else self._take_commands(state)}
 
     # ------------------------------------------------------------------
     # the placement loop
@@ -461,7 +498,9 @@ class CoordinatorDaemon:
 
     def _expire_agents(self):
         now = self.clock()
-        with self._lock:
+        # Not while a cycle is choosing among the agents: a placement
+        # onto an agent expired in between would be owned by nobody.
+        with self._place_lock, self._lock:
             expired = [name for name, state in sorted(self._agents.items())
                        if now - state.last_beat > self.agent_timeout]
             states = [self._agents.pop(name) for name in expired]
@@ -493,71 +532,77 @@ class CoordinatorDaemon:
             self._owners.append(owner)
 
     def _place_cycle(self):
-        now = self.clock()
-        dt = (now - self._last_update) if self._last_update else 0.0
-        self._last_update = now
+        """One Up-Down accounting step plus the placements it allows.
 
-        queue = self.db.queue()
-        inflight = self.db.inflight()
-        # Skip jobs still inside their reconcile window: their agent may
-        # yet re-register and adopt them.
-        wanting = list(dict.fromkeys(
-            owner for _key, _entry, _payload, owner, _progress in queue))
-        holding = {}
-        for _key, _agent, _inc, _epoch, _prog, owner in inflight:
-            holding[owner] = holding.get(owner, 0) + 1
-        for owner in wanting:
-            self._register_owner(owner)
-        for owner in sorted(holding):
-            self._register_owner(owner)
-        self.policy.update(set(wanting), holding, dt)
+        Reads the wanting owners and the in-flight rows (bounded by
+        owners and agents), then — only when an agent is idle — each
+        ranked owner's head rows, never the queue behind them.  All the
+        cycle's placements and the indices they were chosen under are
+        one transaction; the start commands are queued only once it is
+        durable.
+        """
+        with self._place_lock:
+            if self.deposed:
+                return
+            now = self.clock()
+            dt = (0.0 if self._last_update is None
+                  else now - self._last_update)
+            self._last_update = now
 
-        with self._lock:
-            idle = [state for _name, state in sorted(self._agents.items())
-                    if state.job is None and not state.commands
-                    and now - state.last_beat <= self.agent_timeout]
-        by_owner = {}
-        for key, entry, payload, owner, progress in queue:
-            by_owner.setdefault(owner, []).append(
-                (key, entry, payload, progress))
+            wanting = self.db.wanting_owners()
+            holding = {}
+            for _key, _agent, _inc, _epoch, _prog, owner in \
+                    self.db.inflight():
+                holding[owner] = holding.get(owner, 0) + 1
+            for owner in wanting:
+                self._register_owner(owner)
+            for owner in sorted(holding):
+                self._register_owner(owner)
+            self.policy.update(set(wanting), holding, dt)
 
-        placements = 0
-        placed_any = False
-        progressing = True
-        while (placements < self.placements_per_cycle and idle
-               and progressing):
-            progressing = False
-            for owner in self.policy.rank_requesters(list(by_owner)):
-                if placements >= self.placements_per_cycle or not idle:
-                    break
-                pending = by_owner.get(owner)
-                if not pending:
-                    continue
-                key, entry, payload, progress = pending.pop(0)
-                if not pending:
-                    del by_owner[owner]
-                agent_state = idle.pop(0)
-                try:
-                    incarnation = self.db.place(key, agent_state.name,
-                                                self.epoch)
-                except ServiceError:
-                    continue
-                command = {"cmd": "start", "job": {
-                    "key": key, "entry": entry, "payload": payload,
-                    "name": key, "incarnation": incarnation,
-                    "epoch": self.epoch}}
-                with self._lock:
-                    live = self._agents.get(agent_state.name)
-                    if live is not None:
-                        live.commands.append(command)
-                        live.job = key
-                placements += 1
-                placed_any = True
-                progressing = True
-        if placed_any:
-            self.db.save_owner_indices({
-                owner: self.policy.index(owner)
-                for owner in self._owners})
+            with self._lock:
+                idle = [name for name, state in sorted(self._agents.items())
+                        if state.job is None and not state.commands
+                        and now - state.last_beat <= self.agent_timeout]
+            slots = min(len(idle), self.placements_per_cycle)
+            if not slots or not wanting:
+                return
+            # Round-robin over the owners in rank order: the owner at
+            # rank r can get at most ``slots - r`` agents, so that is
+            # all of its queue the cycle looks at.
+            ranked = self.policy.rank_requesters(wanting)[:slots]
+            heads = {owner: self.db.queue_heads(owner, slots - rank)
+                     for rank, owner in enumerate(ranked)}
+            assignments = []
+            specs = {}
+            while len(assignments) < slots and any(heads.values()):
+                for owner in ranked:
+                    if len(assignments) == slots:
+                        break
+                    if heads[owner]:
+                        key, entry, payload = heads[owner].pop(0)
+                        specs[key] = (entry, payload)
+                        assignments.append((key, idle[len(assignments)]))
+            try:
+                placed = self.db.place_batch(
+                    assignments, self.epoch,
+                    {owner: self.policy.index(owner)
+                     for owner in self._owners})
+            except StaleEpochError:
+                self.deposed = True
+                return
+            with self._lock:
+                for key, agent in assignments:
+                    if key not in placed:
+                        continue
+                    # Still registered: expiry waits for the place lock.
+                    live = self._agents[agent]
+                    entry, payload = specs[key]
+                    live.commands.append({"cmd": "start", "job": {
+                        "key": key, "entry": entry, "payload": payload,
+                        "name": key, "incarnation": placed[key],
+                        "epoch": self.epoch}})
+                    live.job = key
 
     def __repr__(self):
         return (f"<CoordinatorDaemon {self.endpoint} epoch={self.epoch} "

@@ -12,4 +12,5 @@ class ProtocolError(ServiceError):
 
 
 class StaleEpochError(ServiceError):
-    """A message carried an epoch older than the coordinator's."""
+    """Something acted under an epoch a newer coordinator has
+    superseded (a deposed coordinator placing, a stale message)."""

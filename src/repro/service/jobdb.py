@@ -19,16 +19,24 @@ tables:
                     done / vacated / stopped / failed), hosting agent,
                     incarnation, placement epoch, and the monotone
                     checkpoint ``progress`` watermark;
-``service_queue``   the pending queue as ``(pos, key)`` — head requeue
-                    inserts at ``min(pos) - 1`` so a vacated job keeps
-                    its age;
+``service_queue``   the pending queue as ``(pos, key, owner)`` — head
+                    requeue inserts at ``min(pos) - 1`` so a vacated job
+                    keeps its age; the ``(owner, pos)`` index lets the
+                    placement cycle ask for the wanting owners and for
+                    one owner's head rows without touching the rest of
+                    the queue (a file written before the ``owner``
+                    column existed gains and back-fills it when opened);
 ``service_owners``  persisted Up-Down schedule indices;
 ``service_agents``  last registration of every station agent.
 
 Durability discipline: WAL journal with ``synchronous=FULL`` (every
 commit reaches the disk before the transition is acknowledged), and
 every lifecycle transition is exactly one transaction — there is no
-observable intermediate state for a crash to expose.
+observable intermediate state for a crash to expose.  Transitions that
+are decided together commit together: all placements of one cycle plus
+the Up-Down indices (:meth:`JobDatabase.place_batch`), and an exit
+report's final checkpoint with its completion — three commits in a
+job's life (submit, place, exit), the middle one shared by its cycle.
 """
 
 import json
@@ -36,7 +44,7 @@ import sqlite3
 import threading
 import time
 
-from repro.service.errors import ServiceError
+from repro.service.errors import ServiceError, StaleEpochError
 from repro.telemetry.store import SCHEMA_VERSION, _SCHEMA
 
 # -- the fine-grained service state machine -----------------------------
@@ -72,8 +80,9 @@ CREATE TABLE IF NOT EXISTS service_jobs (
 CREATE INDEX IF NOT EXISTS service_jobs_by_state
     ON service_jobs (state);
 CREATE TABLE IF NOT EXISTS service_queue (
-    pos REAL PRIMARY KEY,
-    key TEXT UNIQUE NOT NULL
+    pos   REAL PRIMARY KEY,
+    key   TEXT UNIQUE NOT NULL,
+    owner TEXT NOT NULL DEFAULT ''
 );
 CREATE TABLE IF NOT EXISTS service_owners (
     owner TEXT PRIMARY KEY,
@@ -84,6 +93,26 @@ CREATE TABLE IF NOT EXISTS service_agents (
     epoch          INTEGER NOT NULL DEFAULT 0,
     registered_t   REAL
 );
+"""
+
+#: Created after the ``owner`` column is known to exist (see
+#: :meth:`JobDatabase._upgrade_queue`).
+_QUEUE_INDEX = """
+CREATE INDEX IF NOT EXISTS service_queue_by_owner
+    ON service_queue (owner, pos)
+"""
+
+#: The distinct owners in the queue, one index probe each (a loose
+#: index scan: sqlite's DISTINCT would walk every queue entry).
+_WANTING_OWNERS = """
+WITH RECURSIVE wanting (owner) AS (
+    SELECT MIN(owner) FROM service_queue
+    UNION ALL
+    SELECT (SELECT MIN(owner) FROM service_queue
+            WHERE owner > wanting.owner)
+    FROM wanting WHERE wanting.owner IS NOT NULL
+)
+SELECT owner FROM wanting WHERE owner IS NOT NULL
 """
 
 #: meta keys holding integer counters (all crash-safe, all queryable).
@@ -121,6 +150,8 @@ class JobDatabase:
                 self._meta_set("schema_version", str(SCHEMA_VERSION))
             if self._meta("service_t0") is None:
                 self._meta_set("service_t0", repr(clock()))
+        self._upgrade_queue()
+        self._t0 = float(self._meta("service_t0"))
 
     # -- plumbing ------------------------------------------------------
 
@@ -149,7 +180,28 @@ class JobDatabase:
         )
 
     def _now(self):
-        return self._clock() - float(self._meta("service_t0", "0.0"))
+        return self._clock() - self._t0
+
+    def _queue_has_owner(self):
+        return any(column[1] == "owner" for column in self._db.execute(
+            "PRAGMA table_info(service_queue)"))
+
+    def _upgrade_queue(self):
+        """Give a file written before ``service_queue.owner`` existed the
+        column, back-filled from ``jobs.user``, and its index — all in
+        one transaction, so no opener ever sees a half-filled column."""
+        with self._db:
+            if not self._queue_has_owner():
+                self._db.execute("BEGIN IMMEDIATE")
+                # Another process opening the same file may have won.
+                if not self._queue_has_owner():
+                    self._db.execute(
+                        "ALTER TABLE service_queue "
+                        "ADD COLUMN owner TEXT NOT NULL DEFAULT ''")
+                    self._db.execute(
+                        "UPDATE service_queue SET owner = (SELECT user "
+                        "FROM jobs WHERE jobs.key = service_queue.key)")
+            self._db.execute(_QUEUE_INDEX)
 
     def _bump(self, counter):
         self._meta_set(counter, int(self._meta(counter, "0")) + 1)
@@ -200,8 +252,8 @@ class JobDatabase:
                 "SELECT COALESCE(MAX(pos), 0.0) + 1.0 FROM service_queue"
             ).fetchone()[0]
             self._db.execute(
-                "INSERT INTO service_queue (pos, key) VALUES (?, ?)",
-                (tail, key))
+                "INSERT INTO service_queue (pos, key, owner) "
+                "VALUES (?, ?, ?)", (tail, key, owner))
             self._db.execute(
                 "INSERT INTO jobs (key, id, name, user, home, "
                 "demand_seconds, status, submitted_t) "
@@ -210,36 +262,74 @@ class JobDatabase:
                  demand_seconds, now))
             return key
 
+    def place_batch(self, assignments, epoch, indices=None):
+        """placed, for a whole placement cycle in one transaction.
+
+        ``assignments`` is ``[(key, agent), ...]``; every key still
+        queued is popped and assigned, a key that is no longer placeable
+        (stopped or placed since it was read) is skipped without
+        disturbing the others, and ``indices`` (the Up-Down schedule
+        indices the choice was made under) are persisted alongside.
+        Returns ``{key: incarnation}`` for the keys placed.
+
+        The coordinator's claim is checked inside the transaction: when
+        a newer coordinator has bumped ``meta.service_epoch`` past
+        ``epoch`` nothing is placed and :class:`StaleEpochError` is
+        raised, so a deposed coordinator cannot place in the gap
+        between two of its own fencing polls.
+        """
+        placed = {}
+        with self._lock, self._db:
+            # The write lock first: the epoch read below must not be
+            # overtaken by another process's bump before our writes.
+            self._db.execute("BEGIN IMMEDIATE")
+            current = int(self._meta("service_epoch", "0"))
+            if current > epoch:
+                raise StaleEpochError(
+                    f"epoch {epoch} fenced by coordinator epoch {current}")
+            now = self._now()
+            for key, agent in assignments:
+                row = self._db.execute(
+                    "SELECT state, incarnation FROM service_jobs "
+                    "WHERE key = ?", (key,)).fetchone()
+                if row is None or row[0] not in QUEUED_STATES:
+                    continue
+                incarnation = row[1] + 1
+                self._db.execute(
+                    "DELETE FROM service_queue WHERE key = ?", (key,))
+                self._db.execute(
+                    "UPDATE service_jobs SET state = ?, agent = ?, "
+                    "incarnation = ?, epoch = ? WHERE key = ?",
+                    (PLACED, agent, incarnation, epoch, key))
+                self._db.execute(
+                    "UPDATE jobs SET status = 'running', last_host = ?, "
+                    "placements = placements + 1, first_placed_t = "
+                    "COALESCE(first_placed_t, ?) WHERE key = ?",
+                    (agent, now, key))
+                placed[key] = incarnation
+            if placed and indices:
+                self._write_owner_indices(indices)
+        return placed
+
     def place(self, key, agent, epoch):
         """placed: pop from the queue, assign to ``agent``; returns the
-        new incarnation number."""
-        with self._lock, self._db:
-            row = self._db.execute(
-                "SELECT state, incarnation FROM service_jobs "
-                "WHERE key = ?", (key,)).fetchone()
-            if row is None or row[0] not in QUEUED_STATES:
-                raise ServiceError(
-                    f"cannot place {key}: state "
-                    f"{row[0] if row else 'missing'!r}")
-            incarnation = row[1] + 1
-            self._db.execute(
-                "DELETE FROM service_queue WHERE key = ?", (key,))
-            self._db.execute(
-                "UPDATE service_jobs SET state = ?, agent = ?, "
-                "incarnation = ?, epoch = ? WHERE key = ?",
-                (PLACED, agent, incarnation, epoch, key))
-            self._db.execute(
-                "UPDATE jobs SET status = 'running', last_host = ?, "
-                "placements = placements + 1, first_placed_t = "
-                "COALESCE(first_placed_t, ?) WHERE key = ?",
-                (agent, self._now(), key))
-            return incarnation
+        new incarnation number (the one-job case of
+        :meth:`place_batch`)."""
+        placed = self.place_batch([(key, agent)], epoch)
+        if key not in placed:
+            record = self.job(key)
+            raise ServiceError(
+                f"cannot place {key}: state "
+                f"{record['state'] if record else 'missing'!r}")
+        return placed[key]
 
     def _guarded(self, key, agent, incarnation):
-        """The job's row iff (agent, incarnation) still own it."""
+        """The job's ``(state, progress)`` iff (agent, incarnation)
+        still own it."""
         return self._db.execute(
-            "SELECT state FROM service_jobs WHERE key = ? AND agent = ? "
-            "AND incarnation = ?", (key, agent, incarnation)).fetchone()
+            "SELECT state, progress FROM service_jobs WHERE key = ? "
+            "AND agent = ? AND incarnation = ?",
+            (key, agent, incarnation)).fetchone()
 
     def running(self, key, agent, incarnation):
         """running: the agent confirmed execution began."""
@@ -252,6 +342,21 @@ class JobDatabase:
                 (RUNNING, key))
             return True
 
+    def _advance_watermark(self, key, state, watermark, progress):
+        """Move the monotone progress watermark of an in-flight job
+        (inside the caller's transaction); False on a regression."""
+        if progress < watermark:
+            self._bump("service_progress_regressions")
+            return False
+        if progress > watermark or state != CHECKPOINTED:
+            self._db.execute(
+                "UPDATE service_jobs SET state = ?, progress = ? "
+                "WHERE key = ?", (CHECKPOINTED, progress, key))
+            self._db.execute(
+                "UPDATE jobs SET periodic_checkpoints = "
+                "periodic_checkpoints + 1 WHERE key = ?", (key,))
+        return True
+
     def checkpoint(self, key, agent, incarnation, progress):
         """checkpointed: advance the monotone progress watermark.
 
@@ -261,60 +366,46 @@ class JobDatabase:
         the violation for the chaos suite to assert on.
         """
         with self._lock, self._db:
-            row = self._db.execute(
-                "SELECT state, progress FROM service_jobs WHERE key = ? "
-                "AND agent = ? AND incarnation = ?",
-                (key, agent, incarnation)).fetchone()
-            if row is None or row[0] not in (RUNNING, PLACED,
-                                             CHECKPOINTED):
+            row = self._guarded(key, agent, incarnation)
+            if row is None or row[0] not in INFLIGHT_STATES:
                 return False
-            if progress < row[1]:
-                self._bump("service_progress_regressions")
+            return self._advance_watermark(key, row[0], row[1], progress)
+
+    def _finish(self, key, agent, incarnation, progress, state, column,
+                value, status):
+        """One transaction: the exit report's last checkpoint (if it
+        carries ``progress``) and the terminal state, accepted only from
+        the owning incarnation."""
+        with self._lock, self._db:
+            row = self._guarded(key, agent, incarnation)
+            if row is None or row[0] not in INFLIGHT_STATES:
+                self._bump("service_stale_results_rejected")
                 return False
-            if progress == row[1] and row[0] == CHECKPOINTED:
-                return True
+            if progress:
+                self._advance_watermark(key, row[0], row[1], progress)
             self._db.execute(
-                "UPDATE service_jobs SET state = ?, progress = ? "
-                "WHERE key = ?", (CHECKPOINTED, progress, key))
+                f"UPDATE service_jobs SET state = ?, {column} = ? "
+                "WHERE key = ?", (state, value, key))
             self._db.execute(
-                "UPDATE jobs SET periodic_checkpoints = "
-                "periodic_checkpoints + 1 WHERE key = ?", (key,))
+                "UPDATE jobs SET status = ?, completed_t = ? "
+                "WHERE key = ?", (status, self._now(), key))
             return True
 
-    def complete(self, key, agent, incarnation, result=None):
+    def complete(self, key, agent, incarnation, result=None, progress=0):
         """done — accepted only from the owning incarnation.
 
         A stale incarnation's result (the agent was partitioned away and
         its job re-placed) is rejected and counted, preserving
-        exactly-once completion.
+        exactly-once completion.  ``progress`` is the exit report's
+        final watermark, checkpointed in the same transaction.
         """
-        with self._lock, self._db:
-            row = self._guarded(key, agent, incarnation)
-            if row is None or row[0] not in INFLIGHT_STATES:
-                self._bump("service_stale_results_rejected")
-                return False
-            self._db.execute(
-                "UPDATE service_jobs SET state = ?, result = ? "
-                "WHERE key = ?", (DONE, json.dumps(result), key))
-            self._db.execute(
-                "UPDATE jobs SET status = 'completed', completed_t = ? "
-                "WHERE key = ?", (self._now(), key))
-            return True
+        return self._finish(key, agent, incarnation, progress, DONE,
+                            "result", json.dumps(result), "completed")
 
-    def fail(self, key, agent, incarnation, error):
+    def fail(self, key, agent, incarnation, error, progress=0):
         """failed: the job function itself raised (not an infra fault)."""
-        with self._lock, self._db:
-            row = self._guarded(key, agent, incarnation)
-            if row is None or row[0] not in INFLIGHT_STATES:
-                self._bump("service_stale_results_rejected")
-                return False
-            self._db.execute(
-                "UPDATE service_jobs SET state = ?, error = ? "
-                "WHERE key = ?", (FAILED, str(error), key))
-            self._db.execute(
-                "UPDATE jobs SET status = 'failed', completed_t = ? "
-                "WHERE key = ?", (self._now(), key))
-            return True
+        return self._finish(key, agent, incarnation, progress, FAILED,
+                            "error", str(error), "failed")
 
     def vacate(self, key, reason="vacated", requeue=True):
         """vacated: back to the queue **head** — the job keeps its age
@@ -334,7 +425,8 @@ class JobDatabase:
                     "SELECT COALESCE(MIN(pos), 1.0) - 1.0 "
                     "FROM service_queue").fetchone()[0]
                 self._db.execute(
-                    "INSERT INTO service_queue (pos, key) VALUES (?, ?)",
+                    "INSERT INTO service_queue (pos, key, owner) "
+                    "SELECT ?, key, user FROM jobs WHERE key = ?",
                     (head, key))
             self._db.execute(
                 "UPDATE jobs SET status = 'queued', vacates = vacates + 1 "
@@ -363,10 +455,29 @@ class JobDatabase:
                 (key,))
             return True
 
-    # -- recovery reads ------------------------------------------------
+    # -- placement and recovery reads ----------------------------------
+
+    def wanting_owners(self):
+        """Owners with at least one queued job, sorted by name."""
+        with self._lock:
+            return [row[0] for row in self._db.execute(_WANTING_OWNERS)]
+
+    def queue_heads(self, owner, limit):
+        """The first ``limit`` queued jobs of ``owner`` in queue order:
+        ``[(key, entry, payload), ...]`` — what the placement cycle can
+        act on, whatever the depth behind them."""
+        with self._lock:
+            rows = self._db.execute(
+                "SELECT q.key, s.entry, s.payload FROM service_queue q "
+                "JOIN service_jobs s ON s.key = q.key "
+                "WHERE q.owner = ? ORDER BY q.pos LIMIT ?",
+                (owner, limit)).fetchall()
+        return [(key, entry, json.loads(payload))
+                for key, entry, payload in rows]
 
     def queue(self):
-        """Pending jobs in placement order:
+        """The whole pending queue in order, for recovery checks and
+        inspection (O(depth): not for the placement path):
         ``[(key, entry, payload, owner, progress), ...]``."""
         with self._lock:
             rows = self._db.execute(
@@ -427,13 +538,16 @@ class JobDatabase:
 
     # -- Up-Down persistence -------------------------------------------
 
+    def _write_owner_indices(self, indices):
+        self._db.executemany(
+            "INSERT INTO service_owners (owner, idx) VALUES (?, ?) "
+            "ON CONFLICT (owner) DO UPDATE SET idx = excluded.idx",
+            sorted(indices.items()))
+
     def save_owner_indices(self, indices):
         """Persist the Up-Down schedule indices (one transaction)."""
         with self._lock, self._db:
-            self._db.executemany(
-                "INSERT INTO service_owners (owner, idx) VALUES (?, ?) "
-                "ON CONFLICT (owner) DO UPDATE SET idx = excluded.idx",
-                sorted(indices.items()))
+            self._write_owner_indices(indices)
 
     def load_owner_indices(self):
         with self._lock:

@@ -1,8 +1,11 @@
 """Tests for the Up-Down policy and the baseline allocation policies."""
 
+import random
+
 import pytest
 
 from repro.core import FcfsPolicy, RandomPolicy, RoundRobinPolicy, UpDownPolicy
+from repro.core.updown import HISTORY_LIMIT
 from repro.sim import MINUTE, RandomStream, SimulationError
 
 
@@ -50,6 +53,60 @@ class TestUpDownIndex:
     def test_negative_rates_rejected(self):
         with pytest.raises(SimulationError):
             UpDownPolicy(up_rate=-1.0)
+
+
+class TestUpDownBoundedHistory:
+    """The decay history is trimmed; the indices must not notice."""
+
+    @staticmethod
+    def eager_step(policy, index, wanting, holding, dt_seconds):
+        """The every-station-every-cycle loop the lazy replay stands in
+        for: same float operations, same order."""
+        dt = dt_seconds / 60.0
+        for name, value in index.items():
+            held = holding.get(name, 0)
+            if held > 0:
+                value += policy.up_rate * held * dt
+            elif name in wanting:
+                value -= policy.down_rate * dt
+            elif value > 0:
+                value = max(0.0, value - policy.decay_rate * dt)
+            elif value < 0:
+                value = min(0.0, value + policy.decay_rate * dt)
+            index[name] = value
+
+    def test_100k_cycles_bit_identical_and_bounded(self):
+        rng = random.Random(14)
+        policy = UpDownPolicy(decay_rate=0.01)
+        names = [f"s{i}" for i in range(6)]
+        eager = {}
+        for name in names[:4]:
+            policy.register_station(name)
+            eager[name] = 0.0
+        longest = 0
+        for cycle in range(100_000):
+            if cycle == 3 * HISTORY_LIMIT + 17:     # joins after trims
+                policy.register_station(names[4])
+                eager[names[4]] = 0.0
+            if cycle == 5 * HISTORY_LIMIT + 1:      # a restored index
+                policy.restore_index(names[5], -7.25)
+                eager[names[5]] = -7.25
+            # Bursts of activity, long quiet stretches in between, so
+            # stations lag by whole trims before anyone looks at them.
+            active = rng.random() < 0.02
+            wanting = {n for n in eager if active and rng.random() < 0.3}
+            holding = {n: rng.randint(1, 3) for n in sorted(eager)
+                       if active and rng.random() < 0.3}
+            dt = rng.choice((0.01, 0.5, 120.0))
+            policy.update(wanting, holding, dt)
+            self.eager_step(policy, eager, wanting, holding, dt)
+            longest = max(longest, len(policy._history))
+            if cycle % 9973 == 0:
+                probe = rng.choice(sorted(eager))
+                assert policy.index(probe) == eager[probe]
+        assert {n: policy.index(n) for n in eager} == eager
+        assert any(value != 0.0 for value in eager.values())
+        assert longest <= HISTORY_LIMIT
 
 
 class TestUpDownRanking:

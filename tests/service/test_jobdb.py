@@ -5,7 +5,7 @@ import sqlite3
 import pytest
 
 from repro.service import jobdb
-from repro.service.errors import ServiceError
+from repro.service.errors import ServiceError, StaleEpochError
 from repro.service.jobdb import JobDatabase
 
 
@@ -14,6 +14,25 @@ def db(tmp_path):
     database = JobDatabase(tmp_path / "svc.sqlite")
     yield database
     database.close()
+
+
+class Statements:
+    """Everything a handle's connection executes inside a ``with``."""
+
+    def __init__(self, database):
+        self.connection = database._db
+        self.seen = []
+
+    def __enter__(self):
+        self.connection.set_trace_callback(self.seen.append)
+        return self
+
+    def __exit__(self, *exc_info):
+        self.connection.set_trace_callback(None)
+
+    @property
+    def commits(self):
+        return sum(1 for text in self.seen if text.startswith("COMMIT"))
 
 
 class TestLifecycle:
@@ -88,7 +107,102 @@ class TestLifecycle:
         assert db.job(key)["error"] == "ValueError: boom"
 
 
+class TestPlacementReads:
+    def test_wanting_owners_are_the_distinct_queue_owners(self, db):
+        assert db.wanting_owners() == []
+        for owner in ("cy", "ann", "cy", "bob", "ann"):
+            db.submit("m:f", owner=owner)
+        assert db.wanting_owners() == ["ann", "bob", "cy"]
+
+    def test_queue_heads_are_one_owners_first_rows(self, db):
+        ann = [db.submit("m:f", payload={"n": i}, owner="ann")
+               for i in range(3)]
+        bob = db.submit("m:f", owner="bob")
+        assert db.queue_heads("ann", 2) == [
+            (ann[0], "m:f", {"n": 0}), (ann[1], "m:f", {"n": 1})]
+        assert [row[0] for row in db.queue_heads("bob", 5)] == [bob]
+        assert db.queue_heads("nobody", 5) == []
+
+    def test_vacated_job_heads_its_owners_rows(self, db):
+        first, second = (db.submit("m:f", owner="ann") for _ in range(2))
+        db.place(first, "a", 1)
+        db.vacate(first)
+        assert [row[0] for row in db.queue_heads("ann", 1)] == [first]
+        assert db.wanting_owners() == ["ann"]
+        # ...and leaves the owner set once placed again.
+        db.place_batch([(first, "a"), (second, "b")], 1)
+        assert db.wanting_owners() == []
+
+
+class TestPlaceBatch:
+    def test_one_commit_places_all_and_saves_indices(self, db):
+        keys = [db.submit("m:f", owner="ann") for _ in range(3)]
+        with Statements(db) as statements:
+            placed = db.place_batch(
+                [(keys[0], "a"), (keys[1], "b")], 1, {"ann": 2.5})
+        assert statements.commits == 1
+        assert placed == {keys[0]: 1, keys[1]: 1}
+        assert [row[0] for row in db.queue()] == [keys[2]]
+        assert db.load_owner_indices() == {"ann": 2.5}
+        assert db.job(keys[1])["agent"] == "b"
+
+    def test_unplaceable_key_is_skipped_not_fatal(self, db):
+        keys = [db.submit("m:f", owner="ann") for _ in range(3)]
+        db.stop(keys[1])
+        placed = db.place_batch(
+            [(keys[0], "a"), (keys[1], "b"), (keys[2], "c")], 1)
+        assert sorted(placed) == [keys[0], keys[2]]
+        # None half-placed: the stopped job kept its state, lost no
+        # queue row it did not have, and took no agent.
+        assert db.job(keys[1])["state"] == jobdb.STOPPED
+        assert db.job(keys[1])["agent"] is None
+        assert db.queue() == []
+        assert db.counts() == {"placed": 2, "stopped": 1, "pending": 0}
+        rows = dict(db._db.execute("SELECT key, status FROM jobs"))
+        assert rows == {keys[0]: "running", keys[1]: "removed",
+                        keys[2]: "running"}
+
+    def test_newer_epoch_fences_the_whole_batch(self, db):
+        epoch = db.bump_epoch()
+        keys = [db.submit("m:f", owner="ann") for _ in range(2)]
+        other = JobDatabase(db.path)     # the coordinator that took over
+        other.bump_epoch()
+        other.close()
+        with pytest.raises(StaleEpochError):
+            db.place_batch([(keys[0], "a"), (keys[1], "b")], epoch,
+                           {"ann": 1.0})
+        assert [row[0] for row in db.queue()] == keys
+        assert db.inflight() == []
+        assert db.load_owner_indices() == {}
+        with pytest.raises(ServiceError):
+            db.place(keys[0], "a", epoch)
+
+
 class TestFencing:
+    def test_exit_checkpoint_and_completion_are_one_commit(self, db):
+        key = db.submit("m:f")
+        inc = db.place(key, "a", 1)
+        with Statements(db) as statements:
+            assert db.complete(key, "a", inc, result=7, progress=40)
+        assert statements.commits == 1
+        # service_t0 is read once, at open.
+        assert not [text for text in statements.seen
+                    if "service_t0" in text]
+        record = db.job(key)
+        assert (record["state"], record["progress"]) == (jobdb.DONE, 40)
+        assert db._db.execute(
+            "SELECT periodic_checkpoints FROM jobs WHERE key = ?",
+            (key,)).fetchone() == (1,)
+
+    def test_exit_below_watermark_completes_and_is_counted(self, db):
+        key = db.submit("m:f")
+        inc = db.place(key, "a", 1)
+        db.checkpoint(key, "a", inc, 30)
+        assert db.fail(key, "a", inc, "boom", progress=20)
+        record = db.job(key)
+        assert (record["state"], record["progress"]) == (jobdb.FAILED, 30)
+        assert db.counter("service_progress_regressions") == 1
+
     def test_stale_incarnation_completion_rejected(self, db):
         key = db.submit("m:f")
         old = db.place(key, "a", 1)

@@ -7,6 +7,7 @@ subprocess + real-``kill -9`` coverage lives in the live chaos suite
 """
 
 import socket
+import sqlite3
 import time
 
 import pytest
@@ -87,8 +88,38 @@ class FakeAgent:
                          "epoch": self.epoch if epoch is None else epoch,
                          "running": list(running)})
 
+    def job_exit(self, job, outcome="completed"):
+        return self.rpc({"op": "job_exit", "agent": self.name,
+                         "epoch": self.epoch, "key": job["key"],
+                         "incarnation": job["incarnation"],
+                         "outcome": outcome, "progress": 0})
+
+    def next_start(self, timeout=10.0):
+        """Heartbeat until a ``start`` arrives; returns its job spec."""
+        return wait_for(lambda: starts_in(self.heartbeat()),
+                        timeout=timeout, what="a start command")[0]
+
     def close(self):
         self.sock.close()
+
+
+def starts_in(reply):
+    return [c["job"] for c in reply["commands"] if c["cmd"] == "start"]
+
+
+def downgrade_to_parent_schema(path):
+    """Rewrite ``service_queue`` as the commit before the ``owner``
+    column created it (same DDL, same rows)."""
+    raw = sqlite3.connect(path)
+    with raw:
+        raw.execute("DROP INDEX service_queue_by_owner")
+        raw.execute("ALTER TABLE service_queue RENAME TO newer_queue")
+        raw.execute("CREATE TABLE service_queue ("
+                    "pos REAL PRIMARY KEY, key TEXT UNIQUE NOT NULL)")
+        raw.execute("INSERT INTO service_queue "
+                    "SELECT pos, key FROM newer_queue")
+        raw.execute("DROP TABLE newer_queue")
+    raw.close()
 
 
 class TestHappyPath:
@@ -146,6 +177,221 @@ class TestHappyPath:
         handle_v3 = type("H", (), {"key": "#9", "id": "9.i3",
                                    "incarnation": 3})()
         assert store.load(handle_v3) == 30
+
+
+class TestPlacementPath:
+    """Head reads in Up-Down order, one commit per cycle, the next job
+    on the exit ack."""
+
+    def test_exit_ack_carries_the_next_start(self, db_path):
+        with CoordinatorDaemon(db_path, poll_interval=0.01) as daemon:
+            keys = [daemon.db.submit(INSTANT, owner="ann")
+                    for _ in range(3)]
+            fake = FakeAgent("fake", daemon.endpoint)
+            try:
+                fake.register()
+                job = fake.next_start()
+                assert job["key"] == keys[0]
+                for expected in keys[1:]:
+                    ack = fake.job_exit(job)
+                    assert ack["ok"] and ack["accepted"]
+                    (job,) = starts_in(ack)
+                    assert job["key"] == expected
+                    assert daemon.db.job(expected)["agent"] == "fake"
+                ack = fake.job_exit(job)
+                assert ack["accepted"] and ack["commands"] == []
+            finally:
+                fake.close()
+
+    def test_agent_moves_from_job_to_job_without_heartbeating(
+            self, tmp_path, db_path):
+        jobs = 30
+        with CoordinatorDaemon(db_path, poll_interval=0.01) as daemon:
+            beats = []
+            serve_beat = daemon._op_heartbeat
+            daemon._op_heartbeat = lambda agent, msg: (
+                beats.append(agent), serve_beat(agent, msg))[1]
+            for _ in range(jobs):
+                daemon.db.submit(INSTANT, owner="ann")
+            # One beat a second: thirty jobs a beat apart would take
+            # half a minute.
+            with StationAgent("s0", [daemon.endpoint], tmp_path / "ckpt",
+                              heartbeat_interval=1.0):
+                wait_for(lambda: daemon.db.counts().get("done") == jobs,
+                         timeout=15.0, what="the ack-fed drain")
+            assert len(beats) < jobs / 2
+
+    def test_light_owner_is_not_behind_a_deep_queue(self, db_path):
+        now = [0.0]     # Up-Down sees only the time the test lets pass
+        with CoordinatorDaemon(db_path, poll_interval=0.01,
+                               agent_timeout=1e6,
+                               clock=lambda: now[0]) as daemon:
+            heavy = [daemon.db.submit(INSTANT, owner="ann")
+                     for _ in range(200)]
+            light = daemon.db.submit(INSTANT, owner="bob")
+            fake = FakeAgent("fake", daemon.endpoint)
+            try:
+                fake.register()
+                first = fake.next_start()
+                # A minute of holding: the heavy owner's index rises,
+                # the light owner's falls while it waits.
+                now[0] += 60.0
+                def charged():
+                    with daemon._place_lock:
+                        return (daemon.policy.index("ann") > 0
+                                > daemon.policy.index("bob"))
+                wait_for(charged, what="a poll to charge the holder")
+                (second,) = starts_in(fake.job_exit(first))
+                assert (first["key"], second["key"]) == (heavy[0], light)
+                (third,) = starts_in(fake.job_exit(second))
+                assert third["key"] == heavy[1]
+                # A vacated job goes back to the head of the queue: it
+                # is its owner's next placement, as a new incarnation,
+                # ahead of the 198 younger jobs.
+                assert fake.job_exit(third, "vacated")["accepted"]
+                again = fake.next_start()
+                assert again["key"] == heavy[1]
+                assert again["incarnation"] == third["incarnation"] + 1
+            finally:
+                fake.close()
+
+    def test_key_removed_between_read_and_commit(self, db_path):
+        with CoordinatorDaemon(db_path, poll_interval=0.01) as daemon:
+            keys = [daemon.db.submit(INSTANT, owner="ann")
+                    for _ in range(3)]
+            read_heads = daemon.db.queue_heads
+            removed = []
+
+            def heads_then_rm(owner, limit):
+                rows = read_heads(owner, limit)
+                if not removed and len(rows) > 1:
+                    removed.append(rows[0][0])
+                    daemon.db.stop(rows[0][0])    # rm wins the race
+                return rows
+
+            daemon.db.queue_heads = heads_then_rm
+            fakes = [FakeAgent(name, daemon.endpoint)
+                     for name in ("fake-a", "fake-b")]
+            try:
+                # Both idle before the next cycle runs.
+                with daemon._place_lock:
+                    for fake in fakes:
+                        fake.register()
+                wait_for(lambda: daemon.db.counts().get("placed") == 2,
+                         what="the rest of the batch, then the third job")
+                assert removed == [keys[0]]
+                states = {key: daemon.db.job(key) for key in keys}
+                assert states[keys[0]]["state"] == "stopped"
+                assert states[keys[0]]["agent"] is None
+                assert {states[k]["agent"] for k in keys[1:]} == {
+                    "fake-a", "fake-b"}
+                assert daemon.db.queue() == []
+                assert daemon.db.counts()["pending"] == 0
+            finally:
+                for fake in fakes:
+                    fake.close()
+
+    def test_newer_epoch_mid_drain_places_nothing(self, db_path):
+        # No poll will notice the takeover in time: only the check
+        # inside the placement transaction stands in the way.
+        with CoordinatorDaemon(db_path, poll_interval=60.0) as daemon:
+            keys = [daemon.db.submit(INSTANT, owner="ann")
+                    for _ in range(3)]
+            fake = FakeAgent("fake", daemon.endpoint)
+            try:
+                fake.register()
+                job = fake.next_start()
+                (job,) = starts_in(fake.job_exit(job))
+                other = JobDatabase(db_path)
+                other.bump_epoch()
+                ack = fake.job_exit(job)
+                assert ack["ok"] and ack["commands"] == []
+                assert daemon.deposed
+                assert [row[0] for row in other.queue()] == keys[2:]
+                assert other.job(keys[2])["state"] == "submitted"
+                assert other.inflight() == []
+                other.close()
+                assert not fake.heartbeat()["ok"]
+            finally:
+                fake.close()
+
+    def test_file_with_the_parent_schema_opens_and_drains_in_order(
+            self, tmp_path):
+        def drain_order(path, downgrade):
+            db = JobDatabase(path)
+            for i in range(12):
+                db.submit(INSTANT, owner=("bob", "ann")[i % 2])
+            younger = db.submit(INSTANT, owner="cy")
+            hosted = db.submit(INSTANT, owner="cy")
+            db.place(hosted, "gone", 1)
+            db.vacate(hosted)
+            queued = db.queue()
+            db.close()
+            if downgrade:
+                downgrade_to_parent_schema(path)
+            order = []
+            # A stopped clock: every index stays 0, ties go by name.
+            with CoordinatorDaemon(path, poll_interval=0.01,
+                                   clock=lambda: 1000.0) as daemon:
+                assert daemon.db.queue() == queued
+                assert daemon.db.wanting_owners() == ["ann", "bob", "cy"]
+                assert daemon.db.queue_heads("cy", 1)[0][0] == hosted
+                fake = FakeAgent("fake", daemon.endpoint)
+                try:
+                    fake.register()
+                    job = fake.next_start()
+                    while job is not None:
+                        order.append(job["key"])
+                        job = next(iter(starts_in(fake.job_exit(job))),
+                                   None)
+                finally:
+                    fake.close()
+            assert order[-2:] == [hosted, younger]
+            return order
+
+        fresh = drain_order(str(tmp_path / "fresh.sqlite"), False)
+        upgraded = drain_order(str(tmp_path / "old.sqlite"), True)
+        assert len(fresh) == 14
+        assert upgraded == fresh
+
+    def test_deep_drain_reads_heads_and_commits_thrice_a_job(
+            self, tmp_path, db_path, monkeypatch):
+        jobs = 2000
+        full_reads = []
+
+        def no_full_read(db):
+            full_reads.append(db)
+            raise AssertionError("the placement path read the whole queue")
+
+        monkeypatch.setattr(JobDatabase, "queue", no_full_read)
+        daemon = CoordinatorDaemon(db_path, poll_interval=0.01)
+        daemon.start()
+        statements = []
+        daemon.db._db.set_trace_callback(statements.append)
+        agents = [StationAgent(f"s{i}", [daemon.endpoint],
+                               tmp_path / "ckpt", heartbeat_interval=0.01)
+                  for i in range(2)]
+        try:
+            for i in range(jobs):
+                daemon.db.submit(INSTANT, owner=f"u{i % 4}")
+            for agent in agents:
+                agent.start()
+            wait_for(lambda: daemon.db.counts().get("done") == jobs,
+                     timeout=120.0, poll=0.05, what="the deep drain")
+        finally:
+            for agent in agents:
+                agent.stop()
+            daemon.db._db.set_trace_callback(None)
+            daemon.stop()
+        assert not full_reads
+        commits = sum(1 for text in statements if text.startswith("COMMIT"))
+        # Submit, place (shared by its cycle) and exit.  A heartbeat
+        # that catches a job between the two marks it running: one more
+        # commit, only for the jobs that live long enough to be seen.
+        seen_running = sum(1 for text in statements
+                           if "SET state = 'running'" in text)
+        registrations = len(agents)
+        assert commits - seen_running - registrations <= 3 * jobs
 
 
 class TestRecoveryPaths:
