@@ -11,15 +11,12 @@ simulator's wall clock scales with cluster *activity*, not size —
 including a direct delta-vs-poll comparison at N=1000.  Without
 ``--quick`` the sweep continues into federated territory — one simulated
 day at N=20000 (K=4) and N=50000 (K=10) — where K per-pool coordinators
-trade surplus through the matchmaker (the flocking tree).  A
-sharded-federated point (each pool coordinator inside its pool's home
-shard worker) rides along in every run, ``--quick`` included.
+trade surplus through the matchmaker (the flocking tree).
 """
 
 import time
 
 from repro.analysis import run_month
-from repro.analysis.shardrun import ShardProfile, run_sharded
 from repro.core.config import CondorConfig
 from repro.metrics.report import render_table
 
@@ -29,11 +26,6 @@ SCALE_SIZES = (100, 1000, 5000)
 #: Skipped under ``--quick`` (the CI subset) — together they cost a
 #: couple of minutes of wall clock.
 FEDERATED_SIZES = ((20000, 4), (50000, 10))
-#: The sharded-federated point (stations, pools, shards): each pool
-#: coordinator runs inside its pool's home shard worker, the matchmaker
-#: on rank 0.  Small enough to stay in the ``--quick`` CI subset; the
-#: 50k-scale version lives in ``perf_smoke --suite coordinator --full``.
-SHARDED_POINT = (400, 4, 2)
 
 
 def test_coordinator_overhead_scaling(benchmark, show):
@@ -69,10 +61,8 @@ def test_coordinator_overhead_scaling(benchmark, show):
 def test_delta_protocol_wallclock_scaling(benchmark, show, quick):
     """Delta-mode wall clock over N ∈ {100, 1000, 5000} plus the polling
     build at N=1000 (the checked-in BENCH_coordinator.json baseline
-    recorded ~6x there) and one sharded-federated point (pool
-    coordinators inside shard workers); without ``--quick`` the sweep
-    continues into the federated sizes (one simulated day at 20000 and
-    50000)."""
+    recorded ~6x there); without ``--quick`` the sweep continues into
+    the federated sizes (one simulated day at 20000 and 50000)."""
 
     def timed(size, mode, days=2, pools=None):
         config = CondorConfig(max_machines_per_station=6,
@@ -84,17 +74,6 @@ def test_delta_protocol_wallclock_scaling(benchmark, show, quick):
         wall = time.perf_counter() - t0
         return wall, run.sim.events_dispatched, days
 
-    def timed_sharded(size, pools, shards, days=0.5):
-        # latency=2.0 keeps the conservative windows wide (the bench
-        # measures coordination, not per-window IPC); the trace-identity
-        # contract is pinned by tests/analysis/test_shardrun_federation.
-        spec = ShardProfile(seed=7, days=days, stations=size,
-                            cells=pools, pools=pools, latency=2.0)
-        t0 = time.perf_counter()
-        result = run_sharded(spec, shards=shards)
-        wall = time.perf_counter() - t0
-        return wall, result, days
-
     def run_all():
         results = {}
         for size in SCALE_SIZES:
@@ -104,15 +83,6 @@ def test_delta_protocol_wallclock_scaling(benchmark, show, quick):
         poll_wall, poll_events, _ = timed(1000, "poll")
         results[1000]["poll_wall"] = poll_wall
         results[1000]["poll_events"] = poll_events
-        # One sharded-federated point rides along even under --quick:
-        # pool coordinators inside shard workers is the composition the
-        # sharded chaos/perf jobs rely on, so the sweep always shows it.
-        size, pools, shards = SHARDED_POINT
-        wall, sharded, days = timed_sharded(size, pools, shards)
-        assert sharded["windows"] > 0 and sharded["jobs_completed"] > 0
-        results[size] = {"delta_wall": wall,
-                         "delta_events": sharded["events"],
-                         "days": days, "pools": pools, "shards": shards}
         if not quick:
             for size, pools in FEDERATED_SIZES:
                 wall, events, days = timed(size, "federated", days=1,
@@ -124,13 +94,13 @@ def test_delta_protocol_wallclock_scaling(benchmark, show, quick):
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
     rows = [
-        (size, r.get("pools", 1), r.get("shards", 1),
+        (size, r.get("pools", 1),
          f"{r['delta_wall']:.2f}", r["delta_events"],
          f"{r['poll_wall']:.2f}" if "poll_wall" in r else "-")
         for size, r in sorted(results.items())
     ]
     show("scaling_delta_protocol", render_table(
-        ["stations", "pools", "shards", "delta wall s", "delta events",
+        ["stations", "pools", "delta wall s", "delta events",
          "poll wall s"],
         rows, title="Scaling - delta-state coordinator wall clock",
     ))

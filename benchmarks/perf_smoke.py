@@ -9,10 +9,8 @@ Three suites, selected with ``--suite``:
   N=1000/K=4; numbers go to ``BENCH_coordinator.json``.  Each row runs
   in its own subprocess so it carries an honest ``peak_rss_mib``.
   ``--full`` additionally measures the polling build at N=1000 (the
-  speedup denominator), the N=5000 delta run, the federation headline —
-  a 50k-station day at K=10 — and the sharded-federation headline (the
-  same day with each pool coordinator inside its home shard, serial vs
-  4 worker processes) — slow, so off by default in CI.
+  speedup denominator), the N=5000 delta run and the federation
+  headline — a 50k-station day at K=10 — slow, so off by default in CI.
 * ``service`` — the live service plane over real sockets (see
   :mod:`bench_service`): sustained submissions/sec, end-to-end
   jobs/sec, coordinator recovery time and standby failover time;
@@ -164,136 +162,6 @@ def bench_mini_month(days=2, seed=42):
     }
 
 
-def bench_sharded(days=8, seed=11, shards=4):
-    """Space-parallel kernel: serial reference vs K shard processes.
-
-    Runs the 8-day cell profile once in-process and once across
-    ``shards`` conservative-window workers, verifies the merged traces
-    are byte-identical (this doubles as a correctness smoke), and
-    records honest wall-clock numbers plus the machine's core count.
-    ``speedup_if_parallel`` is present only when the machine has at
-    least ``shards`` cores — on fewer cores the workers time-slice one
-    CPU and the windowed barrier overhead dominates, so a speedup gate
-    would measure the container, not the code.
-    """
-    import os
-
-    from repro.analysis.shardrun import (
-        ShardProfile,
-        run_reference,
-        run_sharded,
-    )
-
-    spec = dict(seed=seed, days=float(days), stations=8, cells=4)
-    t0 = time.perf_counter()
-    reference = run_reference(ShardProfile(**spec))
-    serial_wall = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    sharded = run_sharded(ShardProfile(**spec), shards=shards)
-    sharded_wall = time.perf_counter() - t0
-    if sharded["trace"] != reference["trace"]:
-        raise AssertionError(
-            f"{shards}-shard trace diverged from the serial reference")
-    cores = os.cpu_count() or 1
-    result = {
-        "days": days,
-        "shards": shards,
-        "cores": cores,
-        "serial_wall_seconds": round(serial_wall, 4),
-        "sharded_wall_seconds": round(sharded_wall, 4),
-        "speedup": round(serial_wall / sharded_wall, 3),
-        "events": sharded["events"],
-        "windows": sharded["windows"],
-        "descriptors_routed": sharded["descriptors_routed"],
-        "trace_identical": True,
-    }
-    if cores >= shards:
-        result["speedup_if_parallel"] = result["speedup"]
-    return result
-
-
-def bench_federated_sharded(stations=50_000, cells=20, pools=10,
-                            shards=4, days=1.0, seed=7):
-    """The PR 8 headline: federation composed with the sharded kernel.
-
-    Runs the same federated :class:`ShardProfile` — ``stations``
-    stations in ``pools`` pools, one simulated day — once serially and
-    once across ``shards`` worker processes with each pool coordinator
-    on its pool's home shard (matchmaker on rank 0), then verifies the
-    merged traces are sha256-identical.  ``latency=2.0`` models the
-    wide-area flocking link between pools (rpc_timeout is 10 s, so the
-    protocol never notices); it also keeps the conservative windows wide
-    — 43 200 sync rounds per simulated day instead of the ~1.7 M that
-    the LAN-scale 0.05 s latency would force, which would drown the
-    speedup in IPC.  Traces stream to files (``trace_dir``): in-memory
-    lines at this scale would ride hundreds of MB over the pipes.
-
-    ``speedup_if_parallel`` carries the gate and is present only on
-    machines with at least ``shards`` cores, same as
-    :func:`bench_sharded`.
-    """
-    import hashlib
-    import os
-    import tempfile
-
-    from repro.analysis.shardrun import (
-        ShardProfile,
-        merge_trace_files,
-        run_reference,
-        run_sharded,
-    )
-
-    def once(tmp, runner, *args):
-        spec = ShardProfile(seed=seed, days=float(days), stations=stations,
-                            cells=cells, pools=pools, latency=2.0,
-                            trace_dir=tmp)
-        t0 = time.perf_counter()
-        result = runner(spec, *args)
-        wall = time.perf_counter() - t0
-        merged = os.path.join(tmp, "merged.jsonl")
-        merge_trace_files(result, merged)
-        digest = hashlib.sha256()
-        with open(merged, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(chunk)
-        return result, wall, digest.hexdigest()
-
-    with tempfile.TemporaryDirectory() as tmp:
-        serial_dir = os.path.join(tmp, "serial")
-        sharded_dir = os.path.join(tmp, "sharded")
-        os.mkdir(serial_dir)
-        os.mkdir(sharded_dir)
-        reference, serial_wall, want = once(serial_dir, run_reference)
-        sharded, sharded_wall, got = once(sharded_dir, run_sharded, shards)
-    if got != want:
-        raise AssertionError(
-            f"{shards}-shard federated trace diverged from the serial "
-            f"reference (sha256 {got[:12]} != {want[:12]})")
-    cycles = max(row["cycles"] for row in sharded["per_shard"])
-    cores = os.cpu_count() or 1
-    result = {
-        "stations": stations,
-        "mode": "federated+sharded",
-        "pools": pools,
-        "shards": shards,
-        "cores": cores,
-        "days": days,
-        "cycles": cycles,
-        "events": sharded["events"],
-        "windows": sharded["windows"],
-        "descriptors_routed": sharded["descriptors_routed"],
-        "serial_wall_seconds": round(serial_wall, 4),
-        "wall_seconds": round(sharded_wall, 4),
-        "speedup": round(serial_wall / sharded_wall, 3),
-        "station_cycles_per_sec": round(
-            stations * cycles / sharded_wall, 1),
-        "trace_identical": True,
-    }
-    if cores >= shards:
-        result["speedup_if_parallel"] = result["speedup"]
-    return result
-
-
 def bench_coordinator_scale(stations, mode="delta", days=2, rounds=1,
                             pools=None):
     """One scaled-cluster run; throughput in station-cycles/second.
@@ -380,7 +248,6 @@ def measure_kernel():
         "telemetry_emit_eps": round(bench_telemetry_emit(), 1),
         "checkpoint_store_ops": round(bench_checkpoint_store(), 1),
         "mini_month": bench_mini_month(),
-        "sharded": bench_sharded(),
     })
 
 
@@ -422,12 +289,6 @@ def measure_coordinator(full=False):
         # the single-coordinator N=5000 run did before this change.
         results["n50000_federated_k10"] = _coordinator_row(
             dict(stations=50000, days=1, pools=10))
-        # The PR 8 headline: the same 50k-station federated day with
-        # each pool coordinator running inside its pool's home shard.
-        # ``speedup_if_parallel`` (serial vs 4 shard processes, same
-        # spec) carries the >= 1.8x acceptance gate on >= 4 cores.
-        results["n50000_federated_k10_shards4"] = _coordinator_row(
-            dict(bench="federated_sharded"))
         results["speedup_n1000"] = round(
             poll["wall_seconds"] / results["n1000"]["wall_seconds"], 2)
         results["speedup_n5000"] = round(
@@ -446,9 +307,6 @@ GATED = {
         ("telemetry_emit_eps",),
         ("checkpoint_store_ops",),
         ("mini_month", "events_per_sec"),
-        # Present only on machines with >= `shards` cores (see
-        # bench_sharded); skipped on either side otherwise.
-        ("sharded", "speedup_if_parallel"),
     ),
     "coordinator": (
         ("n100", "station_cycles_per_sec"),
@@ -456,10 +314,6 @@ GATED = {
         ("n1000_federated_k4", "station_cycles_per_sec"),
         # Only measured with --full; absent rows simply don't gate.
         ("n50000_federated_k10", "station_cycles_per_sec"),
-        ("n50000_federated_k10_shards4", "station_cycles_per_sec"),
-        # Present only on machines with >= 4 cores (the shard workers
-        # must actually run in parallel for a speedup to mean anything).
-        ("n50000_federated_k10_shards4", "speedup_if_parallel"),
     ),
     "service": (
         ("submit", "submissions_per_sec"),
@@ -505,8 +359,7 @@ def check(results, baseline, tolerance, suite="kernel"):
             base = _lookup(baseline, path)
             got = _lookup(results, path)
         except KeyError:
-            # Conditional metrics (e.g. sharded speedup on a box with
-            # too few cores) simply don't gate when absent.
+            # Rows measured only with --full don't gate when absent.
             continue
         floor = base * (1.0 - tolerance)
         status = "ok" if got >= floor else "REGRESSION"
@@ -535,24 +388,14 @@ def main(argv=None):
     parser.add_argument("--full", action="store_true",
                         help="coordinator suite: also measure the polling "
                              "build at N=1000, the N=5000 delta run and "
-                             "the N=50000 federated day, serial and "
-                             "sharded")
+                             "the N=50000 federated day")
     parser.add_argument("--row", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.row:
         # Hidden worker mode: run one coordinator row and report it —
         # including this process's own peak RSS — as JSON on stdout.
-        spec = json.loads(args.row)
-        bench = spec.pop("bench", "coordinator_scale")
-        row = (bench_federated_sharded(**spec)
-               if bench == "federated_sharded"
-               else bench_coordinator_scale(**spec))
-        # RUSAGE_CHILDREN folds in the reaped shard-worker processes of
-        # the sharded row; for single-process rows it is zero, so the
-        # max is simply this process's own peak.
-        maxrss = max(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+        row = bench_coordinator_scale(**json.loads(args.row))
+        maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         if sys.platform == "darwin":  # pragma: no cover
             maxrss //= 1024
         row["peak_rss_mib"] = round(maxrss / 1024, 1)

@@ -141,6 +141,21 @@ def _pool_coordinator_crash():
     )
 
 
+def _matchmaker_partition():
+    # Same K=2 surplus layout.  The matchmaker is cut off from both pool
+    # coordinators: adverts and lease requests drop on the floor until
+    # the heal, then flocking resumes from the next changed advert.
+    return ChaosSchedule(
+        "matchmaker-partition",
+        [
+            Partition(("matchmaker",), at=90 * MINUTE + 5,
+                      duration=2 * HOUR),
+        ],
+        description="matchmaker isolated for two hours; leases stall, "
+                    "then resume",
+    )
+
+
 def _corrupt_restore():
     return ChaosSchedule(
         "corrupt-restore",
@@ -188,6 +203,7 @@ SCHEDULES = {
     "crash-mid-transfer": _crash_mid_transfer,
     "kitchen-sink": _kitchen_sink,
     "pool-coordinator-crash": _pool_coordinator_crash,
+    "matchmaker-partition": _matchmaker_partition,
     "corrupt-restore": _corrupt_restore,
     "torn-write": _torn_write,
     "disk-chaos": _disk_chaos,
@@ -198,16 +214,18 @@ SUITES = {
     "network": ("station-crashes", "coordinator-outage", "partition",
                 "loss-burst", "crash-mid-transfer", "kitchen-sink"),
     "storage": ("corrupt-restore", "torn-write", "disk-chaos"),
-    "federation": ("pool-coordinator-crash",),
+    "federation": ("pool-coordinator-crash", "matchmaker-partition"),
 }
+
+_FEDERATED_K2 = {"coordinator_mode": "federated", "federation_pools": 2}
 
 #: Per-scenario CondorConfig overrides, applied when the caller passes
 #: no explicit config.  corrupt-restore keeps two generations so a
 #: rotted newest image falls back instead of restarting from zero.
 SCENARIO_CONFIGS = {
     "corrupt-restore": {"checkpoint_generations": 2},
-    "pool-coordinator-crash": {"coordinator_mode": "federated",
-                               "federation_pools": 2},
+    "pool-coordinator-crash": _FEDERATED_K2,
+    "matchmaker-partition": _FEDERATED_K2,
 }
 
 

@@ -1,28 +1,13 @@
-"""Shared spawn-based process execution for sweeps and shard workers.
+"""Spawn-based process execution for multi-seed sweeps.
 
-Both fan-out flavours in this repo — embarrassingly-parallel month
-sweeps and the lock-step shard workers of the space-parallel kernel —
-need the same base machinery: the ``spawn`` start method (fork would
-duplicate interpreter state the deterministic runs must not inherit),
-picklable work specs, and clean teardown.  This module is the one place
-that owns it.
-
-Two shapes:
-
-* :func:`map_specs` — run a pure function over independent specs,
-  optionally across a spawn pool (the sweep path; serial fallback for
-  one spec or ``jobs <= 1`` keeps tests and CI cheap);
-* :func:`spawn_workers` — start long-lived pipe-connected workers that
-  hold state between commands (the shard path: each worker owns one
-  shard's agenda and is driven window-by-window by the conductor).
+Embarrassingly-parallel month sweeps need the ``spawn`` start method
+(fork would duplicate interpreter state the deterministic runs must not
+inherit) and picklable work specs.  :func:`map_specs` runs a pure
+function over independent specs, optionally across a spawn pool; the
+serial fallback for one spec or ``jobs <= 1`` keeps tests and CI cheap.
 """
 
 import multiprocessing
-
-
-def spawn_context():
-    """The multiprocessing context every pool/worker in the repo uses."""
-    return multiprocessing.get_context("spawn")
 
 
 def map_specs(fn, specs, jobs=None):
@@ -38,55 +23,6 @@ def map_specs(fn, specs, jobs=None):
         return []
     if not jobs or jobs <= 1 or len(specs) == 1:
         return [fn(spec) for spec in specs]
-    ctx = spawn_context()
+    ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(processes=min(jobs, len(specs))) as pool:
         return pool.map(fn, specs)
-
-
-class WorkerHandle:
-    """One live spawn worker plus the parent end of its pipe."""
-
-    __slots__ = ("process", "conn")
-
-    def __init__(self, process, conn):
-        self.process = process
-        self.conn = conn
-
-    def send(self, msg):
-        self.conn.send(msg)
-
-    def recv(self):
-        return self.conn.recv()
-
-    def join(self, timeout=None):
-        self.conn.close()
-        self.process.join(timeout)
-
-    def terminate(self):
-        self.process.terminate()
-
-
-def spawn_workers(target, args_list):
-    """Start one pipe-connected worker per args tuple.
-
-    Each worker runs ``target(conn, *args)`` where ``conn`` is its end
-    of a duplex :func:`multiprocessing.Pipe`.  Workers are daemonic so a
-    crashed conductor cannot leak them.  Returns the
-    :class:`WorkerHandle` list in args order.
-    """
-    ctx = spawn_context()
-    handles = []
-    try:
-        for args in args_list:
-            parent_conn, child_conn = ctx.Pipe()
-            process = ctx.Process(target=target,
-                                  args=(child_conn,) + tuple(args),
-                                  daemon=True)
-            process.start()
-            child_conn.close()
-            handles.append(WorkerHandle(process, parent_conn))
-    except Exception:
-        for handle in handles:
-            handle.terminate()
-        raise
-    return handles

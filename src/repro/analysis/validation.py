@@ -14,6 +14,7 @@ import math
 
 from repro.metrics import jobs as job_metrics
 from repro.metrics import stats
+from repro.telemetry import kinds
 
 try:
     from scipy import stats as scipy_stats
@@ -43,7 +44,7 @@ def headline_metrics(run):
     """The scalar metrics tracked across seeds."""
     completed = run.completed_jobs
     horizon = run.horizon
-    return {
+    metrics = {
         "jobs_submitted": float(len(run.jobs)),
         "completion_rate": (len(completed) / len(run.jobs)
                             if run.jobs else 0.0),
@@ -56,6 +57,10 @@ def headline_metrics(run):
         "avg_wait_heavy": job_metrics.average_wait_ratio(
             run.heavy_jobs()) or 0.0,
     }
+    if run.system.matchmaker is not None:
+        metrics["leases_granted"] = float(
+            run.telemetry.counts[kinds.CROSS_POOL_LEASE_GRANTED])
+    return metrics
 
 
 def multi_seed_summary(seeds, confidence=0.95, jobs=None, **run_kwargs):

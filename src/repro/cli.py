@@ -50,67 +50,7 @@ ABLATIONS = {
 }
 
 
-def _shard_profile(args, scenario=None):
-    from repro.analysis.shardrun import (
-        SHARD_SCENARIO_PROFILES,
-        ShardProfile,
-    )
-
-    overrides = dict(SHARD_SCENARIO_PROFILES.get(scenario, {}))
-    pools = getattr(args, "pools", 0) or overrides.get("pools", 0)
-    return ShardProfile(seed=args.seed, days=args.days,
-                        stations=args.stations, cells=args.cells,
-                        pools=pools,
-                        quiet_cells=overrides.get("quiet_cells", 0),
-                        scenario=scenario)
-
-
-def _cmd_month_sharded(args):
-    import json as _json
-
-    from repro.analysis.shardrun import run_sharded
-    from repro.sim import SimulationError
-    from repro.telemetry import summarize_trace
-
-    start = time.time()
-    try:
-        result = run_sharded(_shard_profile(args), shards=args.shards)
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    elapsed = time.time() - start
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
-            for line in result["trace"]:
-                fh.write(line)
-                fh.write("\n")
-        print(f"# recorded {result['events']:,} telemetry events "
-              f"to {args.trace}")
-    print(f"# simulated {args.days} days on {args.shards} shard(s) in "
-          f"{elapsed:.1f} s ({result['windows']:,} sync windows, "
-          f"{result['descriptors_routed']:,} cross-shard descriptors)\n")
-    head = summarize_trace(
-        _json.loads(line) for line in result["trace"]).headline()
-    print(render_table(
-        ["metric", "value"],
-        [
-            ("jobs submitted", head["jobs_submitted"]),
-            ("jobs completed", head["jobs_completed"]),
-            ("checkpoints taken", head["checkpoints"]),
-            ("hours consumed by Condor", f"{head['remote_hours']:.1f}"),
-            ("hours of owner activity", f"{head['local_hours']:.1f}"),
-        ],
-        title=f"Space-parallel run: {args.stations} stations, "
-              f"{args.cells} cells, "
-              + (f"{args.pools} pools, " if args.pools else "")
-              + f"{args.shards} shards",
-    ))
-    return 0
-
-
 def _cmd_month(args):
-    if args.shards:
-        return _cmd_month_sharded(args)
     start = time.time()
     run = run_month(seed=args.seed, days=args.days, job_scale=args.scale,
                     trace_path=args.trace, pools=args.pools or None)
@@ -279,25 +219,6 @@ def _parse_seeds(text):
     return [int(part) for part in text.split(",") if part]
 
 
-def _sweep_sharded(args, seeds):
-    """One sharded run per seed; shard workers are the parallelism."""
-    from repro.analysis.shardrun import run_sharded
-
-    results = []
-    for seed in seeds:
-        sub = argparse.Namespace(**vars(args))
-        sub.seed = seed
-        result = run_sharded(_shard_profile(sub), shards=args.shards)
-        results.append((seed, {
-            "jobs_submitted": result["jobs_submitted"],
-            "jobs_completed": result["jobs_completed"],
-            "events": result["events"],
-            "windows": result["windows"],
-            "descriptors": result["descriptors_routed"],
-        }))
-    return results
-
-
 def _cmd_sweep(args):
     import json as _json
     import os
@@ -305,32 +226,17 @@ def _cmd_sweep(args):
     from repro.analysis.sweep import sweep_seeds
 
     seeds = _parse_seeds(args.seeds)
-    if args.pools and not args.shards:
-        print("error: sweep --pools requires --shards (the single-process"
-              " sweep has no federated profile; use 'month --pools')",
-              file=sys.stderr)
-        return 2
     if args.trace_dir:
         os.makedirs(args.trace_dir, exist_ok=True)
     start = time.time()
-    if args.shards:
-        from repro.sim import SimulationError
-
-        try:
-            results = _sweep_sharded(args, seeds)
-        except SimulationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        workers = f"{args.shards} shard(s)"
-    else:
-        results = sweep_seeds(
-            seeds, jobs=args.jobs, days=args.days, job_scale=args.scale,
-            stations=args.stations, trace_dir=args.trace_dir,
-        )
-        workers = f"{args.jobs or 1} worker(s)"
+    results = sweep_seeds(
+        seeds, jobs=args.jobs, days=args.days, job_scale=args.scale,
+        stations=args.stations, trace_dir=args.trace_dir,
+        pools=args.pools or None,
+    )
     elapsed = time.time() - start
     print(f"# {len(seeds)} seeds x {args.days} days on "
-          f"{workers}: {elapsed:.1f} s\n")
+          f"{args.jobs or 1} worker(s): {elapsed:.1f} s\n")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             _json.dump(
@@ -353,74 +259,11 @@ def _cmd_sweep(args):
     return 0
 
 
-def _cmd_chaos_sharded(args):
-    """Sharded chaos: serial reference vs K-shard merged trace must be
-    byte-identical; ``--replay-check`` additionally reruns the sharded
-    configuration and compares the two merged traces."""
-    from repro.analysis.shardrun import (
-        SHARD_SCENARIOS,
-        run_reference,
-        run_sharded,
-    )
-    from repro.sim import SimulationError
-
-    names = args.schedules or sorted(SHARD_SCENARIOS)
-    unknown = [name for name in names if name not in SHARD_SCENARIOS]
-    if unknown:
-        known = ", ".join(sorted(SHARD_SCENARIOS))
-        print(f"unknown shard scenario(s) {unknown} (known: {known})",
-              file=sys.stderr)
-        return 2
-    start = time.time()
-    rows = []
-    failures = 0
-    for name in names:
-        spec = _shard_profile(args, scenario=name)
-        try:
-            reference = run_reference(spec)
-            sharded = run_sharded(spec, shards=args.shards)
-            matches = reference["trace"] == sharded["trace"]
-            replay = None
-            if args.replay_check:
-                replay = (run_sharded(spec, shards=args.shards)["trace"]
-                          == sharded["trace"])
-        except SimulationError as exc:
-            failures += 1
-            print(f"FAIL {name}: {exc}", file=sys.stderr)
-            continue
-        if matches is False or replay is False:
-            failures += 1
-        rows.append((
-            name,
-            f"{sharded['jobs_completed']}/{sharded['jobs_submitted']}",
-            sharded["windows"], sharded["descriptors_routed"],
-            {True: "yes", False: "NO"}[matches],
-            {True: "yes", False: "NO", None: "-"}[replay],
-        ))
-    print(f"# {len(names)} scenario(s), seed {args.seed}, "
-          f"{args.shards} shards: {time.time() - start:.1f} s\n")
-    print(render_table(
-        ["scenario", "completed", "windows", "descriptors", "serial==",
-         "replay=="],
-        rows,
-        title="Sharded chaos: serial and space-parallel traces "
-              "byte-identical",
-    ))
-    return 1 if failures else 0
-
-
 def _cmd_chaos(args):
     if args.suite == "service":
         from repro.service.harness import run_service_suite
 
         return run_service_suite(args)
-    if args.shards:
-        return _cmd_chaos_sharded(args)
-    if args.pools:
-        print("error: chaos --pools requires --shards (single-process "
-              "federation schedules set their own pool counts; see "
-              "'chaos pool-coordinator-crash')", file=sys.stderr)
-        return 2
     from repro.analysis.chaos import (
         SCHEDULES,
         SUITES,
@@ -684,16 +527,7 @@ def build_parser():
                        help="record the telemetry event stream as JSONL")
     month.add_argument("--pools", type=int, default=0, metavar="K",
                        help="federate the coordinator into K pools "
-                            "(flocking; K=1 is byte-identical to delta; "
-                            "combines with --shards: each pool "
-                            "coordinator runs inside its home shard)")
-    month.add_argument("--shards", type=int, default=0, metavar="K",
-                       help="run the space-parallel cell profile across "
-                            "K shard processes (see DESIGN.md)")
-    month.add_argument("--stations", type=int, default=8,
-                       help="stations in the sharded profile")
-    month.add_argument("--cells", type=int, default=4,
-                       help="placement cells in the sharded profile")
+                            "(flocking; K=1 is byte-identical to delta)")
     month.set_defaults(fn=_cmd_month)
 
     ablation = sub.add_parser("ablation",
@@ -770,17 +604,14 @@ def build_parser():
                        help="also record one telemetry trace per seed")
     sweep.add_argument("--json", metavar="FILE",
                        help="write per-seed metrics as JSON")
-    sweep.add_argument("--shards", type=int, default=0, metavar="K",
-                       help="sweep the space-parallel cell profile, "
-                            "K shard processes per run")
-    sweep.add_argument("--cells", type=int, default=4,
-                       help="placement cells (sharded runs only)")
     sweep.add_argument("--pools", type=int, default=0, metavar="K",
-                       help="federate the sharded profile into K pools "
-                            "(requires --shards)")
+                       help="federate the coordinator into K pools")
     sweep.set_defaults(fn=_cmd_sweep)
 
-    from repro.analysis.chaos import SCHEDULES as _CHAOS_SCHEDULES
+    from repro.analysis.chaos import (
+        SCHEDULES as _CHAOS_SCHEDULES,
+        SUITES as _CHAOS_SUITES,
+    )
 
     chaos = sub.add_parser(
         "chaos",
@@ -791,26 +622,14 @@ def build_parser():
                             + ", ".join(sorted(_CHAOS_SCHEDULES)) + ")")
     chaos.add_argument("--seed", type=int, default=7)
     chaos.add_argument("--suite", metavar="NAME",
-                       help="run a named schedule group (network, storage) "
-                            "instead of listing schedules")
+                       help="run a named schedule group ("
+                            + ", ".join(sorted([*_CHAOS_SUITES, "service"]))
+                            + ") instead of listing schedules")
     chaos.add_argument("--replay-check", action="store_true",
                        help="run each schedule twice and compare traces "
                             "byte-for-byte")
     chaos.add_argument("--trace-dir", metavar="DIR",
                        help="write one canonical JSONL trace per schedule")
-    chaos.add_argument("--shards", type=int, default=0, metavar="K",
-                       help="run shard scenarios across K processes and "
-                            "compare against the serial reference")
-    chaos.add_argument("--days", type=float, default=1.0,
-                       help="horizon for sharded scenarios")
-    chaos.add_argument("--stations", type=int, default=8,
-                       help="stations (sharded scenarios only)")
-    chaos.add_argument("--cells", type=int, default=4,
-                       help="placement cells (sharded scenarios only)")
-    chaos.add_argument("--pools", type=int, default=0, metavar="K",
-                       help="federate the sharded scenarios into K pools "
-                            "(requires --shards; federation scenarios "
-                            "default to their own pool counts)")
     chaos.set_defaults(fn=_cmd_chaos)
 
     serve = sub.add_parser(

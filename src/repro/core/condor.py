@@ -32,20 +32,6 @@ from repro.sim.errors import SimulationError
 from repro.telemetry import TelemetryHub
 
 
-def placement_cells(names, n_cells):
-    """Map station names to cell ids: station i of N lives in cell
-    ``i * C // N`` (contiguous, near-equal blocks in registration order —
-    the same arithmetic the shard runtime uses to assign cells to
-    shards, so a cell never straddles a shard)."""
-    if n_cells < 1:
-        raise SimulationError("placement_cells must be >= 1")
-    if n_cells > len(names):
-        raise SimulationError(
-            f"{n_cells} cells for {len(names)} stations")
-    total = len(names)
-    return {name: (i * n_cells) // total for i, name in enumerate(names)}
-
-
 class StationSpec:
     """Declarative description of one workstation in the cluster."""
 
@@ -101,25 +87,20 @@ class CondorSystem:
         host_name = coordinator_host or names[0]
         if host_name not in self.stations:
             raise SimulationError(f"unknown coordinator host {host_name!r}")
-        cells = None
-        if self.config.placement_cells is not None:
-            cells = placement_cells(names, self.config.placement_cells)
         federated = self.config.coordinator_mode == "federated"
         #: Advance capacity reservations (future work §5(3)); unavailable
-        #: when placement cells constrain the topology or under
-        #: federation (a reservation would need matchmaker mediation).
-        self.reservations = (None if cells is not None or federated
-                             else ReservationBook(sim))
+        #: under federation (a reservation would need matchmaker
+        #: mediation).
+        self.reservations = None if federated else ReservationBook(sim)
         #: The matchmaker daemon (federated mode with >1 pool), else None.
         self.matchmaker = None
         if federated:
-            self.coordinators = self._build_pools(names, cells, host_name)
+            self.coordinators = self._build_pools(names, host_name)
         else:
             self.coordinators = [Coordinator(
                 sim, self.network, names, self.policy, self.telemetry,
                 self.config, host_station=self.stations[host_name],
                 reservations=self.reservations,
-                cells=cells,
             )]
         #: Pool 0's coordinator (the only one outside federated mode) —
         #: kept as an attribute for reports, sweeps and fault schedules.
@@ -130,24 +111,10 @@ class CondorSystem:
         self.gangs = []
         self._started = False
 
-    def _build_pools(self, names, cells, host_name):
+    def _build_pools(self, names, host_name):
         """Construct the federated pool coordinators (and matchmaker)."""
         n_pools = self.config.federation_pools
         pools = federation_pools(names, n_pools)
-        if cells is not None:
-            # Placement cells must nest inside pools: a cell straddling
-            # two pools would let one pool's grants escape its shard.
-            cell_pool = {}
-            for k, members in enumerate(pools):
-                for station in members:
-                    cell = cells[station]
-                    if cell_pool.setdefault(cell, k) != k:
-                        raise SimulationError(
-                            f"placement cell {cell} straddles pools "
-                            f"{cell_pool[cell]} and {k}; choose "
-                            f"placement_cells as a multiple of "
-                            f"federation_pools"
-                        )
         matchmaker_name = "matchmaker" if n_pools > 1 else None
         coordinators = []
         for k, members in enumerate(pools):
@@ -162,7 +129,7 @@ class CondorSystem:
                 self.sim, self.network, members, pool_policy, self.telemetry,
                 self.config, pool_index=k,
                 host_station=self.stations[pool_host],
-                cells=cells, name=pool_name(k, n_pools),
+                name=pool_name(k, n_pools),
                 matchmaker_name=matchmaker_name,
             ))
             for station in members:

@@ -97,17 +97,9 @@ class CondorConfig:
     #: back past a corrupted newest image at the cost of extra disk (§4's
     #: disk-pressure bound tightens accordingly).
     checkpoint_generations: int = 1
-    #: Number of placement cells (``None`` = unconstrained, the classic
-    #: behaviour).  With C cells, station i of N lives in cell
-    #: ``i*C//N`` and all grants/gangs/preemptions stay inside the
-    #: requester's cell — the topology constraint that lets the
-    #: space-parallel runtime shard job bodies cleanly (coordinator
-    #: control traffic still spans cells).
-    placement_cells: int = None
     #: Number of per-pool coordinators under ``coordinator_mode=
-    #: "federated"``.  Station i of N belongs to pool ``i*K//N`` — the
-    #: same contiguous arithmetic as placement cells, so a cell never
-    #: straddles a pool and federation composes with ``--shards``.
+    #: "federated"``.  Station i of N belongs to pool ``i*K//N``
+    #: (contiguous, near-equal blocks in registration order).
     #: With ``federation_pools=1`` the federated build is the delta
     #: build: one pool coordinator, no matchmaker, byte-identical traces.
     federation_pools: int = 1
@@ -164,8 +156,6 @@ class CondorConfig:
             raise SimulationError("retry limits must be >= 1")
         if self.checkpoint_generations < 1:
             raise SimulationError("checkpoint_generations must be >= 1")
-        if self.placement_cells is not None and self.placement_cells < 1:
-            raise SimulationError("placement_cells must be >= 1")
         if self.federation_pools < 1:
             raise SimulationError("federation_pools must be >= 1")
         if (self.federation_interval is not None

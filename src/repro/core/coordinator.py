@@ -132,8 +132,7 @@ class Coordinator(Node):
     """Capacity allocator for the whole cluster."""
 
     def __init__(self, sim, net, station_names, policy, hub, config,
-                 host_station=None, reservations=None, cells=None,
-                 name="coordinator"):
+                 host_station=None, reservations=None, name="coordinator"):
         super().__init__(name)
         if not station_names:
             raise SimulationError("coordinator needs at least one station")
@@ -143,11 +142,6 @@ class Coordinator(Node):
         self.policy = policy
         self.hub = hub
         self.config = config
-        #: Optional placement-cell map (station -> cell id).  When set,
-        #: every grant, gang and preemption stays inside the requester's
-        #: cell — the invariant that keeps job bodies (and their bulk
-        #: transfers) on one shard in space-parallel runs.
-        self.cells = dict(cells) if cells is not None else None
         #: Station whose CPU pays the coordinator's overhead (may be None
         #: in unit tests).
         self.host_station = host_station
@@ -275,10 +269,8 @@ class Coordinator(Node):
                 done.fire(None)
 
         src = self.name
-        if self.net.latency_jitter or self.net.locus_routing:
-            # Per-target RPCs: jitter makes settle order latency-dependent
-            # and locus routing needs one delivery event per station
-            # (rpc_batch's single fan-out event has no single locus).
+        if self.net.latency_jitter:
+            # Per-target RPCs: jitter makes settle order latency-dependent.
             rpc = self.net.rpc
             tickets = [
                 rpc(name, "poll", None, timeout=None,
@@ -402,8 +394,8 @@ class Coordinator(Node):
             self._absorb(name, reply["state"], reply["seq"],
                          from_reply=True)
         # Registration order, not set order: _note_unreachable sends
-        # host_lost notices, and their send order assigns per-sender loss
-        # draws — set iteration would make that hash-seed dependent.
+        # host_lost notices, and their send order assigns loss draws —
+        # set iteration would make that hash-seed dependent.
         for name in sorted(poll.unreachable, key=order.__getitem__):
             self._note_unreachable(name)
 
@@ -553,7 +545,6 @@ class Coordinator(Node):
         """
         grants = []
         states = snapshot.states
-        cells = self.cells
         idle_hosts = None
         taken = set()   # idle hosts already handed to earlier gangs
         for requester in ranked:
@@ -565,8 +556,7 @@ class Coordinator(Node):
                 if removed:
                     idle_hosts = [h for h in idle_hosts if h not in removed]
             width = state["pending_gangs"][0]
-            pool = [h for h in idle_hosts if h not in taken
-                    and (cells is None or cells[h] == cells[requester])]
+            pool = [h for h in idle_hosts if h not in taken]
             if len(pool) < width:
                 continue
             chosen = pool[:width]
@@ -597,9 +587,6 @@ class Coordinator(Node):
         counts = self.reservations.reserved_counts(self.sim.now)
         if not counts:
             return [], []
-        if self.cells is not None:
-            raise SimulationError(
-                "reservations are not supported with placement cells")
         grants = []
         preemptions = []
         used = set()
@@ -671,7 +658,6 @@ class Coordinator(Node):
         budget = self.config.placements_per_cycle
         per_station = self.config.grants_per_station_per_cycle
         cap = self.config.max_machines_per_station
-        cells = self.cells
         available = None
         grants = []
         granted_to = {}
@@ -694,15 +680,7 @@ class Coordinator(Node):
                                  if h not in removed}
                     if not available:
                         break
-                if cells is None:
-                    candidates = available
-                else:
-                    cell = cells[requester]
-                    candidates = {    # set-order-ok (set -> set)
-                        h for h in available if cells[h] == cell}
-                    if not candidates:
-                        continue
-                host = self._select_host(snapshot, candidates)
+                host = self._select_host(snapshot, available)
                 available.discard(host)
                 grants.append((requester, host))
                 granted_to[requester] = granted_to.get(requester, 0) + 1
@@ -751,7 +729,6 @@ class Coordinator(Node):
         cap = self.config.max_machines_per_station
         granted = {requester for requester, _host in grants}
         used_hosts = {host for _requester, host in grants}
-        cells = self.cells
         holders = [
             (host, home) for host, home in snapshot.holders
             if host not in used_hosts
@@ -763,14 +740,10 @@ class Coordinator(Node):
             snapshot.idle_count - len(removed)
             - sum(1 for h in used_hosts  # set-order-ok (pure count)
                   if h not in removed))
-        if cells is None and free_idle_count > 0:
+        if free_idle_count > 0:
             # Machines are still idle (the placement throttle held them
             # back this cycle); evicting anyone would be gratuitous.
             return []
-        free_idle = None
-        if cells is not None:
-            free_idle = {h for h in snapshot.idle_hosts
-                         if h not in removed and h not in used_hosts}
         # Machines working for an active reservation are immune to
         # ordinary preemption for the duration of the window.
         reserved = (self.reservations.reserved_counts()
@@ -790,19 +763,8 @@ class Coordinator(Node):
                 continue
             if cap is not None and allocated_counts.get(requester, 0) >= cap:
                 continue
-            if cells is None:
-                pool = holders
-            else:
-                # The idle-machines guard and the victim pool both narrow
-                # to the requester's cell: idle capacity elsewhere cannot
-                # serve it, and neither can a victim it may not use.
-                cell = cells[requester]
-                if any(cells[h] == cell
-                       for h in free_idle):   # set-order-ok (predicate)
-                    continue
-                pool = [(h, o) for h, o in holders if cells[h] == cell]
             victim_host = self.policy.choose_preemption_victim(
-                requester, pool
+                requester, holders
             )
             if victim_host is None:
                 continue

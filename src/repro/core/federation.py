@@ -4,10 +4,9 @@ thin matchmaker trading surplus capacity between them.
 One delta-state coordinator tops out in the tens of thousands of
 stations: every push, probe and allocation decision funnels through a
 single daemon.  ``coordinator_mode="federated"`` partitions the cluster
-into K *pools* — station i of N belongs to pool ``i*K//N``, the same
-contiguous arithmetic as placement cells, so a cell never straddles a
-pool — and runs one :class:`PoolCoordinator` per pool.  Each pool
-coordinator IS the existing delta-state coordinator (same
+into K *pools* — station i of N belongs to pool ``i*K//N`` — and runs
+one :class:`PoolCoordinator` per pool.  Each pool coordinator IS the
+existing delta-state coordinator (same
 :class:`~repro.core.cluster_view.ClusterView`, same Up-Down policy, same
 anti-entropy sweep) over its own stations; with one pool and no
 matchmaker the federated build is *byte-identical* to the delta build.
@@ -51,15 +50,6 @@ forgets its loans on recovery and sends each lender a state-less
 backstopped by a reclaim timer at ``expiry + federation_reclaim_grace``
 that takes unreturned stations back unilaterally and publishes
 ``cross_pool_lease_expired``.
-
-Federation composes with the space-parallel kernel
-(:mod:`repro.analysis.shardrun`): because pools are unions of cells and
-shards are unions of pools, each :class:`PoolCoordinator` can run inside
-its pool's home shard worker (the :class:`Matchmaker` on rank 0) with
-all O(N) coordination shard-local; only the advert/lease control plane
-above — scalar payloads end to end — crosses shard boundaries, so the
-protocol needs no shard awareness and the merged trace stays
-byte-identical to the single-process federated run.
 """
 
 from repro.core.cluster_view import observable_idle, observable_wanting
@@ -86,8 +76,7 @@ def federation_pools(names, n_pools):
     """Partition stations into pools: station i of N joins ``i*K//N``.
 
     Returns a list of per-pool name lists (registration order preserved
-    inside each pool).  Same contiguous arithmetic as
-    :func:`~repro.core.condor.placement_cells`.
+    inside each pool).
     """
     if n_pools < 1:
         raise SimulationError("federation_pools must be >= 1")
@@ -110,11 +99,11 @@ class PoolCoordinator(Coordinator):
     """
 
     def __init__(self, sim, net, station_names, policy, hub, config,
-                 pool_index=0, host_station=None, cells=None,
-                 name="coordinator", matchmaker_name=None):
+                 pool_index=0, host_station=None, name="coordinator",
+                 matchmaker_name=None):
         super().__init__(sim, net, station_names, policy, hub, config,
                          host_station=host_station, reservations=None,
-                         cells=cells, name=name)
+                         name=name)
         self.pool_index = pool_index
         #: ``None`` when the federation has a single pool — in that case
         #: every federation hook is a no-op and this daemon behaves

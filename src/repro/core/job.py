@@ -73,8 +73,7 @@ class Job:
     """
 
     def __init__(self, user, home, demand_seconds, layout=None,
-                 syscall_rate=0.5, name=None, architectures=("vax",),
-                 id=None):
+                 syscall_rate=0.5, name=None, architectures=("vax",)):
         if demand_seconds <= 0:
             raise SimulationError(
                 f"job demand must be > 0 seconds, got {demand_seconds}"
@@ -85,9 +84,7 @@ class Job:
             raise SimulationError("layout must be a SegmentLayout")
         if not architectures:
             raise SimulationError("job needs at least one architecture")
-        # An explicit id bypasses the process-global counter — sharded
-        # runs assign ids per user so every process agrees on them.
-        self.id = next(_job_ids) if id is None else id
+        self.id = next(_job_ids)
         self.name = name or f"job-{self.id}"
         self.user = user
         self.home = home

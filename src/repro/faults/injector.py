@@ -55,22 +55,10 @@ class ChaosInjector:
     own seeded streams, so chaos runs replay byte-identically.
     """
 
-    def __init__(self, sim, system, schedule, placements=None):
+    def __init__(self, sim, system, schedule):
         self.sim = sim
         self.schedule = schedule
         self.ctx = ChaosContext(sim, system)
-        #: Optional shard placements, parallel to the schedule's actions:
-        #: each entry is ``(locus, emit)`` — run this action under that
-        #: kernel locus, publishing its fault events only when ``emit``
-        #: (network-wide actions run replicated on every shard but must
-        #: appear in the merged trace once) — or ``None`` to skip the
-        #: action on this shard entirely.  ``placements=None`` (serial
-        #: runs) executes everything with full telemetry.
-        if placements is not None and len(placements) != len(schedule):
-            raise SimulationError(
-                f"{len(placements)} placements for "
-                f"{len(schedule)} chaos actions")
-        self.placements = placements
         #: Counters for diagnostics and tests.
         self.injected = 0
         self.cleared = 0
@@ -81,37 +69,21 @@ class ChaosInjector:
         if self._started:
             return
         self._started = True
-        for i, action in enumerate(self.schedule):
-            if self.placements is None:
-                locus, emit = None, True
-            else:
-                placement = self.placements[i]
-                if placement is None:
-                    continue
-                locus, emit = placement
-            if locus is None:
-                self._arm(action, emit)
-            else:
-                with self.sim.locus(locus):
-                    self._arm(action, emit)
+        for action in self.schedule:
+            self.sim.schedule_at(action.at, self._inject, action)
+            if action.duration is not None:
+                self.sim.schedule_at(action.at + action.duration,
+                                     self._clear, action)
 
-    def _arm(self, action, emit):
-        self.sim.schedule_at(action.at, self._inject, action, emit)
-        if action.duration is not None:
-            self.sim.schedule_at(action.at + action.duration,
-                                 self._clear, action, emit)
-
-    def _inject(self, action, emit=True):
+    def _inject(self, action):
         action.inject(self.ctx)
         self.injected += 1
-        if emit:
-            self.ctx.fault_injected(action)
+        self.ctx.fault_injected(action)
 
-    def _clear(self, action, emit=True):
+    def _clear(self, action):
         action.clear(self.ctx)
         self.cleared += 1
-        if emit:
-            self.ctx.fault_cleared(action)
+        self.ctx.fault_cleared(action)
 
     def __repr__(self):
         return (f"<ChaosInjector {self.schedule.name!r} "

@@ -131,13 +131,10 @@ class CrashPoolCoordinator(FaultAction):
         self.failover_to = failover_to
 
     def _coordinator(self, ctx):
-        # ``coordinators`` is a list on a CondorSystem and a rank-local
-        # {pool index: coordinator} dict on a ShardSystem (each pool
-        # coordinator lives on its pool's home shard).
         coordinators = ctx.system.coordinators
         try:
             return coordinators[self.pool]
-        except (IndexError, KeyError):
+        except IndexError:
             raise SimulationError(
                 f"pool {self.pool}'s coordinator is not here: this "
                 f"system holds {len(coordinators)} pool coordinator(s)"

@@ -186,8 +186,7 @@ class Network:
     def __init__(self, sim, latency=DEFAULT_LATENCY,
                  bandwidth_mb_s=DEFAULT_BANDWIDTH_MB_S,
                  loss_probability=0.0, loss_stream=None,
-                 latency_jitter=0.0, jitter_stream=None,
-                 loss_mode="shared"):
+                 latency_jitter=0.0, jitter_stream=None):
         if latency < 0 or bandwidth_mb_s <= 0:
             raise SimulationError(
                 f"bad Network(latency={latency}, bandwidth={bandwidth_mb_s})"
@@ -198,8 +197,6 @@ class Network:
             raise SimulationError(f"negative jitter {latency_jitter}")
         if latency_jitter and jitter_stream is None:
             raise SimulationError("latency_jitter needs a jitter_stream")
-        if loss_mode not in ("shared", "per_sender"):
-            raise SimulationError(f"bad loss_mode {loss_mode!r}")
         self.sim = sim
         self.latency = float(latency)
         self.latency_jitter = float(latency_jitter)
@@ -207,18 +204,6 @@ class Network:
         self.bandwidth_mb_s = float(bandwidth_mb_s)
         self.loss_probability = float(loss_probability)
         self.loss_stream = loss_stream
-        #: ``"per_sender"`` forks one loss substream per sending endpoint
-        #: (lazily, by name — fork order cannot matter), so each sender's
-        #: draw sequence is independent of every other sender's traffic.
-        #: That independence is what lets a shard draw its own senders'
-        #: losses locally yet byte-match the serial run.  ``"shared"``
-        #: (default) keeps the single-stream draw order of PR 4's
-        #: recorded traces.
-        self.loss_mode = loss_mode
-        self._loss_streams = {} if loss_mode == "per_sender" else None
-        #: Endpoint name -> locus label (set in locus mode; delivery
-        #: events then fire under the destination's locus).
-        self._loci = None
         self._nodes = {}
         # Per-endpoint serialization point for bulk transfers.
         self._nic_free_at = {}
@@ -260,32 +245,6 @@ class Network:
         """
         return name in self._nodes
 
-    def set_loci(self, mapping):
-        """Label endpoints with kernel locus ids (locus-mode runs only).
-
-        Once set, every delivery event the network schedules carries the
-        destination's locus, so same-timestamp deliveries dispatch in
-        locus order — the invariant the shard merge depends on.
-        """
-        if not self.sim.locus_mode:
-            raise SimulationError("set_loci() requires kernel locus mode")
-        self._loci = dict(mapping)
-
-    @property
-    def locus_routing(self):
-        """Whether deliveries are locus-labelled (see :meth:`set_loci`).
-        Batch fan-outs are unavailable then — callers fall back to
-        per-target RPCs."""
-        return self._loci is not None
-
-    def _schedule_net(self, delay, callback, dst_name, *args):
-        """Schedule a delivery event, locus-labelled when loci are set."""
-        loci = self._loci
-        if loci is None:
-            return self.sim.schedule(delay, callback, *args)
-        return self.sim.schedule(delay, callback, *args,
-                                 locus=loci.get(dst_name))
-
     # ------------------------------------------------------------------
     # failure processes
 
@@ -294,24 +253,6 @@ class Network:
             self.loss_probability > 0.0
             and self.loss_stream.random() < self.loss_probability
         )
-
-    def _lost_from(self, sender):
-        """Draw the loss process for one message from ``sender``.
-
-        Shared mode consumes the single network-wide stream (the PR 4
-        draw order); per-sender mode consumes ``sender``'s own substream.
-        An unnamed sender always draws from the base stream.
-        """
-        if self.loss_probability <= 0.0:
-            return False
-        streams = self._loss_streams
-        if streams is None or sender is None:
-            return self.loss_stream.random() < self.loss_probability
-        stream = streams.get(sender)
-        if stream is None:
-            stream = self.loss_stream.fork(f"sender.{sender}")
-            streams[sender] = stream
-        return stream.random() < self.loss_probability
 
     def set_loss(self, probability):
         """Change the message-loss probability mid-run (chaos bursts).
@@ -412,7 +353,7 @@ class Network:
             self.messages_dropped += 1
             return
         self.messages_sent += 1
-        if self._lost_from(src):
+        if self._lost():
             self.messages_dropped += 1
             return
 
@@ -420,7 +361,7 @@ class Network:
             if not dst.crashed:
                 dst.handle(op, payload)
 
-        self._schedule_net(self._delay(), deliver, dst_name)
+        self.sim.schedule(self._delay(), deliver)
 
     def rpc(self, dst_name, op, payload=None, timeout=1.0, callback=None,
             src=None):
@@ -468,8 +409,7 @@ class Network:
                               ("timeout", None))
 
         self.messages_sent += 1
-        request_lost = (not self._reachable(src, dst_name)
-                        or self._lost_from(src))
+        request_lost = not self._reachable(src, dst_name) or self._lost()
         if request_lost:
             self.messages_dropped += 1
 
@@ -480,7 +420,7 @@ class Network:
                 return
             response = dst.handle(op, payload)
             self.messages_sent += 1
-            if not self._reachable(dst_name, src) or self._lost_from(dst_name):
+            if not self._reachable(dst_name, src) or self._lost():
                 self.messages_dropped += 1
                 if deadline is not None:
                     settle_late()
@@ -491,9 +431,9 @@ class Network:
                 # (ties included — the eager timer's earlier seq won).
                 settle_late()
                 return
-            self._schedule_net(delay, settle, src, ("ok", response))
+            self.sim.schedule(delay, settle, ("ok", response))
 
-        self._schedule_net(self._delay(), deliver_request, dst_name)
+        self.sim.schedule(self._delay(), deliver_request)
         return result if callback is None else ticket
 
     def rpc_batch(self, targets, op, payload=None, callback=None, src=None):
@@ -513,17 +453,13 @@ class Network:
         """
         if self.latency_jitter:
             raise SimulationError("rpc_batch needs jitter-free latency")
-        if self._loci is not None:
-            # One delivery event would span many loci; locus-mode callers
-            # must fan out with individual RPCs.
-            raise SimulationError("rpc_batch is unavailable in locus mode")
         for name in targets:
             self.node(name)   # unknown destination raises before counters
         ticket = BatchTicket(self, op, targets)
         requests = []
         for name in targets:
             self.messages_sent += 1
-            lost = not self._reachable(src, name) or self._lost_from(src)
+            lost = not self._reachable(src, name) or self._lost()
             if lost:
                 self.messages_dropped += 1
             requests.append((name, lost))
@@ -541,7 +477,7 @@ class Network:
                     continue
                 response = dst.handle(op, payload)
                 self.messages_sent += 1
-                if not self._reachable(name, src) or self._lost_from(name):
+                if not self._reachable(name, src) or self._lost():
                     self.messages_dropped += 1
                     continue
                 replies.append((name, response))
@@ -603,7 +539,7 @@ class Network:
                               done)
         self._transfers_at.setdefault(src_name, []).append(record)
         self._transfers_at.setdefault(dst_name, []).append(record)
-        if self._lost_from(src_name):
+        if self._lost():
             record._handle = self.sim.schedule_at(
                 finish, self._transfer_lost, record)
         else:
@@ -645,16 +581,7 @@ class Network:
         self.transfers_failed += 1
         # Delivered as its own event so the failure interleaves with the
         # agenda like any other network notification.
-        loci = self._loci
-        if loci is None or loci.get(record.src) == self.sim.current_locus:
-            self.sim.schedule(0.0, record.signal.fire, ("failed", reason))
-        else:
-            # Locus mode, aborted from another locus (a partition landing
-            # is decided network-wide): the endpoints learn after one
-            # propagation delay, under the sender's own locus — keeping
-            # the fault cascade inside the sender's shard.
-            self.sim.schedule(self.latency, record.signal.fire,
-                              ("failed", reason), locus=loci.get(record.src))
+        self.sim.schedule(0.0, record.signal.fire, ("failed", reason))
 
     def _unregister_transfer(self, record, release_nics):
         for name in (record.src, record.dst):

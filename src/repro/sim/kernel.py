@@ -17,21 +17,9 @@ the hottest loop in the repo — a simulated month dispatches ~2M events):
   accumulate (long-dated completion/grace timers that were cancelled)
   the agenda is compacted in place — cancellation stays O(1) while the
   heap stays proportional to *live* events.
-
-**Locus mode** (opt-in, for the space-parallel kernel): every event is
-labelled with the *locus* — an integer naming the station, coordinator,
-or injector it belongs to — and same-timestamp events dispatch in
-``(fire_locus, scheduling_locus, per-locus seq)`` order instead of
-global FIFO.  Because a cross-locus event must carry a positive delay
-(asserted), the set of events at any timestamp is closed per locus
-group by the time the clock reaches it, so serial dispatch order is
-*fully sorted* by that key — which is exactly what lets K shard
-processes, each dispatching only its own loci, reproduce the serial
-order by merging on the same key.  See ``repro/sim/sharded.py``.
 """
 
 import math
-from contextlib import contextmanager
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
 
 from repro.sim.errors import SimulationError
@@ -40,11 +28,6 @@ from repro.sim.events import FIRED, PENDING, EventHandle
 #: Compact the agenda when at least this many cancelled entries are
 #: buried in it *and* they outnumber the live ones (see ``_maybe_compact``).
 _COMPACT_MIN_DEAD = 512
-
-#: Conventional locus for cross-cutting drivers (chaos injectors,
-#: invariant samplers) that belong to no station.  Negative so it sorts
-#: before every station locus at a shared timestamp.
-CHAOS_LOCUS = -1
 
 
 class Simulation:
@@ -59,7 +42,7 @@ class Simulation:
     """
 
     __slots__ = ("_now", "_heap", "_nseq", "_ncancelled", "_running",
-                 "events_dispatched", "locus_mode", "_locus", "_locus_seqs")
+                 "events_dispatched")
 
     def __init__(self, start_time=0.0):
         self._now = float(start_time)
@@ -70,91 +53,11 @@ class Simulation:
         self._running = False
         #: number of events dispatched so far (diagnostic)
         self.events_dispatched = 0
-        #: Whether events carry locus keys (see module docstring).
-        self.locus_mode = False
-        self._locus = 0
-        self._locus_seqs = {}
 
     @property
     def now(self):
         """Current simulation time in seconds."""
         return self._now
-
-    # ------------------------------------------------------------------
-    # locus mode (space-parallel kernel support)
-
-    def enable_locus_mode(self, locus=0):
-        """Switch to locus-keyed event ordering.  Must be called before
-        anything is scheduled — the two key shapes do not compare."""
-        if self._heap or self._nseq:
-            raise SimulationError(
-                "locus mode must be enabled before any event is scheduled")
-        self.locus_mode = True
-        self._locus = locus
-
-    @property
-    def current_locus(self):
-        """The locus label attached to events scheduled right now."""
-        return self._locus
-
-    @contextmanager
-    def locus(self, value):
-        """Run a ``with`` block under a different locus label (setup code:
-        event callbacks get their locus from the event being dispatched)."""
-        prev = self._locus
-        self._locus = value
-        try:
-            yield
-        finally:
-            self._locus = prev
-
-    def _locus_insert(self, time, delay, callback, args, locus):
-        cur = self._locus
-        fire = cur if locus is None else locus
-        if fire != cur and delay <= 0.0:
-            raise SimulationError(
-                f"cross-locus event needs a positive delay "
-                f"(locus {cur} -> {fire} at t={self._now})")
-        seqs = self._locus_seqs
-        seq = seqs.get(cur, 0)
-        seqs[cur] = seq + 1
-        handle = EventHandle((time, (fire, cur, seq), PENDING, callback,
-                              args, self))
-        _heappush(self._heap, handle)
-        return handle
-
-    def next_locus_key(self, fire_locus):
-        """Allocate the ordering key the next scheduled event would get.
-
-        Cross-shard senders call this instead of :meth:`schedule`: the
-        key travels in the message descriptor and the owning shard
-        :meth:`inject`\\ s it verbatim, so the sender's per-locus seq
-        counter advances exactly as it would have for a local delivery.
-        """
-        cur = self._locus
-        seqs = self._locus_seqs
-        seq = seqs.get(cur, 0)
-        seqs[cur] = seq + 1
-        return (fire_locus, cur, seq)
-
-    def inject(self, time, key, callback, *args):
-        """Insert an externally-originated event under an explicit key.
-
-        The shard runtime uses this to deliver cross-shard messages: the
-        *sending* shard computes the event's locus key, ships it in the
-        descriptor, and the owning shard injects it verbatim — so the
-        merged dispatch order is the serial one regardless of which
-        process the event travelled through.
-        """
-        if not self.locus_mode:
-            raise SimulationError("inject() requires locus mode")
-        if time < self._now:
-            raise SimulationError(
-                f"cannot inject at {time} before current time {self._now}")
-        handle = EventHandle((time, tuple(key), PENDING, callback, args,
-                              self))
-        _heappush(self._heap, handle)
-        return handle
 
     def schedule(self, delay, callback, *args, locus=None):
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
@@ -162,15 +65,13 @@ class Simulation:
         Returns a cancellable :class:`EventHandle`.  ``delay`` must be
         non-negative; zero-delay events run after all events already
         scheduled for the current instant (FIFO within a timestamp).
-        In locus mode ``locus`` labels an event that fires at another
-        locus (requires a positive delay); the default inherits the
-        current locus.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        if self.locus_mode:
-            return self._locus_insert(self._now + delay, delay, callback,
-                                      args, locus)
+        # condorbench's tracer still forwards this keyword as None; it
+        # stays, accepting nothing else, until the tracer drops it.
+        if locus is not None:
+            raise SimulationError("locus labels are not supported")
         seq = self._nseq
         self._nseq = seq + 1
         handle = EventHandle((self._now + delay, seq, PENDING, callback,
@@ -184,9 +85,8 @@ class Simulation:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self._now}"
             )
-        if self.locus_mode:
-            return self._locus_insert(time, time - self._now, callback,
-                                      args, locus)
+        if locus is not None:             # see schedule()
+            raise SimulationError("locus labels are not supported")
         seq = self._nseq
         self._nseq = seq + 1
         handle = EventHandle((time, seq, PENDING, callback, args, self))
@@ -229,15 +129,12 @@ class Simulation:
         Cancelled events are skipped silently.
         """
         heap = self._heap
-        lm = self.locus_mode
         while heap:
             handle = _heappop(heap)
             if handle[2]:                     # cancelled: skip lazily
                 self._ncancelled -= 1
                 continue
             self._now = handle[0]
-            if lm:
-                self._locus = handle[1][0]
             handle[2] = FIRED
             callback = handle[3]
             args = handle[4]
@@ -263,7 +160,6 @@ class Simulation:
             )
         heap = self._heap
         pop = _heappop
-        lm = self.locus_mode
         dispatched = 0
         while heap:
             handle = heap[0]
@@ -274,8 +170,6 @@ class Simulation:
                 self._ncancelled -= 1
                 continue
             self._now = handle[0]
-            if lm:
-                self._locus = handle[1][0]
             handle[2] = FIRED
             callback = handle[3]
             args = handle[4]
@@ -284,46 +178,6 @@ class Simulation:
             dispatched += 1
             self.events_dispatched += 1
             callback(*args)
-        return dispatched
-
-    def step_window(self, until):
-        """Dispatch every event with ``time`` *strictly below* ``until``,
-        then pin the clock to ``until``.
-
-        The conservative-sync primitive: a shard worker runs its agenda
-        one window at a time, and the exclusive upper bound is what lets
-        a message injected *at* the window boundary (the earliest instant
-        a cross-shard message can arrive) still be dispatched in order by
-        the next window.  Returns the number of events dispatched.
-        """
-        if until < self._now:
-            raise SimulationError(
-                f"cannot run window to {until}, already at {self._now}"
-            )
-        heap = self._heap
-        pop = _heappop
-        lm = self.locus_mode
-        dispatched = 0
-        while heap:
-            handle = heap[0]
-            if handle[0] >= until:
-                break
-            pop(heap)
-            if handle[2]:                     # cancelled: skip lazily
-                self._ncancelled -= 1
-                continue
-            self._now = handle[0]
-            if lm:
-                self._locus = handle[1][0]
-            handle[2] = FIRED
-            callback = handle[3]
-            args = handle[4]
-            handle[3] = None
-            handle[4] = None
-            dispatched += 1
-            self.events_dispatched += 1
-            callback(*args)
-        self._now = until
         return dispatched
 
     def peek(self):

@@ -12,7 +12,6 @@ re-running the simulation: the scheduler's behaviour is fully determined
 by its event record (cluster management as data management).
 """
 
-import heapq
 import json
 
 from repro.sim.errors import SimulationError
@@ -107,140 +106,6 @@ class TraceRecorder:
 
     def __repr__(self):
         return f"<TraceRecorder {self.path} events={self.events_written}>"
-
-
-# ----------------------------------------------------------------------
-# sharded traces
-#
-# A space-parallel run produces one event stream per shard.  Each shard
-# records *keyed* lines — the canonical line split around its "seq"
-# field, prefixed with the merge key (timestamp, dispatching locus,
-# per-locus emission index) — and the merge lays the K streams back into
-# one stream ordered exactly as the serial run dispatched, splicing in
-# the global sequence numbers.  Why the key works: in locus mode the
-# kernel dispatches same-timestamp events fully sorted by locus, each
-# locus is dispatched by exactly one shard, and emissions within one
-# locus at one timestamp keep their per-locus order.
-
-#: Field separator inside a keyed shard-trace line (never appears in
-#: canonical JSON).
-_SHARD_SEP = "\x1f"
-
-
-class ShardTraceRecorder:
-    """Records one shard's hub events as locus-keyed lines.
-
-    The hub's per-shard ``seq`` is meaningless globally and is dropped;
-    the merge assigns the global one.  With ``path=None`` lines collect
-    in :attr:`lines` (the in-memory path chaos replay checks use).
-    """
-
-    def __init__(self, hub, sim, path=None):
-        self.hub = hub
-        self.sim = sim
-        self.path = path
-        self.events_written = 0
-        self.lines = [] if path is None else None
-        self._fh = (open(path, "w", encoding="utf-8", newline="\n")
-                    if path is not None else None)
-        self._emit_idx = {}
-        hub.subscribe_all(self._on_event)
-
-    def _on_event(self, event):
-        locus = self.sim.current_locus
-        idx = self._emit_idx.get(locus, 0)
-        self._emit_idx[locus] = idx + 1
-        head = json.dumps({"kind": event.kind,
-                           "payload": jsonify(event.payload)},
-                          sort_keys=True, separators=(",", ":"))[:-1]
-        tail = json.dumps({"src": event.source, "t": event.sim_time},
-                          sort_keys=True, separators=(",", ":"))[1:]
-        line = _SHARD_SEP.join((repr(event.sim_time), str(locus), str(idx),
-                                head, tail))
-        if self._fh is not None:
-            self._fh.write(line)
-            self._fh.write("\n")
-        else:
-            self.lines.append(line)
-        self.events_written += 1
-
-    def close(self):
-        """Detach from the hub and flush the file (if any).  Idempotent."""
-        if self._emit_idx is None:
-            return
-        self.hub.unsubscribe_all(self._on_event)
-        self._emit_idx = None
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-        return False
-
-    def __repr__(self):
-        return (f"<ShardTraceRecorder {self.path or '<memory>'} "
-                f"events={self.events_written}>")
-
-
-def _keyed(lines):
-    """Parse keyed lines and return them **key-sorted**.
-
-    A shard's emission order is key-sorted while the kernel dispatches
-    (same-timestamp events run in locus order), but the post-run ledger
-    closes revisit the loci at the horizon timestamp, so the raw stream
-    is only *nearly* sorted.  Sorting here (cheap on nearly-sorted data)
-    makes the canonical order exactly the key order, independent of how
-    many shards emitted it.  Keys are unique within a stream (the
-    per-locus index is) and across streams (each locus emits on one
-    shard), so the order is strict.
-    """
-    items = []
-    for line in lines:
-        t, locus, idx, head, tail = line.split(_SHARD_SEP)
-        items.append(((float(t), int(locus), int(idx)), head, tail))
-    items.sort(key=lambda item: item[0])
-    return items
-
-
-def merge_shard_lines(shard_line_lists):
-    """Merge per-shard keyed lines into canonical trace lines.
-
-    Returns the serial run's lines: ordered by (timestamp, locus,
-    per-locus index) with global ``seq`` numbers spliced in — the key
-    order ``kind < payload < seq < src < t`` matches
-    :func:`encode_event` byte-for-byte.
-    """
-    merged = heapq.merge(*(_keyed(lines) for lines in shard_line_lists),
-                         key=lambda item: item[0])
-    return [f'{head},"seq":{seq},{tail}'
-            for seq, (_key, head, tail) in enumerate(merged)]
-
-
-def merge_shard_traces(paths, out_path):
-    """Merge keyed shard-trace files into one canonical JSONL trace.
-
-    Returns the number of lines written.  Holds each shard's parsed
-    stream in memory (the sort in :func:`_keyed` needs it); the merged
-    output itself is streamed to disk.
-    """
-    handles = [open(path, encoding="utf-8") for path in paths]
-    written = 0
-    try:
-        streams = [_keyed(line.rstrip("\n") for line in fh if line.strip())
-                   for fh in handles]
-        merged = heapq.merge(*streams, key=lambda item: item[0])
-        with open(out_path, "w", encoding="utf-8", newline="\n") as out:
-            for seq, (_key, head, tail) in enumerate(merged):
-                out.write(f'{head},"seq":{seq},{tail}\n')
-                written = seq + 1
-    finally:
-        for fh in handles:
-            fh.close()
-    return written
 
 
 def read_trace(path):

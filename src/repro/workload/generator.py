@@ -80,20 +80,12 @@ class WorkloadGenerator:
     def _make_job(self, profile):
         stream = self._job_streams[profile.name]
         demand = max(60.0, profile.demand_dist.sample(stream))
-        explicit_id = None
-        if profile.id_base is not None:
-            # k-th job this user ever generated (submitted or refused),
-            # so every process computing this user computes the same id.
-            made = (len(self.submitted[profile.name])
-                    + self.refused[profile.name])
-            explicit_id = profile.id_base + made
         return Job(
             user=profile.name,
             home=profile.home,
             demand_seconds=demand,
             layout=typical_layout(stream),
             syscall_rate=profile.syscall_rate_dist.sample(stream),
-            id=explicit_id,
         )
 
     def _submit_one(self, profile):

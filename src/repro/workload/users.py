@@ -48,8 +48,7 @@ class UserProfile:
     def __init__(self, name, home, total_jobs, demand_dist,
                  batch_size_dist=None, interbatch_dist=None,
                  standing_target=None, syscall_rate_dist=None,
-                 check_interval=10 * 60.0, daily_quota=None,
-                 id_base=None):
+                 check_interval=10 * 60.0, daily_quota=None):
         if total_jobs < 0:
             raise SimulationError(f"total_jobs must be >= 0: {total_jobs}")
         if standing_target is None and interbatch_dist is None:
@@ -72,10 +71,6 @@ class UserProfile:
         #: Max submissions per day (heavy users pace their campaigns over
         #: the month rather than dumping everything up front).
         self.daily_quota = daily_quota
-        #: Non-None gives this user's jobs ids ``id_base + k`` (k-th job
-        #: generated) instead of the process-global counter — required in
-        #: sharded runs, where the global counter diverges per process.
-        self.id_base = id_base
 
     @property
     def heavy(self):

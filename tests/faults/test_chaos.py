@@ -2,6 +2,8 @@
 and the acceptance suite (every named scenario completes with zero lost
 jobs, zero duplicate completions, and a byte-identical replay)."""
 
+import json
+
 import pytest
 
 from repro.analysis.chaos import SCHEDULES, replay_identical, run_chaos
@@ -258,6 +260,21 @@ def test_chaos_scenario_no_lost_jobs_and_byte_identical_replay(name):
     assert run.injector.injected > 0
     assert run.no_lost.ok
     assert run.trace_lines, "chaos run produced no telemetry"
+
+
+def test_matchmaker_partition_stalls_leases_until_the_heal():
+    # With the matchmaker cut off, adverts and lease requests drop, so
+    # no lease is brokered during the cut; flocking resumes afterwards.
+    run = run_chaos("matchmaker-partition", seed=7)
+    records = [json.loads(line) for line in run.trace_lines]
+    (cut,) = [r["t"] for r in records if r["kind"] == kinds.FAULT_INJECTED]
+    (heal,) = [r["t"] for r in records if r["kind"] == kinds.FAULT_CLEARED]
+    assert heal - cut == 2 * HOUR
+    grants = [r["t"] for r in records
+              if r["kind"] == kinds.CROSS_POOL_LEASE_GRANTED]
+    assert any(t < cut for t in grants), "no lease before the cut"
+    assert any(t > heal for t in grants), "leases never resumed"
+    assert not any(cut <= t <= heal for t in grants)
 
 
 def test_chaos_seed_changes_the_trace():

@@ -279,24 +279,30 @@ def test_compaction_preserves_dispatch_order():
     assert sim._ncancelled == 0
 
 
-def test_compaction_preserves_locus_keys():
-    """Compacting a locus-mode agenda must keep the (time, locus-key)
-    entries intact — same-timestamp dispatch stays locus-ordered."""
+def test_compaction_preserves_same_timestamp_fifo():
+    """Compacting the agenda must keep the (time, seq) entries intact —
+    same-timestamp events still dispatch in scheduling order."""
     from repro.sim import kernel
 
     sim = Simulation()
-    sim.enable_locus_mode()
     seen = []
-    with sim.locus(7):
-        doomed = [sim.schedule(1e6 + i, seen.append, "dead")
-                  for i in range(kernel._COMPACT_MIN_DEAD + 50)]
-    # Same timestamp, descending scheduling locus: dispatch must come
-    # back ascending after the compaction.
-    for locus in (5, 3, 1):
-        with sim.locus(locus):
-            sim.schedule(10.0, seen.append, locus)
+    doomed = [sim.schedule(1e6 + i, seen.append, "dead")
+              for i in range(kernel._COMPACT_MIN_DEAD + 50)]
+    for label in (5, 3, 1):
+        sim.schedule(10.0, seen.append, label)
     for handle in doomed:
         handle.cancel()
     assert sim._ncancelled < kernel._COMPACT_MIN_DEAD
     sim.run(until=20.0)
-    assert seen == [1, 3, 5]
+    assert seen == [5, 3, 1]
+
+
+def test_locus_labels_are_rejected():
+    # The keyword survives only because condorbench's tracer forwards
+    # it as None; any real label is an error.
+    sim = Simulation()
+    assert sim.schedule(1.0, lambda: None, locus=None) is not None
+    with pytest.raises(SimulationError, match="locus"):
+        sim.schedule(1.0, lambda: None, locus=3)
+    with pytest.raises(SimulationError, match="locus"):
+        sim.schedule_at(1.0, lambda: None, locus=3)

@@ -144,3 +144,42 @@ def test_query_missing_trace_errors(tmp_path, capsys):
                str(tmp_path / "nope.jsonl")])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_sweep_pools_runs_in_process(capsys):
+    rc = main(["sweep", "--pools", "2", "--seeds", "1,2", "--days", "2"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    header, _rule, *rows = out[out.index("seed "):].splitlines()
+    assert "leases_granted" in header.split()
+    assert [row.split()[0] for row in rows] == ["1", "2", "mean"]
+    leases = header.split().index("leases_granted")
+    assert all(float(row.split()[leases]) > 0 for row in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["month", "--shards", "2"],
+    ["month", "--stations", "8"],
+    ["month", "--cells", "4"],
+    ["sweep", "--shards", "2"],
+    ["sweep", "--cells", "4"],
+    ["chaos", "--shards", "2"],
+    ["chaos", "--days", "1"],
+    ["chaos", "--stations", "8"],
+    ["chaos", "--cells", "4"],
+    ["chaos", "--pools", "2"],
+], ids=lambda argv: argv[0] + argv[1])
+def test_space_parallel_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_chaos_suite_help_lists_every_suite(capsys):
+    from repro.analysis.chaos import SUITES
+
+    with pytest.raises(SystemExit):
+        main(["chaos", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert ", ".join(sorted([*SUITES, "service"])) in out

@@ -3,9 +3,9 @@
 Byte-identical replay — the property every golden-trace test leans on —
 dies quietly the moment trace-affecting code consults an unseeded RNG,
 the wall clock, or the iteration order of a ``set`` (which depends on
-the per-process hash seed: the space-parallel runtime runs the *same*
-logic in *different* processes, so hash-order iteration diverges between
-a shard worker and the serial reference even with identical inputs).
+the per-process hash seed: a sweep runs the *same* logic in
+*different* processes, so hash-order iteration diverges between a
+spawned worker and an in-process run even with identical inputs).
 
 Three rules, enforced by AST inspection of every module under
 ``src/repro``:
@@ -167,7 +167,7 @@ def test_no_iteration_over_sets():
                              f"iterates {ast.dump(iter_expr)[:60]}")
     assert not offenders, (
         "iteration over a set: order depends on the per-process hash "
-        "seed, which diverges between shard workers and the serial "
-        "reference.  Iterate sorted(...) (or a list/dict), or waive an "
+        "seed, which diverges between sweep workers and an in-process "
+        "run.  Iterate sorted(...) (or a list/dict), or waive an "
         "order-insensitive loop with '# set-order-ok':\n"
         + "\n".join(offenders))

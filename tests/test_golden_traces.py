@@ -1,9 +1,9 @@
 """Absolute golden traces: sha256 pins of three short recorded runs.
 
 Every other golden test in the suite is relative (delta vs poll, K=1 vs
-delta, serial vs sharded), so a change that shifts *both* sides passes
-them.  These three hashes are absolute: a refactor that claims "same
-behaviour" must reproduce them byte for byte.  They were taken at the
+delta), so a change that shifts *both* sides passes them.  These three
+hashes are absolute: a refactor that claims "same behaviour" must
+reproduce them byte for byte.  They were taken at the
 commit before the simulator's daemons moved onto the telemetry hub and
 must only ever change together with a CHANGES.md line saying why the
 simulated behaviour moved.
