@@ -114,14 +114,12 @@ def _cmd_stations(args):
 
 
 def _cmd_replay(args):
-    import json
-
     from repro.sim import SimulationError
     from repro.telemetry import replay_trace
 
     try:
         summary = replay_trace(args.trace_file)
-    except (OSError, SimulationError, json.JSONDecodeError) as exc:
+    except (OSError, SimulationError) as exc:
         print(f"error: cannot replay {args.trace_file}: {exc}",
               file=sys.stderr)
         return 2
@@ -151,7 +149,6 @@ def _cmd_replay(args):
 
 
 def _cmd_query(args):
-    import json
     import sqlite3
 
     from repro.analysis.ops import run_report
@@ -203,8 +200,7 @@ def _cmd_query(args):
                   f"{args.check_replay} bit-for-bit "
                   f"({len(head)} scalars)")
         return 0
-    except (OSError, sqlite3.Error, json.JSONDecodeError,
-            SimulationError) as exc:
+    except (OSError, sqlite3.Error, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -25,7 +25,7 @@ Tables
                  expired), one row per leased station;
 ``faults``       every fault/recovery/storage-fault event with its
                  payload, for chaos-scenario timelines;
-``meta``         the ingest cursor and schema version.
+``meta``         the ingest cursor, the file cursor and schema version.
 
 Ingest cursor
 -------------
@@ -34,6 +34,30 @@ records with ``seq < next_seq`` (so re-ingesting the same trace — or the
 unchanged prefix of an extended trace — is an exact no-op) and demands
 the first new record be exactly ``next_seq`` (so a head-truncated or
 gapped trace fails loudly instead of silently under-counting).
+
+Streaming ingest
+----------------
+:meth:`TraceStore.ingest` reads its records as a stream and holds one
+chunk of them (:data:`CHUNK_EVENTS`) at a time: at each chunk boundary
+the pending rows go out and the aggregate caches are written back and
+evicted, all inside the one all-or-nothing transaction.  Memory is
+bounded by the chunk — not by the trace's length, stations, simulated
+hours or jobs — and the tables do not depend on the chunk size: an
+aggregate is stored as an absolute value and read back by the next
+chunk that touches it (a sqlite REAL round-trips a double), so it is
+folded in trace order either way, and rows keep first-appearance order.
+
+:meth:`TraceStore.ingest_file` adds a *file cursor* so the stream starts
+where the last call stopped: ``meta['trace_offset']`` is the byte just
+past the last line read of ``meta['last_trace']`` and
+``meta['trace_fingerprint']`` is ``<line number>:<byte length>:<sha256>``
+of that line.  While the file still holds that line right before the
+offset, the next call seeks there and parses only what was appended;
+otherwise (replaced, rewritten, shorter) it reads from the top and the
+ingest cursor skips what the store has.  A last line without its
+newline is one its writer has not finished: it is left for the next
+call.  The file cursor is written inside ingest's transaction, so it
+can never name a position the rows do not match.
 
 Faithfulness invariant
 ----------------------
@@ -46,17 +70,27 @@ reproduce the replay path's every scalar is provably carrying the whole
 trace, not a lossy digest of it.
 """
 
-import json
+import contextlib
+import hashlib
 import sqlite3
 
 from repro.sim.errors import SimulationError
 from repro.telemetry import kinds
-from repro.telemetry.trace import TraceSummary, read_trace
+from repro.telemetry.trace import (
+    TraceSummary,
+    _encode as _canonical,
+    _parse_line,
+)
 
 SCHEMA_VERSION = 1
 
 #: Width of one utilization heatmap bucket (seconds).
 BUCKET_SECONDS = 3600.0
+
+#: Events folded between write-backs: ingest holds one chunk's rows and
+#: cached aggregates, never the trace's.  A constant, not a knob — the
+#: result is the same for every value (tests run 7, 1 000 and 10**9).
+CHUNK_EVENTS = 4096
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -192,10 +226,6 @@ _FAULT_TABLE_KINDS = frozenset(kinds.FAULT_KINDS + kinds.STORAGE_KINDS)
 _FAULT_TARGET_KEYS = ("station", "host", "name", "src", "dst")
 
 
-def _canonical(payload):
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _job_dict(payload):
     job = payload.get("job")
     return job if isinstance(job, dict) else {}
@@ -288,12 +318,66 @@ class TraceStore:
     # -- ingestion -----------------------------------------------------
 
     def ingest_file(self, trace_path):
-        """Ingest a JSONL trace file; returns the number of new events."""
-        added = self.ingest(read_trace(trace_path))
-        if added:
-            with self._db:
-                self._meta_set("last_trace", str(trace_path))
-        return added
+        """Ingest what a JSONL trace file holds beyond what this store
+        has read of it; returns the number of new events.
+
+        Resumes at the byte offset the last call stopped at (a seek, so
+        an unchanged file costs nothing and a grown one its new lines)
+        and stops before a final line still missing its newline, so a
+        trace can be tailed while its recorder is writing it.
+        """
+        with contextlib.closing(self._tail(str(trace_path))) as tail:
+            return self.ingest(tail)
+
+    def _tail(self, path):
+        """Yield the records of ``path`` past the stored file cursor.
+
+        :meth:`ingest` drains this inside its transaction, so the cursor
+        this generator writes once the last line is taken — file name,
+        byte offset, fingerprint of the last line read — commits or
+        rolls back together with the rows and ``next_seq``.
+        """
+        taken = None                # the last record line ingest took
+        with open(path, "rb") as fh:
+            offset, lineno = self._resume_point(fh)
+            for line in fh:
+                if not line.endswith(b"\n"):
+                    break           # torn tail: its writer is mid-line
+                offset += len(line)
+                lineno += 1
+                if not line.isspace():
+                    yield _parse_line(line, path, lineno)
+                    taken = offset, lineno, line
+        if taken is not None:
+            offset, lineno, line = taken
+            self._meta_set("last_trace", path)
+            self._meta_set("trace_offset", str(offset))
+            self._meta_set(
+                "trace_fingerprint",
+                f"{lineno}:{len(line)}:{_fingerprint(line)}")
+
+    def _resume_point(self, fh):
+        """Position ``fh`` where reading resumes; returns ``(byte
+        offset, lines before it)``.
+
+        That is the stored cursor while the file still holds the
+        fingerprinted line right before it.  A replaced, rewritten or
+        shorter file is read from the top, where :meth:`ingest` skips
+        what it has — either way every line before the cursor is one
+        :meth:`ingest` took or skipped.
+        """
+        try:
+            lineno, length, digest = self._meta_get(
+                "trace_fingerprint", "").split(":")
+            offset = int(self._meta_get("trace_offset", ""))
+            length = int(length)
+            fh.seek(offset - length)
+            if _fingerprint(fh.read(length)) == digest:
+                return offset, int(lineno)
+        except (ValueError, OSError):
+            pass                    # no cursor yet, or not one of ours
+        fh.seek(0)
+        return 0, 0
 
     def ingest(self, records):
         """Fold trace records (dicts, seq order) into the tables.
@@ -302,66 +386,76 @@ class TraceStore:
         first new record must be exactly ``next_seq``.  Returns the
         number of newly ingested events.  All-or-nothing: one
         transaction, rolled back on error.
+
+        ``records`` is consumed as a stream: every :data:`CHUNK_EVENTS`
+        events the pending rows are written and the cached aggregates
+        written back *and evicted* (still inside the transaction), so
+        memory is bounded by the chunk, not by the trace.  Aggregates
+        are stored as absolute values and re-read on their next touch —
+        a sqlite REAL round-trips a double — so each one is folded in
+        trace order whatever the chunk size.
         """
-        cursor = self.next_seq
-        start = cursor
+        start = cursor = self.next_seq
         end_time = self.end_time
-        event_rows = []
         counts = {}
+        event_rows, fault_rows, lease_ops = [], [], []
         ledger = _RowCache(self._ledger_load)
         buckets = _RowCache(self._bucket_load)
         users = _RowCache(self._user_load)
         jobs = _RowCache(self._job_load)
-        fault_rows = []
-        lease_ops = []
 
-        for record in records:
-            seq = record["seq"]
-            if seq < cursor:
-                continue
-            if seq != cursor:
-                raise SimulationError(
-                    f"cannot ingest a non-contiguous trace: expected seq "
-                    f"{cursor}, got {seq}"
-                    + (" — head-truncated, expected seq 0 at the start"
-                       if start == cursor == 0 else "")
-                )
-            cursor += 1
-            t = record["t"]
-            src = record["src"]
-            kind = record["kind"]
-            payload = record.get("payload") or {}
-            event_rows.append((seq, t, src, kind, _canonical(payload)))
-            counts[kind] = counts.get(kind, 0) + 1
-            if t > end_time:
-                end_time = t
-            self._ingest_one(seq, t, src, kind, payload,
-                             ledger, buckets, users, jobs,
-                             fault_rows, lease_ops)
-
-        if not event_rows:
-            return 0
-        with self._db:
+        def write_back():
             self._db.executemany(
                 "INSERT INTO events (seq, t, src, kind, payload) "
                 "VALUES (?, ?, ?, ?, ?)", event_rows)
-            self._db.executemany(
-                "INSERT INTO event_counts (kind, count) VALUES (?, ?) "
-                "ON CONFLICT (kind) DO UPDATE "
-                "SET count = count + excluded.count",
-                sorted(counts.items()))
             self._ledger_flush(ledger)
             self._bucket_flush(buckets)
             self._user_flush(users)
             self._job_flush(jobs)
-            if fault_rows:
-                self._db.executemany(
-                    "INSERT INTO faults (seq, t, kind, fault, target, "
-                    "detail) VALUES (?, ?, ?, ?, ?, ?)", fault_rows)
+            self._db.executemany(
+                "INSERT INTO faults (seq, t, kind, fault, target, "
+                "detail) VALUES (?, ?, ?, ?, ?, ?)", fault_rows)
             for sql, params in lease_ops:
                 self._db.execute(sql, params)
-            self._meta_set("next_seq", str(cursor))
-            self._meta_set("end_time", repr(end_time))
+            for pending in (event_rows, fault_rows, lease_ops,
+                            ledger, buckets, users, jobs):
+                pending.clear()
+
+        with self._db:
+            for record in records:
+                seq = record["seq"]
+                if seq < cursor:
+                    continue
+                if seq != cursor:
+                    raise SimulationError(
+                        f"cannot ingest a non-contiguous trace: expected "
+                        f"seq {cursor}, got {seq}"
+                        + (" — head-truncated, expected seq 0 at the start"
+                           if start == cursor == 0 else "")
+                    )
+                cursor += 1
+                t = record["t"]
+                src = record["src"]
+                kind = record["kind"]
+                payload = record.get("payload") or {}
+                event_rows.append((seq, t, src, kind, _canonical(payload)))
+                counts[kind] = counts.get(kind, 0) + 1
+                if t > end_time:
+                    end_time = t
+                self._ingest_one(seq, t, src, kind, payload,
+                                 ledger, buckets, users, jobs,
+                                 fault_rows, lease_ops)
+                if len(event_rows) >= CHUNK_EVENTS:
+                    write_back()
+            if cursor > start:
+                write_back()
+                self._db.executemany(
+                    "INSERT INTO event_counts (kind, count) VALUES (?, ?) "
+                    "ON CONFLICT (kind) DO UPDATE "
+                    "SET count = count + excluded.count",
+                    sorted(counts.items()))
+                self._meta_set("next_seq", str(cursor))
+                self._meta_set("end_time", repr(end_time))
         return cursor - start
 
     def _ingest_one(self, seq, t, src, kind, payload,
@@ -504,16 +598,18 @@ class TraceStore:
         return list(row) if row else [0, 0, 0.0, 0]
 
     def _user_flush(self, cache):
+        # Not an upsert: its conflict path burns an AUTOINCREMENT id, so
+        # a user written back twice would push later users' ids up.
         for user, row in cache.items():
-            self._db.execute(
-                "INSERT INTO users (user, jobs_submitted, jobs_completed,"
-                " demand_seconds, demand_entries) VALUES (?, ?, ?, ?, ?) "
-                "ON CONFLICT (user) DO UPDATE SET "
-                "jobs_submitted = excluded.jobs_submitted, "
-                "jobs_completed = excluded.jobs_completed, "
-                "demand_seconds = excluded.demand_seconds, "
-                "demand_entries = excluded.demand_entries",
-                (user, row[0], row[1], row[2], row[3]))
+            if not self._db.execute(
+                    "UPDATE users SET jobs_submitted = ?, "
+                    "jobs_completed = ?, demand_seconds = ?, "
+                    "demand_entries = ? WHERE user = ?",
+                    (*row, user)).rowcount:
+                self._db.execute(
+                    "INSERT INTO users (jobs_submitted, jobs_completed, "
+                    "demand_seconds, demand_entries, user) "
+                    "VALUES (?, ?, ?, ?, ?)", (*row, user))
 
     def _job_load(self, key):
         row = self._db.execute(
@@ -528,10 +624,15 @@ class TraceStore:
         return fresh
 
     def _job_flush(self, cache):
+        # An upsert keeps the rowid of a job written back before;
+        # INSERT OR REPLACE would move it to the end of the table.
         self._db.executemany(
-            "INSERT OR REPLACE INTO jobs ({}) VALUES ({})".format(
+            "INSERT INTO jobs ({}) VALUES ({}) "
+            "ON CONFLICT (key) DO UPDATE SET {}".format(
                 ", ".join(_JOB_COLS),
-                ", ".join("?" for _ in _JOB_COLS)),
+                ", ".join("?" for _ in _JOB_COLS),
+                ", ".join(f"{col} = excluded.{col}"
+                          for col in _JOB_COLS[1:])),
             [tuple(row[col] for col in _JOB_COLS)
              for row in cache.values()])
 
@@ -589,7 +690,8 @@ class TraceStore:
 
 
 class _RowCache(dict):
-    """Per-ingest write-back cache: rows load lazily, flush once."""
+    """Per-chunk write-back cache: rows load lazily on first touch and
+    are flushed, then evicted, when the chunk is written back."""
 
     __slots__ = ("_load",)
 
@@ -601,6 +703,10 @@ class _RowCache(dict):
         row = self._load(key)
         self[key] = row
         return row
+
+
+def _fingerprint(line):
+    return hashlib.sha256(line).hexdigest()
 
 
 def ingest_trace(trace_path, db_path):

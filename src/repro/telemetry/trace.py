@@ -10,6 +10,18 @@ aggregates — Table-1 job totals, hours consumed by Condor, checkpoint
 counts, utilisation by category — *from the trace alone*, without
 re-running the simulation: the scheduler's behaviour is fully determined
 by its event record (cluster management as data management).
+
+One encoder, one reader
+-----------------------
+Every canonical string in the repo — a trace line, the ordering key of
+a set's members, the ops store's ``payload`` column — comes out of the
+one module-level :class:`json.JSONEncoder` below, so "canonical" has a
+single definition and no call constructs an encoder of its own.
+Every trace line read back — by :func:`read_trace` for a finished
+trace, by the ops store's tail for a growing one — is decoded and
+validated by :func:`_parse_line`, so a line that is not a JSON object
+or lacks ``seq``/``t``/``src``/``kind`` fails the same way everywhere:
+``SimulationError("<path>:<line>: ...")``.
 """
 
 import json
@@ -25,10 +37,44 @@ _HOUR = 3600.0
 #: without this module importing either.
 _JOB_ATTRS = ("id", "name", "user", "owner", "home", "demand_seconds")
 
+#: The canonical encoding (see module docs): ``_encode(value) -> str``.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: ``_decode(text) -> (value, end)``; the caller checks ``end``, which
+#: spares each line the two whitespace scans of ``JSONDecoder.decode``.
+_decode = json.JSONDecoder().raw_decode
+
+#: Exact types the encoder writes as they are.  Sets, so that
+#: ``_ATOMS.issuperset(map(type, items))`` checks a container in C.
+_ATOMS = frozenset((str, int, float, bool, type(None)))
+_STR = frozenset((str,))
+
+#: Keys every trace record carries (``payload`` may be absent).
+_REQUIRED = frozenset(("seq", "t", "src", "kind"))
+
 
 def jsonify(value):
-    """Encode a payload value canonically and deterministically."""
-    if value is None or isinstance(value, (str, int, float, bool)):
+    """Encode a payload value canonically and deterministically.
+
+    Containers the encoder already takes as they are — dicts with
+    ``str`` keys, lists and tuples, holding only ``str``/``int``/
+    ``float``/``bool``/``None`` — are returned themselves, not copied:
+    most events carry exactly such a payload, and rebuilding it costs
+    more than encoding it.
+    """
+    kind = type(value)
+    if kind in _ATOMS:
+        return value
+    if kind is dict and _STR.issuperset(map(type, value)):
+        if _ATOMS.issuperset(map(type, value.values())):
+            return value
+        return {key: item if type(item) in _ATOMS else jsonify(item)
+                for key, item in value.items()}
+    if ((kind is list or kind is tuple)
+            and _ATOMS.issuperset(map(type, value))):
+        return value
+    # The general case, subclasses included.
+    if isinstance(value, (str, int, float, bool)):
         return value
     if isinstance(value, dict):
         return {str(key): jsonify(item) for key, item in value.items()}
@@ -41,10 +87,7 @@ def jsonify(value):
         # values would raise TypeError.  The encoding is a total order
         # over every jsonify output, and equal encodings mean equal
         # values, so the result is byte-stable across insertion orders.
-        items = [jsonify(item) for item in value]
-        items.sort(key=lambda item: json.dumps(
-            item, sort_keys=True, separators=(",", ":")))
-        return items
+        return sorted((jsonify(item) for item in value), key=_encode)
     summary = {}
     for attr in _JOB_ATTRS:
         item = getattr(value, attr, None)
@@ -59,14 +102,13 @@ def jsonify(value):
 
 def encode_event(event):
     """One canonical JSONL line (no trailing newline) for an event."""
-    record = {
+    return _encode({
         "seq": event.seq,
         "t": event.sim_time,
         "src": event.source,
         "kind": event.kind,
         "payload": jsonify(event.payload),
-    }
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    })
 
 
 class TraceRecorder:
@@ -85,8 +127,7 @@ class TraceRecorder:
         hub.subscribe_all(self._on_event)
 
     def _on_event(self, event):
-        self._fh.write(encode_event(event))
-        self._fh.write("\n")
+        self._fh.write(encode_event(event) + "\n")
         self.events_written += 1
 
     def close(self):
@@ -108,13 +149,43 @@ class TraceRecorder:
         return f"<TraceRecorder {self.path} events={self.events_written}>"
 
 
+def _parse_line(line, path, lineno):
+    """Decode and validate one raw trace line (``bytes``): the one
+    reader behind :func:`read_trace` and the ops store's tail."""
+    try:
+        text = line.decode("utf-8").strip()
+        record, end = _decode(text)
+        if end != len(text):
+            raise json.JSONDecodeError("Extra data", text, end)
+    except json.JSONDecodeError as exc:
+        raise SimulationError(
+            f"{path}:{lineno}: not JSON: {exc.msg} at column "
+            f"{exc.pos + 1}") from None
+    except UnicodeDecodeError as exc:
+        raise SimulationError(f"{path}:{lineno}: {exc}") from None
+    if type(record) is not dict:
+        raise SimulationError(
+            f"{path}:{lineno}: not a JSON object: "
+            f"{type(record).__name__}")
+    if not _REQUIRED <= record.keys():
+        raise SimulationError(
+            f"{path}:{lineno}: record lacks "
+            + ", ".join(sorted(_REQUIRED - record.keys())))
+    return record
+
+
 def read_trace(path):
-    """Yield the trace's event records (plain dicts) in order."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+    """Yield a finished trace's event records (plain dicts) in order.
+
+    Raises :class:`SimulationError` naming file and line on the first
+    malformed one — a final line torn mid-write included; only the ops
+    store's tail (:meth:`TraceStore.ingest_file`) reads a trace that is
+    still being written.
+    """
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.isspace():
+                yield _parse_line(line, path, lineno)
 
 
 class TraceSummary:

@@ -146,6 +146,48 @@ def test_query_missing_trace_errors(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_query_tails_a_trace_torn_mid_line(mini_trace, tmp_path, capsys):
+    """A live trace is usually torn mid-line (the recorder writes through
+    a block buffer): the complete prefix is ingested, the rest later."""
+    data = mini_trace.read_bytes()
+    complete = data.count(b"\n", 0, len(data) // 2)
+    live = tmp_path / "live.jsonl"
+    live.write_bytes(data[:len(data) // 2])
+    assert not live.read_bytes().endswith(b"\n")
+    db = tmp_path / "ops.sqlite"
+    assert main(["query", "tables", "--trace", str(live),
+                 "--db", str(db)]) == 0
+    assert f"ingested {complete:,} new events" in capsys.readouterr().out
+    live.write_bytes(data)
+    assert main(["query", "summary", "--trace", str(live), "--db", str(db),
+                 "--check-replay", str(mini_trace)]) == 0
+    out = capsys.readouterr().out
+    rest = data.count(b"\n") - complete
+    assert f"ingested {rest:,} new events" in out
+    assert "bit-for-bit" in out
+
+
+@pytest.mark.parametrize("line, complaint", [
+    ("garbage", "not JSON"),
+    ('{"t": 0.0, "src": "ws-01", "kind": "job_submitted"}',
+     "record lacks seq"),
+])
+def test_query_malformed_trace_names_the_line(mini_trace, tmp_path, capsys,
+                                              line, complaint):
+    lines = mini_trace.read_text().splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines[:40] + [line] + lines[40:]) + "\n")
+    rc = main(["query", "tables", "--trace", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {bad}:41: {complaint}")
+    assert "Traceback" not in err
+    # Nothing was ingested: the store is as empty as it was opened.
+    assert main(["query", "sql", "SELECT COUNT(*) FROM events",
+                 "--db", f"{bad}.sqlite"]) == 0
+    assert capsys.readouterr().out.split()[-1] == "0"
+
+
 def test_sweep_pools_runs_in_process(capsys):
     rc = main(["sweep", "--pools", "2", "--seeds", "1,2", "--days", "2"])
     out = capsys.readouterr().out
