@@ -12,8 +12,18 @@ including a direct delta-vs-poll comparison at N=1000.  Without
 ``--quick`` the sweep continues into federated territory — one simulated
 day at N=20000 (K=4) and N=50000 (K=10) — where K per-pool coordinators
 trade surplus through the matchmaker (the flocking tree).
+
+The delta table also reports what each pool size costs beside wall
+clock: the process's peak RSS once the row has run (``ru_maxrss`` is a
+high-water mark and sizes ascend, so from N=1000 up a row reads its own
+pool; N=100 reads the interpreter's floor) and how many times the cycle
+collector ran per generation — the simulator's message path makes no
+cyclic garbage (DESIGN 4, "Message path"), so that column counts
+allocation pressure only.
 """
 
+import gc
+import resource
 import time
 
 from repro.analysis import run_month
@@ -68,50 +78,51 @@ def test_delta_protocol_wallclock_scaling(benchmark, show, quick):
         config = CondorConfig(max_machines_per_station=6,
                               coordinator_mode=mode)
         kwargs = {} if pools is None else {"pools": pools}
+        gc.collect()              # the previous row's pool is gone
+        collections = [gen["collections"] for gen in gc.get_stats()]
         t0 = time.perf_counter()
         run = run_month(seed=7, days=days, stations=size, job_scale=0.1,
                         config=config, **kwargs)
         wall = time.perf_counter() - t0
-        return wall, run.sim.events_dispatched, days
+        return {
+            "wall": wall, "events": run.sim.events_dispatched,
+            "days": days, "pools": pools or 1,
+            "peak_rss_mib": resource.getrusage(
+                resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "gc": "/".join(
+                str(gen["collections"] - before)
+                for gen, before in zip(gc.get_stats(), collections)),
+        }
 
     def run_all():
-        results = {}
-        for size in SCALE_SIZES:
-            wall, events, days = timed(size, "delta")
-            results[size] = {"delta_wall": wall, "delta_events": events,
-                             "days": days}
-        poll_wall, poll_events, _ = timed(1000, "poll")
-        results[1000]["poll_wall"] = poll_wall
-        results[1000]["poll_events"] = poll_events
+        results = {size: timed(size, "delta") for size in SCALE_SIZES}
+        results[1000]["poll_wall"] = timed(1000, "poll")["wall"]
         if not quick:
             for size, pools in FEDERATED_SIZES:
-                wall, events, days = timed(size, "federated", days=1,
-                                           pools=pools)
-                results[size] = {"delta_wall": wall,
-                                 "delta_events": events,
-                                 "days": days, "pools": pools}
+                results[size] = timed(size, "federated", days=1,
+                                      pools=pools)
         return results
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
     rows = [
-        (size, r.get("pools", 1),
-         f"{r['delta_wall']:.2f}", r["delta_events"],
+        (size, r["pools"], f"{r['wall']:.2f}", r["events"],
+         f"{r['peak_rss_mib']:.1f}", r["gc"],
          f"{r['poll_wall']:.2f}" if "poll_wall" in r else "-")
         for size, r in sorted(results.items())
     ]
     show("scaling_delta_protocol", render_table(
         ["stations", "pools", "delta wall s", "delta events",
-         "poll wall s"],
+         "peak RSS MiB", "gc collections (gen0/1/2)", "poll wall s"],
         rows, title="Scaling - delta-state coordinator wall clock",
     ))
-    speedup = results[1000]["poll_wall"] / results[1000]["delta_wall"]
+    speedup = results[1000]["poll_wall"] / results[1000]["wall"]
     # Measured ~2.6x on the reference machine (down from ~6x before the
     # federation PR — the lazy RPC timeout and centralized daemon
     # charging sped the poll build up too); 1.8x leaves noise headroom.
     assert speedup >= 1.8, f"delta speedup at N=1000 only {speedup:.1f}x"
     # Delta-mode event count must scale sublinearly in N: a 50x larger
     # cluster (mostly quiet stations) must not cost 50x the events.
-    ratio = results[5000]["delta_events"] / results[100]["delta_events"]
+    ratio = results[5000]["events"] / results[100]["events"]
     assert ratio < 50, ratio
     if not quick:
         # Federation keeps the per-station event budget flat: a
@@ -119,5 +130,5 @@ def test_delta_protocol_wallclock_scaling(benchmark, show, quick):
         # than the N=100 run (quiet stations amortise; pools localise).
         def per_station_day(size):
             r = results[size]
-            return r["delta_events"] / (size * r["days"])
+            return r["events"] / (size * r["days"])
         assert per_station_day(50000) <= per_station_day(100), results

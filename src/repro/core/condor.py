@@ -22,6 +22,7 @@ from repro.core.federation import (
     federation_pools,
     pool_name,
 )
+from repro.core.job import LiveJobs
 from repro.core.local_scheduler import LocalScheduler
 from repro.core.reservations import ReservationBook
 from repro.core.updown import UpDownPolicy
@@ -105,8 +106,10 @@ class CondorSystem:
         #: Pool 0's coordinator (the only one outside federated mode) —
         #: kept as an attribute for reports, sweeps and fault schedules.
         self.coordinator = self.coordinators[0]
-        #: All jobs ever submitted through this system, in order.
+        #: All jobs ever submitted through this system, in order
+        #: (append-only: ``_live`` reads it incrementally).
         self.jobs = []
+        self._live = LiveJobs(self.jobs)
         #: All gang (parallel) jobs submitted, in order.
         self.gangs = []
         self._started = False
@@ -212,14 +215,10 @@ class CondorSystem:
     def queue_length(self, users=None):
         """Jobs currently in the system (pending + placed), optionally
         restricted to a set of user names — the paper's Fig. 3/7 counts."""
-        total = 0
-        for job in self.jobs:
-            if not job.in_system:
-                continue
-            if users is not None and job.user not in users:
-                continue
-            total += 1
-        return total
+        live = self._live.current()
+        if users is None:
+            return len(live)
+        return sum(1 for job in live if job.user in users)
 
     def completed_jobs(self):
         return [job for job in self.jobs if job.finished]

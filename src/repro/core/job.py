@@ -265,3 +265,27 @@ class Job:
             f"<Job {self.name} user={self.user} home={self.home} "
             f"{self.state} {self.progress:.0f}/{self.demand_seconds:.0f}s>"
         )
+
+
+class LiveJobs:
+    """The jobs of an append-only list that are still in the system.
+
+    ``COMPLETED`` and ``REMOVED`` are terminal, so each reading scans
+    only the jobs appended since the last one plus those still live
+    then — not every job ever submitted, on every queue sample.
+    """
+
+    __slots__ = ("_jobs", "_seen", "_live")
+
+    def __init__(self, jobs):
+        self._jobs = jobs
+        self._seen = 0
+        self._live = []
+
+    def current(self):
+        """The in-system jobs, in submission order (read-only view)."""
+        live = self._live
+        live.extend(self._jobs[self._seen:])
+        self._seen = len(self._jobs)
+        live[:] = [job for job in live if job.in_system]
+        return live

@@ -33,6 +33,8 @@ DEFAULT_WEEKEND_FACTOR = 0.25
 
 #: Shared hour-of-week rate tables (see :class:`DiurnalOwner`).
 _WEEK_RATES = {}
+#: Shared normalised hour weights, keyed by the raw ones.
+_HOUR_WEIGHTS = {}
 
 
 class OwnerActivityModel:
@@ -134,8 +136,13 @@ class DiurnalOwner(OwnerActivityModel):
         self.stream = stream
         self.busyness = float(busyness)
         self.base_sessions_per_day = float(base_sessions_per_day)
-        mean_weight = sum(hour_weights) / 24.0
-        self.hour_weights = tuple(w / mean_weight for w in hour_weights)
+        raw = tuple(hour_weights)
+        weights = _HOUR_WEIGHTS.get(raw)
+        if weights is None:
+            mean_weight = sum(raw) / 24.0
+            weights = _HOUR_WEIGHTS[raw] = tuple(
+                w / mean_weight for w in raw)
+        self.hour_weights = weights
         self.weekend_factor = float(weekend_factor)
         self._max_rate = (
             self.busyness * self.base_sessions_per_day / DAY

@@ -27,6 +27,15 @@ Failure model (exercised by the chaos suite in :mod:`repro.faults`):
 * the **loss process** applies to control messages, RPC requests and
   replies, and (once per transfer) to bulk transfers — a lost transfer
   is discovered by the sender when the copy should have completed.
+
+Message path: **one record per exchange, no closures** (DESIGN §4).  A
+control message schedules the static ``Network._deliver``; an RPC is one
+slotted :class:`RpcTicket` whose bound methods are the callbacks the
+kernel runs.  Closures that reference each other are a cycle only the
+collector can free — per message, that was 2 M dead objects and a fifth
+of a 5 000-station day.  A record is referenced by the agenda alone and
+dies by reference count; nothing it references may point back at it
+(``tests/test_footprint.py`` holds a whole run to zero garbage).
 """
 
 from repro.sim import Signal
@@ -71,29 +80,80 @@ class Node:
 
 
 class RpcTicket:
-    """Handle for an outstanding deadline-less callback RPC.
+    """One request/response exchange in flight — and the caller's handle.
 
-    ``rpc(timeout=None, callback=...)`` schedules no timeout event, so a
-    lost reply would otherwise vanish without a trace: the callback just
-    never fires.  The ticket makes that detectable — it stays in the
-    network's outstanding set until the reply settles, and a caller
-    running its own deadline (the coordinator's batch poller) calls
-    :meth:`abandon` on the unanswered ones when the deadline passes.
+    :meth:`Network.rpc` creates one per call: it holds what the exchange
+    needs, and its bound methods are the kernel callbacks —
+    :meth:`deliver_request` at the destination, then :meth:`settle` with
+    the outcome, or :meth:`settle_late` when no ack is coming.
+
+    A deadline-less call — ``rpc(timeout=None, callback=...)`` —
+    schedules no timeout event, so a lost reply would otherwise vanish
+    without a trace: the callback just never fires.  Such a ticket is
+    returned to the caller and stays in the network's outstanding set
+    until the reply settles, and a caller running its own deadline (the
+    coordinator's batch poller) calls :meth:`abandon` on the unanswered
+    ones when the deadline passes.
     """
 
-    __slots__ = ("net", "dst", "op", "sent_at", "settled", "abandoned")
+    __slots__ = ("net", "dst", "op", "sent_at", "settled", "abandoned",
+                 "node", "payload", "src", "callback", "deadline",
+                 "request_lost")
 
-    def __init__(self, net, dst, op, sent_at):
+    def __init__(self, net, node, op, payload, src, callback, deadline,
+                 request_lost):
         self.net = net
-        self.dst = dst
+        self.dst = node.name
         self.op = op
-        self.sent_at = sent_at
+        self.sent_at = net.sim.now
         self.settled = False
         self.abandoned = False
+        self.node = node
+        self.payload = payload
+        self.src = src
+        self.callback = callback
+        self.deadline = deadline
+        self.request_lost = request_lost
 
-    def _settle(self):
-        self.settled = True
-        self.net._outstanding.pop(self, None)
+    def deliver_request(self):
+        """The request reaches the destination (one latency after send)."""
+        net = self.net
+        node = self.node
+        if node.crashed or self.request_lost:
+            self.settle_late()
+            return
+        response = node.handle(self.op, self.payload)
+        net.messages_sent += 1
+        if not net._reachable(self.dst, self.src) or net._lost():
+            net.messages_dropped += 1
+            self.settle_late()
+            return
+        delay = net._delay()
+        if self.deadline is not None and net.sim.now + delay >= self.deadline:
+            # The reply would land past the deadline; the timer wins
+            # (ties included — the eager timer's earlier seq won).
+            self.settle_late()
+            return
+        net.sim.schedule(delay, self.settle, ("ok", response))
+
+    def settle_late(self):
+        """No ack is coming: surface the timeout at the exact instant an
+        eager deadline timer would have fired.  Scheduling it only on the
+        failure branches keeps the overwhelmingly common healthy exchange
+        at two agenda events instead of three.  Without a deadline the
+        ticket just stays outstanding."""
+        if self.deadline is not None:
+            sim = self.net.sim
+            sim.schedule(max(0.0, self.deadline - sim.now), self.settle,
+                         ("timeout", None))
+
+    def settle(self, outcome):
+        """Hand ``outcome`` to the caller, once."""
+        if not self.settled:
+            self.settled = True
+            if self.deadline is None:
+                self.net._outstanding.pop(self, None)
+            self.callback(outcome)
 
     def abandon(self):
         """Give up on the reply (the caller's own deadline passed).
@@ -356,12 +416,12 @@ class Network:
         if self._lost():
             self.messages_dropped += 1
             return
+        self.sim.schedule(self._delay(), self._deliver, dst, op, payload)
 
-        def deliver():
-            if not dst.crashed:
-                dst.handle(op, payload)
-
-        self.sim.schedule(self._delay(), deliver)
+    @staticmethod
+    def _deliver(dst, op, payload):
+        if not dst.crashed:
+            dst.handle(op, payload)
 
     def rpc(self, dst_name, op, payload=None, timeout=1.0, callback=None,
             src=None):
@@ -379,62 +439,31 @@ class Network:
         because the callback may then never fire, such calls return an
         :class:`RpcTicket` that stays outstanding until the reply settles
         or the caller abandons it, so a lost reply is detectable instead
-        of a silent no-show.
+        of a silent no-show.  A Signal cannot carry that contract, so
+        ``timeout=None`` without a callback raises here, before any
+        traffic counter moves or loss draw is consumed.
         """
+        if callback is None and timeout is None:
+            raise SimulationError(
+                "rpc(timeout=None) needs a callback: with no deadline the "
+                "returned Signal could never fire for a lost request")
         dst = self.node(dst_name)
-        result = (Signal(name=f"rpc:{dst_name}:{op}")
-                  if callback is None else None)
-        settle_cb = result.fire if callback is None else callback
-        ticket = None
-        if callback is not None and timeout is None:
-            ticket = RpcTicket(self, dst_name, op, self.sim.now)
-            self._outstanding[ticket] = True
-        settled = False
-        deadline = None if timeout is None else self.sim.now + timeout
-
-        def settle(outcome):
-            nonlocal settled
-            if not settled:
-                settled = True
-                if ticket is not None:
-                    ticket._settle()
-                settle_cb(outcome)
-
-        def settle_late():
-            # No ack is coming: surface the timeout at the exact instant
-            # the eager deadline timer used to fire.  Scheduling it only
-            # on the failure branches keeps the overwhelmingly common
-            # healthy exchange at two agenda events instead of three.
-            self.sim.schedule(max(0.0, deadline - self.sim.now), settle,
-                              ("timeout", None))
-
+        result = None
+        if callback is None:
+            result = Signal(name=f"rpc:{dst_name}:{op}")
+            callback = result.fire
         self.messages_sent += 1
         request_lost = not self._reachable(src, dst_name) or self._lost()
         if request_lost:
             self.messages_dropped += 1
-
-        def deliver_request():
-            if dst.crashed or request_lost:
-                if deadline is not None:
-                    settle_late()
-                return
-            response = dst.handle(op, payload)
-            self.messages_sent += 1
-            if not self._reachable(dst_name, src) or self._lost():
-                self.messages_dropped += 1
-                if deadline is not None:
-                    settle_late()
-                return
-            delay = self._delay()
-            if deadline is not None and self.sim.now + delay >= deadline:
-                # The reply would land past the deadline; the timer wins
-                # (ties included — the eager timer's earlier seq won).
-                settle_late()
-                return
-            self.sim.schedule(delay, settle, ("ok", response))
-
-        self.sim.schedule(self._delay(), deliver_request)
-        return result if callback is None else ticket
+        deadline = None if timeout is None else self.sim.now + timeout
+        ticket = RpcTicket(self, dst, op, payload, src, callback, deadline,
+                           request_lost)
+        self.sim.schedule(self._delay(), ticket.deliver_request)
+        if timeout is None:
+            self._outstanding[ticket] = True
+            return ticket
+        return result
 
     def rpc_batch(self, targets, op, payload=None, callback=None, src=None):
         """Deadline-less request/response fan-out to many destinations.
@@ -448,9 +477,12 @@ class Network:
         sweep from dominating the agenda.  ``callback(name, outcome)``
         fires per settled reply; unsettled targets are abandoned through
         the returned :class:`BatchTicket` when the caller's own deadline
-        passes.  Requires jitter-free latency (with jitter, per-target
-        delays differ and the fan-out falls back to individual RPCs).
+        passes.  Requires a callback (there is no Signal form) and
+        jitter-free latency (with jitter, per-target delays differ and
+        the fan-out falls back to individual RPCs).
         """
+        if callback is None:
+            raise SimulationError("rpc_batch needs a callback")
         if self.latency_jitter:
             raise SimulationError("rpc_batch needs jitter-free latency")
         for name in targets:

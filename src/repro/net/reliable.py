@@ -27,7 +27,11 @@ recovery machinery, not just its outcome.
 
 On a healthy network the first attempt is acknowledged and **no RNG is
 drawn** — jitter is sampled only when a retry actually happens — so
-fault-free runs remain byte-identical with the pre-retry build.
+fault-free runs remain byte-identical with the pre-retry build, and the
+sender's draw-on-demand stream never builds its generator.  Each
+:meth:`ReliableSender.send` is one slotted :class:`_Delivery` record
+whose bound methods are the retry loop — no closures, so nothing here
+needs the cycle collector (the rule is in :mod:`repro.net.network`).
 """
 
 from repro.sim.errors import SimulationError
@@ -90,42 +94,66 @@ class ReliableSender:
         if max_attempts is not None and max_attempts < 1:
             raise SimulationError(f"max_attempts {max_attempts} < 1")
         source = station if station is not None else self.src
-        state = {"attempt": 0}
-
-        def aborted():
-            return abort is not None and abort()
-
-        def attempt():
-            if aborted():
-                return
-            state["attempt"] += 1
-            if state["attempt"] > 1:
-                self._publish(kinds.MESSAGE_RETRY, source, dst, op,
-                              state["attempt"])
-            self.net.rpc(dst, op, payload, timeout=self.ack_timeout,
-                         callback=settled, src=self.src)
-
-        def settled(outcome):
-            status, response = outcome
-            if status == "ok":
-                if on_delivered is not None and not aborted():
-                    on_delivered(response)
-                return
-            if aborted():
-                return
-            if (max_attempts is not None
-                    and state["attempt"] >= max_attempts):
-                self._publish(kinds.MESSAGE_GIVE_UP, source, dst, op,
-                              state["attempt"])
-                if on_give_up is not None:
-                    on_give_up()
-                return
-            self.net.sim.schedule(self.backoff(state["attempt"] + 1),
-                                  attempt)
-
-        attempt()
+        _Delivery(self, dst, op, payload, max_attempts, abort,
+                  on_delivered, on_give_up, source).attempt()
 
     def _publish(self, kind, station, dst, op, attempt):
         if self.hub is not None:
             self.hub.emit(kind, station=station, dst=dst, op=op,
                           attempt=attempt)
+
+
+class _Delivery:
+    """One :meth:`ReliableSender.send` in flight: :meth:`attempt` runs
+    now and after each backoff, :meth:`settled` takes each RPC outcome.
+    Nothing the record references points back at it."""
+
+    __slots__ = ("sender", "dst", "op", "payload", "max_attempts", "abort",
+                 "on_delivered", "on_give_up", "station", "attempts")
+
+    def __init__(self, sender, dst, op, payload, max_attempts, abort,
+                 on_delivered, on_give_up, station):
+        self.sender = sender
+        self.dst = dst
+        self.op = op
+        self.payload = payload
+        self.max_attempts = max_attempts
+        self.abort = abort
+        self.on_delivered = on_delivered
+        self.on_give_up = on_give_up
+        self.station = station
+        self.attempts = 0
+
+    def aborted(self):
+        return self.abort is not None and self.abort()
+
+    def attempt(self):
+        if self.aborted():
+            return
+        sender = self.sender
+        self.attempts += 1
+        if self.attempts > 1:
+            sender._publish(kinds.MESSAGE_RETRY, self.station, self.dst,
+                            self.op, self.attempts)
+        sender.net.rpc(self.dst, self.op, self.payload,
+                       timeout=sender.ack_timeout, callback=self.settled,
+                       src=sender.src)
+
+    def settled(self, outcome):
+        status, response = outcome
+        if status == "ok":
+            if self.on_delivered is not None and not self.aborted():
+                self.on_delivered(response)
+            return
+        if self.aborted():
+            return
+        sender = self.sender
+        if (self.max_attempts is not None
+                and self.attempts >= self.max_attempts):
+            sender._publish(kinds.MESSAGE_GIVE_UP, self.station, self.dst,
+                            self.op, self.attempts)
+            if self.on_give_up is not None:
+                self.on_give_up()
+            return
+        sender.net.sim.schedule(sender.backoff(self.attempts + 1),
+                                self.attempt)

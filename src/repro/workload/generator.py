@@ -14,7 +14,7 @@ are counted, not retried.
 """
 
 from repro.core.errors import SubmissionRefused
-from repro.core.job import Job
+from repro.core.job import Job, LiveJobs
 from repro.remote_unix.segments import typical_layout
 
 
@@ -33,8 +33,10 @@ class WorkloadGenerator:
         self.profiles = list(profiles)
         self.stream = stream
         self.horizon = horizon
-        #: user name -> jobs successfully submitted.
+        #: user name -> jobs successfully submitted (append-only).
         self.submitted = {profile.name: [] for profile in self.profiles}
+        self._live = {name: LiveJobs(jobs)
+                      for name, jobs in self.submitted.items()}
         #: user name -> submissions refused by the home disk.
         self.refused = {profile.name: 0 for profile in self.profiles}
         # One persistent substream per user and purpose — forking anew per
@@ -69,7 +71,7 @@ class WorkloadGenerator:
         return frozenset(p.name for p in self.profiles if not p.heavy)
 
     def in_system_count(self, user):
-        return sum(1 for job in self.submitted[user] if job.in_system)
+        return len(self._live[user].current())
 
     def remaining_budget(self, profile):
         used = len(self.submitted[profile.name]) + self.refused[profile.name]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import job as jobstate
-from repro.core.job import Job
+from repro.core.job import Job, LiveJobs
 from repro.remote_unix import SegmentLayout
 from repro.sim import HOUR, SimulationError
 
@@ -173,3 +173,19 @@ class TestDerivedMetrics:
         job = make_job(demand=2 * HOUR)
         job.checkpoint_count = 3
         assert job.checkpoint_rate_per_hour() == pytest.approx(1.5)
+
+
+class TestLiveJobs:
+    def test_tracks_appends_and_drops_jobs_that_left_for_good(self):
+        jobs = [make_job() for _ in range(3)]
+        live = LiveJobs(jobs)
+        assert live.current() == jobs
+        jobs[0].transition(jobstate.REMOVED)
+        jobs[1].transition(jobstate.PLACING)
+        jobs[1].transition(jobstate.RUNNING)
+        assert live.current() == jobs[1:]
+        late = make_job()
+        jobs.append(late)                       # e.g. a gang's members
+        jobs[1].transition(jobstate.COMPLETED)
+        assert live.current() == [jobs[2], late]
+        assert live.current() == [job for job in jobs if job.in_system]

@@ -383,3 +383,21 @@ class TestQueueLengthAccounting:
         assert system.queue_length(users={"B"}) == 1
         sim.run(until=40 * HOUR)
         assert system.queue_length() == 0
+
+    def test_incremental_counts_equal_a_full_rescan(self):
+        from repro.analysis.experiment import ExperimentRun
+
+        exp = ExperimentRun(seed=11, days=3)
+        exp.system.start()
+        exp.generator.start()
+        light = exp.generator.light_user_names()
+        for hour in range(1, 3 * 24 + 1):
+            exp.sim.run(until=hour * HOUR)
+            live = [job for job in exp.system.jobs if job.in_system]
+            assert exp.system.queue_length() == len(live)
+            assert exp.system.queue_length(users=light) == sum(
+                1 for job in live if job.user in light)
+            for user, submitted in exp.generator.submitted.items():
+                assert exp.generator.in_system_count(user) == sum(
+                    1 for job in submitted if job.in_system)
+        assert exp.system.completed_jobs() and live

@@ -273,3 +273,34 @@ class TestRpcTickets:
                        callback=lambda outcome: None) is None
         assert net.outstanding_rpcs() == []
         sim.run()
+
+
+class TestMissingCallbackFailsAtTheCallSite:
+    """A deadline-less Signal RPC could hang forever and a callback-less
+    batch died inside the kernel one latency later; both now raise where
+    the call is made, before any counter moves or loss draw is spent."""
+
+    def lossy(self, sim):
+        stream = RandomStream(3, "loss")
+        net = Network(sim, loss_probability=0.5, loss_stream=stream)
+        attach(net, "b", "c")
+        return net, stream
+
+    def assert_untouched(self, sim, net, stream):
+        assert net.messages_sent == 0 and net.messages_dropped == 0
+        assert net.outstanding_rpcs() == []
+        assert stream.random() == RandomStream(3, "loss").random()
+        sim.run()
+        assert sim.events_dispatched == 0
+
+    def test_deadline_less_rpc_without_callback(self, sim):
+        net, stream = self.lossy(sim)
+        with pytest.raises(SimulationError, match="callback"):
+            net.rpc("b", "echo", 1, timeout=None)
+        self.assert_untouched(sim, net, stream)
+
+    def test_rpc_batch_without_callback(self, sim):
+        net, stream = self.lossy(sim)
+        with pytest.raises(SimulationError, match="callback"):
+            net.rpc_batch(["b", "c"], "echo", 1)
+        self.assert_untouched(sim, net, stream)

@@ -1,6 +1,10 @@
 """Tests for seeded streams and distributions, incl. hypothesis properties."""
 
+import copy
+import hashlib
 import math
+import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +59,87 @@ class TestRandomStream:
         y = root.fork("station-1/owner")
         # Path composition must match, making fork layout refactors safe.
         assert [x.random() for _ in range(3)] == [y.random() for _ in range(3)]
+
+
+def eager(seed, path):
+    """The executable spec of a stream's sequence: the generator
+    ``RandomStream`` seeded eagerly before it became draw-on-demand."""
+    digest = hashlib.sha256(f"{seed}:{path}".encode("utf-8")).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+def built(stream):
+    """Whether the stream has constructed its Mersenne Twister yet."""
+    return "_rng" in vars(stream)
+
+
+#: method name -> (draw on a RandomStream, the same draw on the spec)
+DRAWS = {
+    "random": (lambda s: s.random(), lambda r: r.random()),
+    "uniform": (lambda s: s.uniform(2.0, 5.0), lambda r: r.uniform(2.0, 5.0)),
+    "expovariate": (lambda s: s.expovariate(0.25),
+                    lambda r: r.expovariate(0.25)),
+    "gauss": (lambda s: s.gauss(1.0, 3.0), lambda r: r.gauss(1.0, 3.0)),
+    "randint": (lambda s: s.randint(3, 90), lambda r: r.randint(3, 90)),
+    "choice": (lambda s: s.choice("abcdefg"), lambda r: r.choice("abcdefg")),
+    "choices": (lambda s: s.choices("abc", [1, 2, 3]),
+                lambda r: r.choices("abc", weights=[1, 2, 3], k=1)[0]),
+    "shuffle": (lambda s: _shuffled(s), lambda r: _shuffled(r)),
+}
+
+
+def _shuffled(source):
+    items = list(range(12))
+    source.shuffle(items)
+    return items
+
+
+class TestDrawOnDemand:
+    @pytest.mark.parametrize("method", sorted(DRAWS))
+    def test_first_and_hundredth_draw_match_the_eager_spec(self, method):
+        draw, spec_draw = DRAWS[method]
+        stream = RandomStream(42, "root/station-7.owner")
+        spec = eager(42, "root/station-7.owner")
+        assert not built(stream)
+        drawn = [draw(stream) for _ in range(100)]
+        expected = [spec_draw(spec) for _ in range(100)]
+        assert built(stream)
+        assert drawn[0] == expected[0] and drawn[99] == expected[99]
+        assert drawn == expected
+
+    def test_fork_chains_and_repr_build_no_generator(self):
+        root = RandomStream(9)
+        middle = root.fork("cluster")
+        leaf = middle.fork("ws-3.owner")
+        assert "cluster/ws-3.owner" in repr(leaf)
+        assert (leaf.seed, leaf.path) == (9, "root/cluster/ws-3.owner")
+        assert not built(root) and not built(middle) and not built(leaf)
+        assert leaf.random() == eager(9, "root/cluster/ws-3.owner").random()
+        assert built(leaf) and not built(root) and not built(middle)
+
+    def test_unknown_attribute_is_still_an_attribute_error(self):
+        stream = RandomStream(1)
+        with pytest.raises(AttributeError):
+            stream.no_such_thing
+        assert not built(stream)
+
+    @pytest.mark.parametrize("clone", [
+        lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy],
+        ids=["pickle", "deepcopy"])
+    def test_copies_continue_the_same_sequence(self, clone):
+        fresh = RandomStream(5, "jobs")
+        twin = clone(fresh)
+        assert not built(fresh) and not built(twin)
+        assert (twin.seed, twin.path) == (5, "jobs")
+        spec = eager(5, "jobs")
+        head = [spec.random() for _ in range(3)]
+        tail = [spec.random() for _ in range(3)]
+        assert [twin.random() for _ in range(3)] == head
+        assert [fresh.random() for _ in range(3)] == head
+        # After the first draw a copy carries the generator's position.
+        later = clone(fresh)
+        assert [later.random() for _ in range(3)] == tail
+        assert [fresh.random() for _ in range(3)] == tail
 
 
 class TestDistributionMeans:

@@ -1,0 +1,84 @@
+"""What a run leaves behind and what a station pays for.
+
+Two properties of the simulator that are easy to lose without noticing
+(DESIGN §4, "Message path: one record per exchange"):
+
+* **no cyclic garbage** — every message exchange is one slotted record
+  freed by reference count, so a whole run hands the cycle collector
+  nothing.  A per-message closure web (25 objects per pushed delta) once
+  made the collector a fifth of a 5 000-station day.
+* **draw-on-demand streams** — a station pays for a Mersenne Twister only
+  for the streams it draws from; the retry-jitter stream of a station on
+  a healthy network is never built.
+"""
+
+import gc
+import random
+
+from repro.analysis.experiment import ExperimentRun
+from repro.core.config import CondorConfig
+from repro.faults import ChaosInjector, ChaosSchedule, LossBurst
+from repro.sim import HOUR, RandomStream
+from repro.telemetry import kinds
+
+
+def cyclic_garbage_of(exp):
+    """Objects only the cycle collector could free after ``exp`` ran."""
+    gc.collect()
+    gc.disable()
+    try:
+        exp.execute()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_a_pool_day_with_a_loss_burst_leaves_no_cyclic_garbage():
+    exp = ExperimentRun(
+        seed=5, days=1, stations=240, job_scale=0.3,
+        config=CondorConfig(max_machines_per_station=6,
+                            coordinator_mode="delta"))
+    net = exp.system.network
+    net.loss_stream = RandomStream(5, "net.loss")
+    ChaosInjector(exp.sim, exp.system, ChaosSchedule("burst", [
+        LossBurst(0.6, at=10 * HOUR, duration=0.5 * HOUR),
+    ])).start()
+
+    assert cyclic_garbage_of(exp) == 0
+
+    # The day exercised what it claims to cover.
+    snapshot = exp.metrics.snapshot()
+    assert snapshot["coordinator.grants"]["value"] > 0
+    assert snapshot["checkpoint.vacate"]["value"] > 0
+    assert exp.completed_jobs
+    assert net.messages_dropped > 0
+    assert exp.telemetry.counts[kinds.MESSAGE_RETRY] > 0
+    assert exp.telemetry.counts[kinds.MESSAGE_GIVE_UP] > 0
+
+
+def test_four_days_of_the_paper_cluster_leave_no_cyclic_garbage():
+    exp = ExperimentRun(seed=42, days=4)
+    assert cyclic_garbage_of(exp) == 0
+    assert exp.completed_jobs
+
+
+def test_a_station_builds_only_the_generators_it_draws_from(monkeypatch):
+    built = []
+
+    class Counted(random.Random):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(random, "Random", Counted)
+    stations = 150
+    exp = ExperimentRun(seed=3, days=1, stations=stations, job_scale=0.2,
+                        config=CondorConfig(coordinator_mode="delta"))
+    # One throwaway busyness draw per station, plus a few shared streams.
+    assert len(built) <= stations + 32
+
+    exp.system.start()
+    retry_streams = [scheduler._retry.stream
+                     for scheduler in exp.system.schedulers.values()]
+    assert len(retry_streams) == stations
+    assert not any("_rng" in vars(stream) for stream in retry_streams)
