@@ -413,8 +413,9 @@ def _cmd_q(args):
           + ("  [draining]" if snapshot["draining"] else ""))
     if snapshot["agents"]:
         print(render_table(
-            ["agent", "job", "beat age (s)"],
-            [(a["agent"], a["job"] or "-", a["beat_age"])
+            ["agent", "job", "beat age (s)", "parked"],
+            [(a["agent"], a["job"] or "-", a["beat_age"],
+              "yes" if a.get("parked") else "-")
              for a in snapshot["agents"]],
             title="Registered agents"))
     if snapshot["jobs"]:

@@ -9,7 +9,10 @@ until the coordinator acknowledges it).  The acknowledgement carries a
 ``commands`` list just as a heartbeat reply does — usually the ``start``
 of the job that takes the freed slot — and both go through
 :meth:`StationAgent._apply_commands`, so a busy agent moves from job to
-job on its acks and heartbeats only when it has nothing to report.
+job on its acks and heartbeats only when it has nothing to report.  An
+idle agent's beat carries ``park``: the coordinator may hold the reply
+for that long and answers the moment it has a command, so the interval
+bounds the silence between the two, not the wait for a job.
 
 Failure discipline — :class:`~repro.net.reliable.ReliableSender` ported
 to real sockets:
@@ -212,9 +215,14 @@ class StationAgent:
                  "progress": progress}]
 
     def _register(self, sock):
+        # Running first: a job that finishes in between is listed twice,
+        # never under neither (``_report_exit`` moves it atomically).
+        running = self._running_report()
+        with self._lock:
+            exiting = [msg["key"] for msg in self._outbox]
         reply = self._rpc(sock, {
             "op": "register", "agent": self.name,
-            "running": self._running_report(),
+            "running": running, "exiting": exiting,
         })
         if not reply.get("ok"):
             raise ProtocolError(f"registration rejected: {reply}")
@@ -243,16 +251,24 @@ class StationAgent:
     def _session(self, sock):
         next_beat = 0.0
         while not self._halt.is_set():
-            self._flush_outbox(sock)
-            # An exit report wakes the loop to be flushed at once; its
-            # ack already brought whatever the coordinator had for this
-            # agent, so the heartbeat keeps to its own schedule.
+            # An exit report wakes the loop to be flushed at once.  An
+            # ack that brought the next job leaves the heartbeat to its
+            # schedule; one that left the slot empty is followed by a
+            # beat now, so the coordinator can reach this agent again.
+            if self._flush_outbox(sock) and not self.busy:
+                next_beat = 0.0
             if time.monotonic() >= next_beat:
-                reply = self._rpc(sock, {
-                    "op": "heartbeat", "agent": self.name,
-                    "epoch": self._epoch,
-                    "running": self._running_report(),
-                })
+                sent = time.monotonic()
+                running = self._running_report()
+                msg = {"op": "heartbeat", "agent": self.name,
+                       "epoch": self._epoch, "running": running}
+                with self._lock:
+                    # Only with nothing to report: a held reply would
+                    # keep a busy agent's exit report waiting behind it.
+                    if not running and not self._outbox:
+                        msg["park"] = min(self.heartbeat_interval,
+                                          self.rpc_timeout / 2.0)
+                reply = self._rpc(sock, msg)
                 if not reply.get("ok"):
                     if reply.get("error") == "stale_epoch":
                         self.reregistrations += 1
@@ -260,15 +276,19 @@ class StationAgent:
                         continue
                     raise ProtocolError(f"heartbeat rejected: {reply}")
                 self._apply_commands(reply)
-                next_beat = time.monotonic() + self.heartbeat_interval
+                # From the send: a coordinator that answers at once is
+                # beaten once an interval, one that parks, back to back.
+                next_beat = sent + self.heartbeat_interval
             self._wake.wait(max(0.0, next_beat - time.monotonic()))
             self._wake.clear()
 
     def _flush_outbox(self, sock):
+        """Send every unacked exit report; true if any was acked."""
+        flushed = False
         while True:
             with self._lock:
                 if not self._outbox:
-                    return
+                    return flushed
                 msg = dict(self._outbox[0])
             msg["epoch"] = self._epoch
             reply = self._rpc(sock, msg)
@@ -280,6 +300,7 @@ class StationAgent:
                 raise ProtocolError(f"exit report rejected: {reply}")
             with self._lock:
                 self._outbox.pop(0)
+            flushed = True
             if msg["outcome"] == "completed" and reply.get("accepted"):
                 self.store.discard(_JobHandle(msg["key"], msg["key"],
                                               msg["incarnation"]))
@@ -306,14 +327,13 @@ class StationAgent:
             # Bounce it explicitly — a vacated exit sends it back to the
             # queue head — rather than dropping it on the floor, which
             # would wedge the placement until a human noticed.
-            self._report_exit(key, spec["incarnation"], "vacated",
-                              progress=0)
+            self._report_exit(key, spec["incarnation"], "vacated")
             return
         try:
             fn = resolve_entry(spec["entry"], spec.get("payload") or {})
         except ServiceError as exc:
             self._report_exit(key, spec["incarnation"], "failed",
-                              error=str(exc), progress=0)
+                              error=str(exc))
             return
         handle = _JobHandle(key, spec.get("name") or key,
                             spec["incarnation"])
@@ -351,22 +371,24 @@ class StationAgent:
         self._finish(handle, "completed", result=result)
 
     def _finish(self, handle, outcome, result=None, error=None):
-        with self._lock:
-            self._current = None
-            progress = self._progress.get(handle.key, 0)
         self._report_exit(handle.key, handle.incarnation, outcome,
-                          result=result, error=error, progress=progress)
+                          result=result, error=error, frees_slot=True)
 
     def _report_exit(self, key, incarnation, outcome, result=None,
-                     error=None, progress=0):
+                     error=None, frees_slot=False):
         msg = {"op": "job_exit", "agent": self.name, "key": key,
                "incarnation": incarnation, "outcome": outcome,
-               "progress": progress}
+               "progress": 0}
         if result is not None:
             msg["result"] = result
         if error is not None:
             msg["error"] = error
         with self._lock:
+            if frees_slot:
+                # One acquisition: a registration between the two would
+                # list the job under neither ``running`` nor ``exiting``.
+                self._current = None
+                msg["progress"] = self._progress.get(key, 0)
             self._outbox.append(msg)
         self._wake.set()
 

@@ -32,11 +32,18 @@ in-flight rows, and per owner in Up-Down order the few head rows that
 fit the idle agents), so its cost does not grow with the queue behind
 them, and commits everything it decided in one transaction.
 
+A reply is the only way to reach an agent, so an idle agent's heartbeat
+is *parked*: held (:meth:`CoordinatorDaemon._park`) until a command is
+queued for that agent or its hold — at most half the agent timeout —
+runs out, and a placement reaches its agent when it commits.
+
 Recovery sequence on start: bump epoch → read queue + in-flight rows →
 give each in-flight job a reconcile window.  Agents that re-register
 reporting the matching ``(job, incarnation)`` keep their work (adopted
-in place); anything unclaimed when the window closes is vacated to the
-queue *head* and re-placed, resuming from its last fenced checkpoint
+in place); a row placed on a registering agent that it neither runs nor
+is about to report (its ``start`` was lost with a connection) is vacated
+there and then; anything unclaimed when the window closes is vacated to
+the queue *head* and re-placed, resuming from its last fenced checkpoint
 image.
 """
 
@@ -90,11 +97,14 @@ def _running_reports(msg):
 class _AgentState:
     """In-memory cache of one registered agent (rebuildable)."""
 
-    def __init__(self, name, now):
+    def __init__(self, name, now, lock):
         self.name = name
         self.last_beat = now
         self.job = None             # key the daemon believes it hosts
         self.commands = []          # queued for the agent's next reply
+        self.parked = False         # a heartbeat is held, awaiting commands
+        self.wake = threading.Condition(lock)   # notified where they queue
+        self.lost = {}              # key -> incarnation it disowned
 
 
 class CoordinatorDaemon:
@@ -178,6 +188,8 @@ class CoordinatorDaemon:
             self._listener.close()
         with self._lock:
             conns = list(self._conns)
+            for state in self._agents.values():
+                state.wake.notify_all()
         for conn in conns:
             try:
                 conn.close()
@@ -238,7 +250,13 @@ class CoordinatorDaemon:
                     reply = self._dispatch(msg)
                 except ServiceError as exc:
                     reply = {"ok": False, "error": str(exc)}
-                protocol.send_frame(conn, reply)
+                try:
+                    protocol.send_frame(conn, reply)
+                except OSError:
+                    if reply.get("commands"):
+                        self._untake_commands(msg["agent"],
+                                              reply["commands"])
+                    raise
         except (OSError, ProtocolError):
             pass
         finally:
@@ -303,7 +321,8 @@ class CoordinatorDaemon:
         with self._lock:
             agents = [
                 {"agent": state.name, "job": state.job,
-                 "beat_age": round(now - state.last_beat, 3)}
+                 "beat_age": round(now - state.last_beat, 3),
+                 "parked": state.parked}
                 for _name, state in sorted(self._agents.items())
             ]
         jobs = [
@@ -327,6 +346,7 @@ class CoordinatorDaemon:
                 state = self._agents.get(hosting)
                 if state is not None:
                     state.commands.append({"cmd": "vacate", "key": key})
+                    state.wake.notify()
                     if state.job == key:
                         state.job = None
         self._reconcile.pop(key, None)
@@ -343,22 +363,29 @@ class CoordinatorDaemon:
             return self._op_register(agent, msg)
         epoch = _field(msg, "epoch", int, -1)
         if epoch != self.epoch or self.deposed:
-            self.db.count_stale_epoch()
-            return {"ok": False, "error": "stale_epoch",
-                    "epoch": self.epoch}
+            return self._stale_epoch()
         if op == "heartbeat":
             return self._op_heartbeat(agent, msg)
         return self._op_job_exit(agent, msg)
+
+    def _stale_epoch(self):
+        self.db.count_stale_epoch()
+        return {"ok": False, "error": "stale_epoch", "epoch": self.epoch}
 
     def _op_register(self, agent, msg):
         if self.deposed:
             self.db.count_stale_epoch()
             return {"ok": False, "error": "stale_coordinator"}
         now = self.clock()
+        reports = _running_reports(msg)
+        exiting = _field(msg, "exiting", list, ())
+        if not all(isinstance(key, str) for key in exiting):
+            raise ServiceError("bad field 'exiting': expected job keys")
+        known = {key for key, _inc, _progress in reports}.union(exiting)
         self.db.register_agent(agent, self.epoch)
         drop = []
         adopted = None
-        for key, incarnation, _progress in _running_reports(msg):
+        for key, incarnation, _progress in reports:
             record = self.db.job(key)
             if (record is not None
                     and record["state"] in db_states.INFLIGHT_STATES
@@ -373,30 +400,42 @@ class CoordinatorDaemon:
                     self.db.vacate(key, reason="registration_mismatch")
                     self._reconcile.pop(key, None)
         with self._lock:
-            state = self._agents.get(agent)
-            if state is None:
-                state = self._agents[agent] = _AgentState(agent, now)
-            state.last_beat = now
+            # The row is truth: a job the database places here that
+            # the agent neither runs nor is about to report went out in
+            # a reply that never arrived (a lost reply is a lost
+            # connection, and that ends here).  Read under the lock: a
+            # cycle committing meanwhile is seen here and finds its key
+            # in ``lost``, or delivers to the new session.
+            state = _AgentState(agent, now, self._lock)
+            lost = state.lost = {
+                key: incarnation
+                for key, hosting, incarnation, *_rest in self.db.inflight()
+                if hosting == agent and key not in known}
+            old = self._agents.get(agent)
+            self._agents[agent] = state
             # A dropped-but-still-running zombie keeps the slot marked
             # busy; its vacated exit report (or a heartbeat expiry)
             # frees it.  Placing into the slot earlier would race the
             # zombie and bounce.
             state.job = adopted if adopted is not None else (
                 drop[0] if drop else None)
-            state.commands = []
+            if old is not None:
+                old.wake.notify_all()   # a beat parked by the old session
+        for key in lost:
+            self.db.vacate(key, reason="start_lost")
+            self._reconcile.pop(key, None)
         self._wake.set()
         return {"ok": True, "epoch": self.epoch, "drop": drop}
 
     def _op_heartbeat(self, agent, msg):
+        park = _field(msg, "park", float, 0.0)
         now = self.clock()
         with self._lock:
             state = self._agents.get(agent)
         if state is None:
             # Expired (or unknown) between beats: force a re-register so
             # adoption logic runs before any new placement.
-            self.db.count_stale_epoch()
-            return {"ok": False, "error": "stale_epoch",
-                    "epoch": self.epoch}
+            return self._stale_epoch()
         reported = {key: (incarnation, progress)
                     for key, incarnation, progress in _running_reports(msg)}
         commands = []
@@ -416,8 +455,27 @@ class CoordinatorDaemon:
                                    progress)
         with self._lock:
             state.last_beat = now
-        return {"ok": True, "epoch": self.epoch,
-                "commands": self._take_commands(state) + commands}
+            if not commands:
+                self._park(state, min(park, self.agent_timeout / 2.0))
+            if self._agents.get(agent) is state:
+                return {"ok": True, "epoch": self.epoch,
+                        "commands": self._take_commands(state) + commands}
+        # Expired or re-registered while the beat was held.
+        return self._stale_epoch()
+
+    def _park(self, state, hold):
+        """Hold an idle agent's beat (``_lock`` held) until a command is
+        queued for it or ``hold`` real seconds pass, whatever ``clock=``
+        says: the reply is the only channel to an agent.  The release
+        counts as a beat, so a parked agent never expires and a dead
+        one does a timeout after its last release."""
+        if hold > 0.0:      # not zero, negative or NaN
+            state.parked = True
+            state.wake.wait_for(
+                lambda: state.commands or self._halt.is_set()
+                or self._agents.get(state.name) is not state, hold)
+            state.parked = False
+            state.last_beat = self.clock()
 
     def _take_commands(self, state):
         """Drain what is queued for an agent into the reply being built
@@ -425,6 +483,18 @@ class CoordinatorDaemon:
         with self._lock:
             commands, state.commands = state.commands, []
         return commands
+
+    def _untake_commands(self, agent, commands):
+        """A reply that was never written took nothing: its commands go
+        back to the queue's front (a ``start`` only while the slot holds
+        it), for expiry or the next registration to dispose of."""
+        with self._lock:
+            state = self._agents.get(agent)
+            if state is not None:
+                state.commands[:0] = [
+                    command for command in commands
+                    if command["cmd"] != "start"
+                    or command["job"]["key"] == state.job]
 
     def _op_job_exit(self, agent, msg):
         key = _field(msg, "key", str)
@@ -597,12 +667,15 @@ class CoordinatorDaemon:
                         continue
                     # Still registered: expiry waits for the place lock.
                     live = self._agents[agent]
+                    if live.lost.get(key) == placed[key]:
+                        continue    # re-registered since: being vacated
                     entry, payload = specs[key]
                     live.commands.append({"cmd": "start", "job": {
                         "key": key, "entry": entry, "payload": payload,
                         "name": key, "incarnation": placed[key],
                         "epoch": self.epoch}})
                     live.job = key
+                    live.wake.notify()
 
     def __repr__(self):
         return (f"<CoordinatorDaemon {self.endpoint} epoch={self.epoch} "

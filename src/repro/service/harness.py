@@ -20,6 +20,9 @@ Scenarios (``repro-condor chaos --suite service``):
                          it on the same database, everything recovers;
 ``coordinator-failover`` kill -9 the primary, the warm standby promotes
                          itself with an epoch bump and finishes the work;
+``idle-agent-kill``      kill -9 an idle agent whose heartbeat is parked
+                         at the coordinator, then submit: what lands on
+                         the dead agent is re-placed after its expiry;
 ``agent-kill``           kill -9 an agent mid-job; the heartbeat expiry
                          vacates its job to the queue head and another
                          agent resumes from the last checkpoint;
@@ -240,7 +243,8 @@ class ServiceFixture:
 
 @_scenario
 def coordinator_restart(fixture, rng):
-    """kill -9 the only coordinator mid-placement; restart; recover."""
+    """kill -9 the only coordinator mid-placement; restart; recover
+    (idle agents learn of it from EOF on their parked beat's socket)."""
     jobs = 8
     fixture.submit_batch(jobs)
     fixture.wait(
@@ -258,7 +262,8 @@ def coordinator_restart(fixture, rng):
 
 @_scenario
 def coordinator_failover(fixture, rng):
-    """kill -9 the primary; the warm standby promotes and finishes."""
+    """kill -9 the primary; the warm standby promotes and finishes
+    (parked agents see EOF, not a failed beat, and walk the endpoints)."""
     jobs = 8
     fixture.submit_batch(jobs)
     fixture.wait(
@@ -297,6 +302,32 @@ def agent_kill(fixture, rng):
             f"({record['progress']} < {progress})")
     if record["incarnation"] < 2:
         raise ServiceError(f"{key} was never re-placed: {record}")
+    return {"jobs": jobs, "kills": 1}
+
+
+@_scenario
+def idle_agent_kill(fixture, rng):
+    """kill -9 an agent parked at the coordinator, then submit."""
+    jobs = 6
+    victim = sorted(fixture.agents)[0]
+    fixture.wait(
+        lambda: [a["parked"] for a in fixture.client.q(limit=1)["agents"]]
+        == [True] * len(fixture.agents), what="every agent parked")
+    fixture.agents.pop(victim).kill9()
+    fixture.submit_batch(jobs, steps=10)
+    stranded = set()    # a row on the dead agent outlives many polls
+
+    def expired():
+        stranded.update(row[0] for row in fixture.db.inflight()
+                        if row[1] == victim)
+        return fixture.db.counter("service_agent_expiries") >= 1
+
+    fixture.wait(expired, what="the dead agent to expire")
+    fixture.assert_all_done(jobs)
+    if not stranded or any(fixture.db.job(key)["incarnation"] < 2
+                           for key in sorted(stranded)):
+        raise ServiceError("placed on the dead agent and not all "
+                           f"re-placed: {sorted(stranded)}")
     return {"jobs": jobs, "kills": 1}
 
 
@@ -357,12 +388,13 @@ _FIXTURES = {
     "coordinator-restart": {"agents": 2, "standby": False},
     "coordinator-failover": {"agents": 2, "standby": True},
     "agent-kill": {"agents": 2, "standby": False},
+    "idle-agent-kill": {"agents": 2, "standby": False},
     "agent-partition": {"agents": 2, "standby": False},
     "smoke-50": {"agents": 3, "standby": True},
 }
 
 SERVICE_SUITE = ("coordinator-restart", "coordinator-failover",
-                 "agent-kill", "agent-partition")
+                 "agent-kill", "idle-agent-kill", "agent-partition")
 
 
 def run_scenario(name, seed=7, workdir=None):

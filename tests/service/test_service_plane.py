@@ -6,8 +6,10 @@ subprocess + real-``kill -9`` coverage lives in the live chaos suite
 (``repro-condor chaos --suite service``).
 """
 
+import random
 import socket
 import sqlite3
+import threading
 import time
 
 import pytest
@@ -76,17 +78,37 @@ class FakeAgent:
         protocol.send_frame(self.sock, msg)
         return protocol.recv_frame(self.sock)
 
-    def register(self, running=()):
-        reply = self.rpc({"op": "register", "agent": self.name,
-                          "running": list(running)})
+    def register(self, running=(), exiting=None):
+        msg = {"op": "register", "agent": self.name,
+               "running": list(running)}
+        if exiting is not None:
+            msg["exiting"] = list(exiting)
+        reply = self.rpc(msg)
         if reply.get("ok"):
             self.epoch = reply["epoch"]
         return reply
 
-    def heartbeat(self, running=(), epoch=None):
-        return self.rpc({"op": "heartbeat", "agent": self.name,
-                         "epoch": self.epoch if epoch is None else epoch,
-                         "running": list(running)})
+    def heartbeat(self, running=(), epoch=None, park=None):
+        msg = {"op": "heartbeat", "agent": self.name,
+               "epoch": self.epoch if epoch is None else epoch,
+               "running": list(running)}
+        if park is not None:
+            msg["park"] = park
+        return self.rpc(msg)
+
+    def park_in_thread(self, park):
+        """A parked heartbeat sent from a thread; returns ``(thread,
+        out)`` where ``out`` gains ``reply`` and ``seconds`` on release."""
+        out = {}
+
+        def beat():
+            start = time.monotonic()
+            out["reply"] = self.heartbeat(park=park)
+            out["seconds"] = time.monotonic() - start
+
+        thread = threading.Thread(target=beat, daemon=True)
+        thread.start()
+        return thread, out
 
     def job_exit(self, job, outcome="completed"):
         return self.rpc({"op": "job_exit", "agent": self.name,
@@ -105,6 +127,25 @@ class FakeAgent:
 
 def starts_in(reply):
     return [c["job"] for c in reply["commands"] if c["cmd"] == "start"]
+
+
+def parked_agents(client):
+    return sorted(a["agent"] for a in client.q(limit=1)["agents"]
+                  if a["parked"])
+
+
+def placements_of(daemon, key):
+    return daemon.db._db.execute(
+        "SELECT placements FROM jobs WHERE key = ?", (key,)).fetchone()[0]
+
+
+def submit_to_done(daemon, client, entry, **kwargs):
+    """Submit one job; seconds until its row reads ``done``."""
+    start = time.monotonic()
+    key = client.submit(entry, **kwargs)
+    wait_for(lambda: daemon.db.job(key)["state"] == "done", poll=0.001,
+             what=f"{key} done")
+    return time.monotonic() - start
 
 
 def downgrade_to_parent_schema(path):
@@ -394,6 +435,234 @@ class TestPlacementPath:
         assert commits - seen_running - registrations <= 3 * jobs
 
 
+class TestParkedHeartbeat:
+    """An idle agent's beat waits at the coordinator; a placement
+    reaches it when it commits, whatever the heartbeat interval."""
+
+    @pytest.fixture
+    def slow_beat(self, tmp_path, db_path):
+        """One agent beating every 2 s; the daemon stops first, which
+        releases the parked beat, so teardown does not wait for it."""
+        daemon = CoordinatorDaemon(db_path, poll_interval=0.01,
+                                   agent_timeout=10.0)
+        daemon.start()
+        agent = StationAgent("s0", [daemon.endpoint], tmp_path / "ckpt",
+                             heartbeat_interval=2.0)
+        agent.start()
+        yield daemon, ServiceClient([daemon.endpoint])
+        daemon.stop()
+        agent.stop()
+
+    def test_a_submit_reaches_a_parked_agent_at_once(self, slow_beat):
+        daemon, client = slow_beat
+        for _ in range(5):
+            wait_for(lambda: parked_agents(client) == ["s0"],
+                     what="the agent to park")
+            # Milliseconds, against a 2 s beat; the bound leaves room
+            # for a stalled fsync on a shared disk.
+            assert submit_to_done(daemon, client, INSTANT) < 1.0
+
+    def test_a_busy_agent_does_not_park_and_parks_again_after(
+            self, slow_beat):
+        daemon, client = slow_beat
+        wait_for(lambda: parked_agents(client) == ["s0"],
+                 what="the agent to park")
+        # ≈ 50 ms of work: its exit report is not behind a held beat...
+        assert submit_to_done(daemon, client, COUNT, payload={
+            "steps": 10, "step_sleep": 0.005}) < 1.0
+        # ...and the empty-handed ack is followed by a beat, not by the
+        # rest of the 2 s interval.
+        wait_for(lambda: parked_agents(client) == ["s0"], timeout=0.5,
+                 poll=0.005, what="the agent to park again")
+
+    def test_the_cli_defaults_do_not_wait_for_a_beat(self, tmp_path,
+                                                     db_path):
+        # serve --poll 0.05 --agent-timeout 1.0, agent --heartbeat 0.25:
+        # a start that waited for the next beat cost 125 ms on average.
+        rng = random.Random(7)
+        with CoordinatorDaemon(db_path, poll_interval=0.05,
+                               agent_timeout=1.0) as daemon:
+            client = ServiceClient([daemon.endpoint])
+            agents = [StationAgent(f"s{i}", [daemon.endpoint],
+                                   tmp_path / "ckpt",
+                                   heartbeat_interval=0.25, seed=i + 1)
+                      for i in range(2)]
+            for agent in agents:
+                agent.start()
+            try:
+                wait_for(lambda: len(parked_agents(client)) == 2,
+                         what="both agents parked")
+                waits = []
+                for _ in range(12):
+                    time.sleep(rng.uniform(0.05, 0.15))
+                    waits.append(submit_to_done(daemon, client, INSTANT))
+            finally:
+                for agent in agents:
+                    agent.stop()
+        # The median: one stalled fsync is the disk's business.
+        assert sorted(waits)[len(waits) // 2] < 0.05
+
+    def test_only_the_agent_with_a_command_is_woken(self, db_path):
+        with CoordinatorDaemon(db_path, poll_interval=0.01,
+                               agent_timeout=10.0) as daemon:
+            client = ServiceClient([daemon.endpoint])
+            fakes = [FakeAgent(name, daemon.endpoint)
+                     for name in ("fake-a", "fake-b")]
+            try:
+                for fake in fakes:
+                    fake.register()
+                beats = [fake.park_in_thread(2.0) for fake in fakes]
+                wait_for(lambda: len(parked_agents(client)) == 2,
+                         what="both beats parked")
+                key = client.submit(INSTANT)
+                durable = time.monotonic()
+                wait_for(lambda: any("reply" in out for _t, out in beats),
+                         poll=0.001, what="a released beat")
+                # One place cycle (a commit) later, not a hold later.
+                assert time.monotonic() - durable < 0.5
+                (woken,) = [out for _t, out in beats if "reply" in out]
+                assert [job["key"] for job in
+                        starts_in(woken["reply"])] == [key]
+                time.sleep(0.2)
+                assert len(parked_agents(client)) == 1
+                for thread, out in beats:
+                    thread.join(timeout=5.0)
+                    assert out["reply"]["ok"]
+                (other,) = [out for _t, out in beats if out is not woken]
+                assert other["reply"]["commands"] == []
+                assert 1.9 < other["seconds"] < 3.0
+            finally:
+                for fake in fakes:
+                    fake.close()
+
+    def test_hold_is_capped_and_a_degenerate_park_is_not_a_wait(
+            self, db_path):
+        with CoordinatorDaemon(db_path, poll_interval=0.01,
+                               agent_timeout=0.6) as daemon:
+            fake = FakeAgent("fake", daemon.endpoint)
+            try:
+                fake.register()
+                for park in (0, -3.0, float("nan")):
+                    start = time.monotonic()
+                    assert fake.heartbeat(park=park)["ok"]
+                    assert time.monotonic() - start < 0.1
+                for park in (60.0, float("inf")):
+                    start = time.monotonic()
+                    assert fake.heartbeat(park=park)["ok"]
+                    assert 0.25 < time.monotonic() - start < 2.0
+            finally:
+                fake.close()
+
+    def test_a_parked_agent_does_not_expire_or_beat_faster(
+            self, tmp_path, db_path):
+        with CoordinatorDaemon(db_path, poll_interval=0.01,
+                               agent_timeout=0.5) as daemon:
+            beats = []
+            serve_beat = daemon._op_heartbeat
+            daemon._op_heartbeat = lambda agent, msg: (
+                beats.append(agent), serve_beat(agent, msg))[1]
+            with StationAgent("s0", [daemon.endpoint], tmp_path / "ckpt",
+                              heartbeat_interval=0.2):
+                time.sleep(2.0)
+            assert daemon.db.counter("service_agent_expiries") == 0
+            assert 1 <= len(beats) <= 12
+
+    def test_a_coordinator_that_ignores_park_is_not_spun_on(
+            self, tmp_path, db_path):
+        with CoordinatorDaemon(db_path, poll_interval=0.01) as daemon:
+            beats = []
+            serve_beat = daemon._op_heartbeat
+
+            def older_daemon(agent, msg):
+                beats.append(agent)
+                return serve_beat(agent, {name: value for name, value
+                                          in msg.items() if name != "park"})
+
+            daemon._op_heartbeat = older_daemon
+            start = time.monotonic()
+            with StationAgent("s0", [daemon.endpoint], tmp_path / "ckpt",
+                              heartbeat_interval=0.1):
+                time.sleep(1.0)
+            elapsed = time.monotonic() - start
+            assert 1 <= len(beats) <= 1 + elapsed / 0.1
+
+    def test_stop_releases_every_parked_beat(self, db_path):
+        daemon = CoordinatorDaemon(db_path, poll_interval=0.01,
+                                   agent_timeout=10.0)
+        daemon.start()
+        client = ServiceClient([daemon.endpoint])
+        fakes = [FakeAgent(name, daemon.endpoint)
+                 for name in ("fake-a", "fake-b")]
+        try:
+            for fake in fakes:
+                fake.register()
+            beats = [fake.park_in_thread(5.0) for fake in fakes]
+            wait_for(lambda: len(parked_agents(client)) == 2,
+                     what="both beats parked")
+            start = time.monotonic()
+            daemon.stop()
+            assert time.monotonic() - start < 1.0
+            for thread, _out in beats:
+                thread.join(timeout=1.0)
+                assert not thread.is_alive()
+        finally:
+            daemon.stop()
+            for fake in fakes:
+                fake.close()
+
+    def test_the_hold_is_real_time_whatever_the_clock(self, db_path):
+        with CoordinatorDaemon(db_path, poll_interval=0.01,
+                               clock=lambda: 1000.0) as daemon:
+            fake = FakeAgent("fake", daemon.endpoint)
+            try:
+                fake.register()
+                start = time.monotonic()
+                assert fake.heartbeat(park=0.2)["ok"]
+                assert 0.15 < time.monotonic() - start < 2.0
+            finally:
+                fake.close()
+
+    def test_a_reply_that_is_never_written_takes_no_command(
+            self, db_path, monkeypatch):
+        with CoordinatorDaemon(db_path, poll_interval=0.01,
+                               agent_timeout=10.0) as daemon:
+            client = ServiceClient([daemon.endpoint])
+            fake = FakeAgent("fake", daemon.endpoint)
+            fake.register()
+            thread, out = fake.park_in_thread(5.0)
+            wait_for(lambda: parked_agents(client) == ["fake"],
+                     what="the beat to park")
+            send_frame = protocol.send_frame
+
+            def dead_peer(sock, obj):
+                if obj.get("commands"):
+                    raise ConnectionResetError("peer is gone")
+                return send_frame(sock, obj)
+
+            monkeypatch.setattr(protocol, "send_frame", dead_peer)
+            key = client.submit(INSTANT)
+            # The serve thread dies with its connection, nothing else.
+            wait_for(lambda: not parked_agents(client),
+                     what="the parked beat to be released")
+            wait_for(lambda: len(daemon._conns) == 0,
+                     what="the serve thread to exit")
+            thread.join(timeout=1.0)
+            assert out["reply"] is None     # hung up on, not answered
+            assert starts_in({"commands": daemon._agents["fake"].commands}
+                             )[0]["key"] == key
+            monkeypatch.setattr(protocol, "send_frame", send_frame)
+            fake.close()
+            # The agent comes back without the job: re-placed, run once.
+            again = FakeAgent("fake", daemon.endpoint)
+            try:
+                again.register()
+                job = again.next_start()
+                assert (job["key"], job["incarnation"]) == (key, 2)
+                assert again.job_exit(job)["accepted"]
+            finally:
+                again.close()
+
+
 class TestRecoveryPaths:
     def test_restart_recovers_queue_and_updown(self, db_path):
         port = free_port()
@@ -470,6 +739,79 @@ class TestRecoveryPaths:
         finally:
             fake.close()
             daemon.stop()
+
+    def test_start_lost_with_its_reply_is_replaced(self, db_path):
+        with CoordinatorDaemon(db_path, poll_interval=0.01) as daemon:
+            key = daemon.db.submit(INSTANT, owner="ann")
+            fake = FakeAgent("fake", daemon.endpoint)
+            fake.register()
+            wait_for(lambda: daemon._agents["fake"].commands,
+                     what="the placement's start to be queued")
+            # The beat that takes the start is sent, its reply never read.
+            protocol.send_frame(fake.sock, {
+                "op": "heartbeat", "agent": "fake", "epoch": fake.epoch,
+                "running": []})
+            wait_for(lambda: not daemon._agents["fake"].commands,
+                     what="the start to leave with the reply")
+            fake.close()
+            again = FakeAgent("fake", daemon.endpoint)
+            try:
+                # The agent that never heard of the job says so...
+                assert again.register()["drop"] == []
+                # ...and gets it again, as a new incarnation.
+                job = again.next_start()
+                assert (job["key"], job["incarnation"]) == (key, 2)
+                assert again.job_exit(job)["accepted"]
+            finally:
+                again.close()
+            assert daemon.db.job(key)["state"] == "done"
+            assert placements_of(daemon, key) == 2
+
+    def test_register_keeps_a_job_whose_exit_is_in_the_outbox(
+            self, db_path):
+        with CoordinatorDaemon(db_path, poll_interval=0.01) as daemon:
+            key = daemon.db.submit(INSTANT, owner="ann")
+            fake = FakeAgent("fake", daemon.endpoint)
+            fake.register()
+            job = fake.next_start()
+            fake.close()    # ran it; the connection died before the report
+            again = FakeAgent("fake", daemon.endpoint)
+            try:
+                assert again.register(exiting=[key])["ok"]
+                assert daemon.db.job(key)["state"] == "placed"
+                assert again.job_exit(job)["accepted"]
+            finally:
+                again.close()
+            assert daemon.db.job(key)["state"] == "done"
+            assert placements_of(daemon, key) == 1
+            assert daemon.db.counter(
+                "service_stale_results_rejected") == 0
+
+    def test_takeover_vacates_a_disowned_row_at_registration(
+            self, db_path):
+        db = JobDatabase(db_path)
+        lost = db.submit(INSTANT, owner="ann")
+        kept = db.submit(INSTANT, owner="ann")
+        other = db.submit(INSTANT, owner="ann")
+        incarnation = db.place(kept, "fake", epoch=1)
+        db.place(lost, "fake", epoch=1)
+        db.place(other, "elsewhere", epoch=1)
+        db.close()
+        # The reconcile window never closes: registration must do it.
+        with CoordinatorDaemon(db_path, poll_interval=0.01,
+                               reconcile_timeout=1e6) as daemon:
+            fake = FakeAgent("fake", daemon.endpoint)
+            try:
+                reply = fake.register(running=[
+                    {"key": kept, "incarnation": incarnation}])
+                assert reply["ok"] and reply["drop"] == []
+                assert daemon.db.job(lost)["state"] == "vacated"
+                assert daemon.db.queue()[0][0] == lost
+                assert daemon.db.job(kept)["state"] == "placed"
+                assert daemon.db.job(other)["agent"] == "elsewhere"
+                assert sorted(daemon._reconcile) == [other]
+            finally:
+                fake.close()
 
     def test_heartbeat_expiry_vacates_job(self, db_path):
         daemon = CoordinatorDaemon(db_path, agent_timeout=0.15,
@@ -636,6 +978,13 @@ class TestMalformedRequests:
         ({"op": "heartbeat", "agent": "fake", "epoch": None,
           "running": [{"key": "#1", "progress": "half"}]}, "progress"),
         ({"op": "register", "agent": "fake", "running": [17]}, "running"),
+        ({"op": "register", "agent": "fake", "exiting": "#1"}, "exiting"),
+        ({"op": "register", "agent": "fake", "exiting": [["#1"]]},
+         "exiting"),
+        ({"op": "heartbeat", "agent": "fake", "epoch": None,
+          "park": "a while"}, "park"),
+        ({"op": "heartbeat", "agent": "fake", "epoch": None,
+          "park": [0.25]}, "park"),
         ({"op": "job_exit", "agent": "fake", "epoch": None, "key": "#1",
           "incarnation": "first", "outcome": "completed"}, "incarnation"),
         ({"op": "job_exit", "agent": "fake", "epoch": None, "key": "#1",
