@@ -1,54 +1,16 @@
 """Experiment harness and per-exhibit analysis (Table 1, Figs. 2-9)."""
 
-from repro.analysis import paper
-from repro.analysis.exhibits import (
-    ALL_EXHIBITS,
-    figure_2,
-    figure_3,
-    figure_4,
-    figure_5,
-    figure_6,
-    figure_7,
-    figure_8,
-    figure_9,
-    headline_scalars,
-    table_1,
-)
-from repro.analysis.experiment import (
-    ExperimentRun,
-    cached_month_run,
-    clear_cache,
-    run_month,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ExperimentRun",
-    "run_month",
-    "cached_month_run",
-    "clear_cache",
-    "paper",
-    "table_1",
-    "figure_2",
-    "figure_3",
-    "figure_4",
-    "figure_5",
-    "figure_6",
-    "figure_7",
-    "figure_8",
-    "figure_9",
-    "headline_scalars",
-    "ALL_EXHIBITS",
-]
-
-from repro.analysis.ablation import (  # noqa: E402
-    ReplayRun,
-    baseline_trace,
-    run_variant,
-    summarize,
-)
-
-__all__ += ["ReplayRun", "baseline_trace", "run_variant", "summarize"]
-
-from repro.analysis.export import export_csvs  # noqa: E402
-
-__all__ += ["export_csvs"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ExperimentRun": "experiment", "run_month": "experiment",
+    "cached_month_run": "experiment", "clear_cache": "experiment",
+    "paper": "paper",
+    "table_1": "exhibits", "figure_2": "exhibits", "figure_3": "exhibits",
+    "figure_4": "exhibits", "figure_5": "exhibits", "figure_6": "exhibits",
+    "figure_7": "exhibits", "figure_8": "exhibits", "figure_9": "exhibits",
+    "headline_scalars": "exhibits", "ALL_EXHIBITS": "exhibits",
+    "ReplayRun": "ablation", "baseline_trace": "ablation",
+    "run_variant": "ablation", "summarize": "ablation",
+    "export_csvs": "export",
+})

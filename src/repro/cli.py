@@ -23,34 +23,95 @@ Subcommands:
 * ``submit`` / ``q`` / ``rm`` / ``drain`` — client verbs against a
   running coordinator;
 * ``demo``     — a one-minute, five-station narrated demo.
+
+Every verb imports what it runs when it runs, and the parser reads the
+simulator's registries (exhibits, reports, chaos schedules) only to
+validate a value or print help: ``serve``, ``agent`` and the client
+verbs load the service plane, not the simulator.
 """
 
 import argparse
+import importlib
 import sys
 import time
 
-from repro.analysis import ALL_EXHIBITS, run_month
-from repro.analysis.ablation import baseline_trace, run_variant, summarize
-from repro.core import CondorConfig, FcfsPolicy, RoundRobinPolicy, UpDownPolicy
-from repro.metrics.report import render_table
-from repro.workload.traces import dump_trace
+
+def _ablation(kind, name, **kwargs):
+    """``(kind, factory)``: the factory builds ``repro.core.<name>``."""
+
+    def factory():
+        from repro import core
+
+        return getattr(core, name)(**kwargs)
+
+    return kind, factory
+
 
 #: Named ablation variants available from the command line.
 ABLATIONS = {
-    "updown": ("policy", lambda: UpDownPolicy()),
-    "fcfs": ("policy", lambda: FcfsPolicy()),
-    "round-robin": ("policy", lambda: RoundRobinPolicy()),
-    "butler-kill": ("config",
-                    lambda: CondorConfig(kill_on_owner_return=True)),
-    "no-grace": ("config", lambda: CondorConfig(grace_period=0.0)),
-    "unthrottled": ("config", lambda: CondorConfig(
-        placements_per_cycle=100, grants_per_station_per_cycle=100)),
-    "history-placement": ("config", lambda: CondorConfig(
-        host_selection="longest_history")),
+    "updown": _ablation("policy", "UpDownPolicy"),
+    "fcfs": _ablation("policy", "FcfsPolicy"),
+    "round-robin": _ablation("policy", "RoundRobinPolicy"),
+    "butler-kill": _ablation("config", "CondorConfig",
+                             kill_on_owner_return=True),
+    "no-grace": _ablation("config", "CondorConfig", grace_period=0.0),
+    "unthrottled": _ablation("config", "CondorConfig",
+                             placements_per_cycle=100,
+                             grants_per_station_per_cycle=100),
+    "history-placement": _ablation("config", "CondorConfig",
+                                   host_selection="longest_history"),
 }
 
 
+def _registry(module, name):
+    """The sorted keys of ``module.name`` (imports ``module``)."""
+    return sorted(getattr(importlib.import_module(module), name))
+
+
+class _Names:
+    """A list of names computed on first iteration or membership test.
+
+    argparse touches ``choices`` only to validate a value or to format
+    usage and help, so a parser holding these imports nothing until
+    then.  Assign it after ``add_argument``, which formats the metavar
+    (and so iterates ``choices``) at once.  ``str()`` joins the names
+    with commas, for help text.
+    """
+
+    def __init__(self, load):
+        self._load = load
+        self._names = None
+
+    def _get(self):
+        if self._names is None:
+            self._names = self._load()
+        return self._names
+
+    def __iter__(self):
+        return iter(self._get())
+
+    def __contains__(self, name):
+        return name in self._get()
+
+    def __str__(self):
+        return ", ".join(self._get())
+
+
+class _Help(str):
+    """Help text whose ``%(names)s`` field is filled when it is printed."""
+
+    def __new__(cls, text, names):
+        help_text = super().__new__(cls, text)
+        help_text.names = names
+        return help_text
+
+    def __mod__(self, params):
+        return str(self) % {**params, "names": self.names}
+
+
 def _cmd_month(args):
+    from repro.analysis import ALL_EXHIBITS, run_month
+
     start = time.time()
     run = run_month(seed=args.seed, days=args.days, job_scale=args.scale,
                     trace_path=args.trace, pools=args.pools or None)
@@ -73,6 +134,9 @@ def _cmd_month(args):
 
 
 def _cmd_ablation(args):
+    from repro.analysis.ablation import baseline_trace, run_variant, summarize
+    from repro.metrics.report import render_table
+
     records = baseline_trace(seed=args.seed, days=args.days)
     print(f"# replaying {len(records)} jobs under: "
           f"{', '.join(args.variants)}\n")
@@ -96,6 +160,9 @@ def _cmd_ablation(args):
 
 
 def _cmd_trace(args):
+    from repro.analysis import run_month
+    from repro.workload.traces import dump_trace
+
     run = run_month(seed=args.seed, days=args.days, job_scale=args.scale)
     dump_trace(run.jobs, args.output)
     print(f"wrote {len(run.jobs)} job records to {args.output}")
@@ -103,6 +170,7 @@ def _cmd_trace(args):
 
 
 def _cmd_stations(args):
+    from repro.analysis import run_month
     from repro.metrics.stations import render_station_breakdown
 
     run = run_month(seed=args.seed, days=args.days, job_scale=args.scale)
@@ -114,6 +182,7 @@ def _cmd_stations(args):
 
 
 def _cmd_replay(args):
+    from repro.metrics.report import render_table
     from repro.sim import SimulationError
     from repro.telemetry import replay_trace
 
@@ -152,6 +221,7 @@ def _cmd_query(args):
     import sqlite3
 
     from repro.analysis.ops import run_report
+    from repro.metrics.report import render_table
     from repro.sim import SimulationError
     from repro.telemetry import replay_trace
     from repro.telemetry.store import TraceStore
@@ -220,6 +290,7 @@ def _cmd_sweep(args):
     import os
 
     from repro.analysis.sweep import sweep_seeds
+    from repro.metrics.report import render_table
 
     seeds = _parse_seeds(args.seeds)
     if args.trace_dir:
@@ -266,6 +337,7 @@ def _cmd_chaos(args):
         replay_identical,
         run_chaos,
     )
+    from repro.metrics.report import render_table
     from repro.sim import SimulationError
 
     if args.suite:
@@ -401,6 +473,7 @@ def _cmd_submit(args):
 
 
 def _cmd_q(args):
+    from repro.metrics.report import render_table
     from repro.service.errors import ServiceError
 
     try:
@@ -517,7 +590,8 @@ def build_parser():
     month.add_argument("--seed", type=int, default=42)
     month.add_argument("--days", type=int, default=30)
     month.add_argument("--scale", type=float, default=1.0)
-    month.add_argument("--exhibit", choices=sorted(ALL_EXHIBITS))
+    month.add_argument("--exhibit").choices = _Names(
+        lambda: _registry("repro.analysis.exhibits", "ALL_EXHIBITS"))
     month.add_argument("--csv", metavar="DIR",
                        help="also export every exhibit as CSV files")
     month.add_argument("--trace", metavar="FILE",
@@ -556,16 +630,15 @@ def build_parser():
     replay.add_argument("trace_file")
     replay.set_defaults(fn=_cmd_replay)
 
-    from repro.analysis.ops import REPORTS as _QUERY_REPORTS
-
     query = sub.add_parser(
         "query",
         help="canned reports and raw SQL over an ingested trace "
              "(the sqlite ops plane)",
     )
-    query.add_argument("report",
-                       choices=sorted(_QUERY_REPORTS) + ["sql"],
-                       help="canned report, or 'sql' for raw SQL")
+    query.add_argument(
+        "report", help="canned report, or 'sql' for raw SQL",
+    ).choices = _Names(
+        lambda: _registry("repro.analysis.ops", "REPORTS") + ["sql"])
     query.add_argument("statement", nargs="?",
                        help="SQL text (report 'sql' only)")
     query.add_argument("--db", metavar="FILE",
@@ -605,23 +678,23 @@ def build_parser():
                        help="federate the coordinator into K pools")
     sweep.set_defaults(fn=_cmd_sweep)
 
-    from repro.analysis.chaos import (
-        SCHEDULES as _CHAOS_SCHEDULES,
-        SUITES as _CHAOS_SUITES,
-    )
-
     chaos = sub.add_parser(
         "chaos",
         help="seeded fault schedules with no-lost-jobs validation",
     )
     chaos.add_argument("schedules", nargs="*", metavar="SCHEDULE",
-                       help="schedules to run (default: all; known: "
-                            + ", ".join(sorted(_CHAOS_SCHEDULES)) + ")")
+                       help=_Help(
+                           "schedules to run (default: all; known: "
+                           "%(names)s)", _Names(lambda: _registry(
+                               "repro.analysis.chaos", "SCHEDULES"))))
     chaos.add_argument("--seed", type=int, default=7)
     chaos.add_argument("--suite", metavar="NAME",
-                       help="run a named schedule group ("
-                            + ", ".join(sorted([*_CHAOS_SUITES, "service"]))
-                            + ") instead of listing schedules")
+                       help=_Help(
+                           "run a named schedule group (%(names)s) "
+                           "instead of listing schedules",
+                           _Names(lambda: sorted([*_registry(
+                               "repro.analysis.chaos", "SUITES"),
+                               "service"]))))
     chaos.add_argument("--replay-check", action="store_true",
                        help="run each schedule twice and compare traces "
                             "byte-for-byte")

@@ -1,75 +1,28 @@
 """The Condor scheduling system: the paper's primary contribution."""
 
-from repro.core.condor import CondorSystem, StationSpec
-from repro.core.config import CondorConfig
-from repro.core.coordinator import Coordinator
-from repro.core.dag import JobDag
-from repro.core.errors import SchedulingError, SubmissionRefused
-from repro.core.federation import Matchmaker, PoolCoordinator, federation_pools
-from repro.core.invariants import InvariantChecker, InvariantViolation
-from repro.core.job import (
-    COMPLETED,
-    PENDING,
-    PLACING,
-    QUEUED_STATES,
-    REMOVED,
-    RUNNING,
-    SUSPENDED,
-    VACATING,
-    Job,
-    reset_job_ids,
-)
-from repro.core.parallel import GangJob
-from repro.core.local_scheduler import (
-    REASON_OWNER_RETURNED,
-    REASON_PRIORITY,
-    LocalScheduler,
-)
-from repro.core.policies import (
-    AllocationPolicy,
-    FcfsPolicy,
-    RandomPolicy,
-    RoundRobinPolicy,
-)
-from repro.core.queue import FIFO, SHORTEST_FIRST, BackgroundJobQueue
-from repro.core.reservations import Reservation, ReservationBook
-from repro.core.updown import UpDownPolicy
+from repro import lazy_exports
 
-__all__ = [
-    "CondorSystem",
-    "StationSpec",
-    "CondorConfig",
-    "Coordinator",
-    "PoolCoordinator",
-    "Matchmaker",
-    "federation_pools",
-    "JobDag",
-    "GangJob",
-    "LocalScheduler",
-    "Job",
-    "reset_job_ids",
-    "BackgroundJobQueue",
-    "UpDownPolicy",
-    "AllocationPolicy",
-    "FcfsPolicy",
-    "RandomPolicy",
-    "RoundRobinPolicy",
-    "SchedulingError",
-    "SubmissionRefused",
-    "InvariantChecker",
-    "InvariantViolation",
-    "Reservation",
-    "ReservationBook",
-    "PENDING",
-    "PLACING",
-    "RUNNING",
-    "SUSPENDED",
-    "VACATING",
-    "COMPLETED",
-    "REMOVED",
-    "QUEUED_STATES",
-    "FIFO",
-    "SHORTEST_FIRST",
-    "REASON_OWNER_RETURNED",
-    "REASON_PRIORITY",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CondorSystem": "condor", "StationSpec": "condor",
+    "CondorConfig": "config",
+    "Coordinator": "coordinator",
+    "PoolCoordinator": "federation", "Matchmaker": "federation",
+    "federation_pools": "federation",
+    "JobDag": "dag",
+    "GangJob": "parallel",
+    "LocalScheduler": "local_scheduler",
+    "Job": "job", "reset_job_ids": "job",
+    "BackgroundJobQueue": "queue",
+    "UpDownPolicy": "updown",
+    "AllocationPolicy": "policies", "FcfsPolicy": "policies",
+    "RandomPolicy": "policies", "RoundRobinPolicy": "policies",
+    "SchedulingError": "errors", "SubmissionRefused": "errors",
+    "InvariantChecker": "invariants", "InvariantViolation": "invariants",
+    "Reservation": "reservations", "ReservationBook": "reservations",
+    "PENDING": "job", "PLACING": "job", "RUNNING": "job",
+    "SUSPENDED": "job", "VACATING": "job", "COMPLETED": "job",
+    "REMOVED": "job", "QUEUED_STATES": "job",
+    "FIFO": "queue", "SHORTEST_FIRST": "queue",
+    "REASON_OWNER_RETURNED": "local_scheduler",
+    "REASON_PRIORITY": "local_scheduler",
+})

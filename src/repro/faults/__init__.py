@@ -5,41 +5,19 @@ them, and the standing no-lost-jobs invariant checker that validates the
 paper's §2 fault-tolerance promise against the telemetry spine.
 """
 
-from repro.faults.injector import ChaosContext, ChaosInjector, CrashInjector
-from repro.faults.invariants import NoLostJobsChecker, NoLostJobsViolation
-from repro.faults.schedule import (
-    ChaosSchedule,
-    CrashCoordinator,
-    CrashMidTransfer,
-    CrashPoolCoordinator,
-    CrashStation,
-    FaultAction,
-    LossBurst,
-    Partition,
-)
-from repro.faults.storage import (
-    CorruptCheckpoint,
-    DiskFail,
-    DiskPressure,
-    TornWrite,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ChaosContext",
-    "ChaosInjector",
-    "ChaosSchedule",
-    "CorruptCheckpoint",
-    "CrashCoordinator",
-    "CrashInjector",
-    "CrashMidTransfer",
-    "CrashPoolCoordinator",
-    "CrashStation",
-    "DiskFail",
-    "DiskPressure",
-    "FaultAction",
-    "LossBurst",
-    "NoLostJobsChecker",
-    "NoLostJobsViolation",
-    "Partition",
-    "TornWrite",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ChaosContext": "injector", "ChaosInjector": "injector",
+    "ChaosSchedule": "schedule",
+    "CorruptCheckpoint": "storage",
+    "CrashCoordinator": "schedule",
+    "CrashInjector": "injector",
+    "CrashMidTransfer": "schedule", "CrashPoolCoordinator": "schedule",
+    "CrashStation": "schedule",
+    "DiskFail": "storage", "DiskPressure": "storage",
+    "FaultAction": "schedule", "LossBurst": "schedule",
+    "NoLostJobsChecker": "invariants", "NoLostJobsViolation": "invariants",
+    "Partition": "schedule",
+    "TornWrite": "storage",
+})

@@ -1,60 +1,21 @@
 """Workstation substrate: CPU accounting, disks, owners, stations."""
 
-from repro.machine.accounting import (
-    ALL_CATEGORIES,
-    CHECKPOINT,
-    COORDINATOR,
-    LOCAL_JOB,
-    OWNER,
-    PLACEMENT,
-    REMOTE_JOB,
-    SCHEDULER,
-    SUPPORT_CATEGORIES,
-    SYSCALL,
-    CpuLedger,
-)
-from repro.machine.disk import Allocation, Disk, DiskFailedError, DiskFullError
-from repro.machine.owner import (
-    DEFAULT_BUSYNESS_MIX,
-    DEFAULT_HOUR_WEIGHTS,
-    AlternatingOwner,
-    AlwaysActiveOwner,
-    CorrelatedOwner,
-    DiurnalOwner,
-    NeverActiveOwner,
-    OwnerActivityModel,
-    TraceOwner,
-    sample_busyness,
-)
-from repro.machine.workstation import DEFAULT_ARCH, DEFAULT_DISK_MB, Workstation
+from repro import lazy_exports
 
-__all__ = [
-    "CpuLedger",
-    "Disk",
-    "DiskFailedError",
-    "DiskFullError",
-    "Allocation",
-    "Workstation",
-    "OwnerActivityModel",
-    "NeverActiveOwner",
-    "AlwaysActiveOwner",
-    "AlternatingOwner",
-    "CorrelatedOwner",
-    "TraceOwner",
-    "DiurnalOwner",
-    "sample_busyness",
-    "DEFAULT_BUSYNESS_MIX",
-    "DEFAULT_HOUR_WEIGHTS",
-    "DEFAULT_DISK_MB",
-    "DEFAULT_ARCH",
-    "OWNER",
-    "REMOTE_JOB",
-    "PLACEMENT",
-    "CHECKPOINT",
-    "SYSCALL",
-    "SCHEDULER",
-    "COORDINATOR",
-    "LOCAL_JOB",
-    "ALL_CATEGORIES",
-    "SUPPORT_CATEGORIES",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CpuLedger": "accounting",
+    "Disk": "disk", "DiskFailedError": "disk", "DiskFullError": "disk",
+    "Allocation": "disk",
+    "Workstation": "workstation",
+    "OwnerActivityModel": "owner", "NeverActiveOwner": "owner",
+    "AlwaysActiveOwner": "owner", "AlternatingOwner": "owner",
+    "CorrelatedOwner": "owner", "TraceOwner": "owner",
+    "DiurnalOwner": "owner", "sample_busyness": "owner",
+    "DEFAULT_BUSYNESS_MIX": "owner", "DEFAULT_HOUR_WEIGHTS": "owner",
+    "DEFAULT_DISK_MB": "workstation", "DEFAULT_ARCH": "workstation",
+    "OWNER": "accounting", "REMOTE_JOB": "accounting",
+    "PLACEMENT": "accounting", "CHECKPOINT": "accounting",
+    "SYSCALL": "accounting", "SCHEDULER": "accounting",
+    "COORDINATOR": "accounting", "LOCAL_JOB": "accounting",
+    "ALL_CATEGORIES": "accounting", "SUPPORT_CATEGORIES": "accounting",
+})

@@ -1,25 +1,13 @@
 """Measurement layer: time series, utilisation, job metrics, reports."""
 
-from repro.metrics import jobs, report, stats
-from repro.metrics.queues import QueueLengthMonitor
-from repro.metrics.timeseries import HourlyAccumulator, PeriodicSampler
-from repro.metrics.stations import (
-    render_station_breakdown,
-    station_breakdown,
-    station_row,
-)
-from repro.metrics.utilization import GROUPS, UtilizationMonitor
+from repro import lazy_exports
 
-__all__ = [
-    "HourlyAccumulator",
-    "PeriodicSampler",
-    "UtilizationMonitor",
-    "QueueLengthMonitor",
-    "GROUPS",
-    "station_breakdown",
-    "station_row",
-    "render_station_breakdown",
-    "stats",
-    "jobs",
-    "report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "HourlyAccumulator": "timeseries", "PeriodicSampler": "timeseries",
+    "UtilizationMonitor": "utilization",
+    "QueueLengthMonitor": "queues",
+    "GROUPS": "utilization",
+    "station_breakdown": "stations", "station_row": "stations",
+    "render_station_breakdown": "stations",
+    "stats": "stats", "jobs": "jobs", "report": "report",
+})

@@ -1,17 +1,10 @@
 """Departmental LAN model: nodes, messages, RPCs, bulk transfers."""
 
-from repro.net.network import (
-    DEFAULT_BANDWIDTH_MB_S,
-    DEFAULT_LATENCY,
-    BatchTicket,
-    BulkTransfer,
-    Network,
-    Node,
-    RpcTicket,
-)
-from repro.net.reliable import ReliableSender
+from repro import lazy_exports
 
-__all__ = [
-    "Network", "Node", "BulkTransfer", "RpcTicket", "BatchTicket",
-    "ReliableSender", "DEFAULT_LATENCY", "DEFAULT_BANDWIDTH_MB_S",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Network": "network", "Node": "network", "BulkTransfer": "network",
+    "RpcTicket": "network", "BatchTicket": "network",
+    "ReliableSender": "reliable",
+    "DEFAULT_LATENCY": "network", "DEFAULT_BANDWIDTH_MB_S": "network",
+})

@@ -1,33 +1,15 @@
 """The Remote Unix (RU) facility model: segments, checkpoints, shadows."""
 
-from repro.remote_unix.checkpoint import (
-    CHECKPOINT_CPU_S_PER_MB,
-    CheckpointImage,
-    CheckpointStore,
-    CheckpointTornWrite,
-    checkpoint_cpu_cost,
-)
-from repro.remote_unix.segments import KB_PER_MB, SegmentLayout, typical_layout
-from repro.remote_unix.shadow import (
-    LOCAL_SYSCALL_CPU_S,
-    REMOTE_SYSCALL_CPU_S,
-    ShadowProcess,
-    breakeven_syscall_rate,
-    remote_syscall_load,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "SegmentLayout",
-    "typical_layout",
-    "KB_PER_MB",
-    "CheckpointImage",
-    "CheckpointStore",
-    "CheckpointTornWrite",
-    "checkpoint_cpu_cost",
-    "CHECKPOINT_CPU_S_PER_MB",
-    "ShadowProcess",
-    "remote_syscall_load",
-    "breakeven_syscall_rate",
-    "REMOTE_SYSCALL_CPU_S",
-    "LOCAL_SYSCALL_CPU_S",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "SegmentLayout": "segments", "typical_layout": "segments",
+    "KB_PER_MB": "segments",
+    "CheckpointImage": "checkpoint", "CheckpointStore": "checkpoint",
+    "CheckpointTornWrite": "checkpoint",
+    "checkpoint_cpu_cost": "checkpoint",
+    "CHECKPOINT_CPU_S_PER_MB": "checkpoint",
+    "ShadowProcess": "shadow", "remote_syscall_load": "shadow",
+    "breakeven_syscall_rate": "shadow",
+    "REMOTE_SYSCALL_CPU_S": "shadow", "LOCAL_SYSCALL_CPU_S": "shadow",
+})

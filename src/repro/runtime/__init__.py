@@ -6,35 +6,16 @@ points with identical recovery semantics — at most the work since the
 last checkpoint is repeated when a worker's owner reclaims it.
 """
 
-from repro.runtime.checkpoint import (
-    InMemoryCheckpointStore,
-    LiveCheckpointStore,
-)
-from repro.runtime.cluster import LiveCluster
-from repro.runtime.errors import JobFailed, LiveRuntimeError, VacateRequested
-from repro.runtime.job import (
-    COMPLETED,
-    FAILED,
-    PENDING,
-    RUNNING,
-    CheckpointContext,
-    LiveJob,
-)
-from repro.runtime.worker import LiveWorker, SyntheticOwner
+from repro import lazy_exports
 
-__all__ = [
-    "LiveCluster",
-    "LiveWorker",
-    "SyntheticOwner",
-    "LiveJob",
-    "CheckpointContext",
-    "LiveCheckpointStore",
-    "InMemoryCheckpointStore",
-    "LiveRuntimeError",
-    "VacateRequested",
-    "JobFailed",
-    "PENDING",
-    "RUNNING",
-    "COMPLETED",
-    "FAILED",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "LiveCluster": "cluster",
+    "LiveWorker": "worker", "SyntheticOwner": "worker",
+    "LiveJob": "job", "CheckpointContext": "job",
+    "LiveCheckpointStore": "checkpoint",
+    "InMemoryCheckpointStore": "checkpoint",
+    "LiveRuntimeError": "errors", "VacateRequested": "errors",
+    "JobFailed": "errors",
+    "PENDING": "job", "RUNNING": "job", "COMPLETED": "job",
+    "FAILED": "job",
+})

@@ -10,20 +10,15 @@ deposed coordinator harmless and incarnation fencing keeping zombie
 jobs from clobbering their successors' checkpoints.
 """
 
-from repro.service.agent import FencedCheckpointStore, StationAgent
-from repro.service.client import ServiceClient
-from repro.service.daemon import CoordinatorDaemon, StandbyCoordinator
-from repro.service.errors import ProtocolError, ServiceError, StaleEpochError
-from repro.service.jobdb import JobDatabase
+from repro import lazy_exports
 
-__all__ = [
-    "CoordinatorDaemon",
-    "FencedCheckpointStore",
-    "JobDatabase",
-    "ProtocolError",
-    "ServiceClient",
-    "ServiceError",
-    "StaleEpochError",
-    "StandbyCoordinator",
-    "StationAgent",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CoordinatorDaemon": "daemon",
+    "FencedCheckpointStore": "agent",
+    "JobDatabase": "jobdb",
+    "ProtocolError": "errors",
+    "ServiceClient": "client",
+    "ServiceError": "errors", "StaleEpochError": "errors",
+    "StandbyCoordinator": "daemon",
+    "StationAgent": "agent",
+})

@@ -27,9 +27,14 @@ to real sockets:
 * checkpoint images are **incarnation-fenced**: incarnation *i* writes
   ``job-<n>.i<i>.ckpt`` and resume reads the highest incarnation at or
   below its own, so a zombie incarnation left behind by a partition can
-  never clobber the image its successor resumes from.
+  never clobber the image its successor resumes from;
+* an image that will not restore is quarantined as ``<name>.corrupt``
+  and the job reported ``vacated``, so its next placement resumes from
+  an older image or from scratch instead of wedging this agent; images
+  go once the coordinator accepts a final (completed or failed) exit.
 """
 
+import contextlib
 import os
 import pickle
 import random
@@ -41,7 +46,11 @@ from repro.runtime.checkpoint import LiveCheckpointStore
 from repro.runtime.errors import VacateRequested
 from repro.runtime.job import CheckpointContext
 from repro.service import protocol
-from repro.service.errors import ProtocolError, ServiceError
+from repro.service.errors import (
+    CheckpointUnreadable,
+    ProtocolError,
+    ServiceError,
+)
 from repro.service.samples import resolve_entry
 
 
@@ -87,18 +96,32 @@ class FencedCheckpointStore:
         return sorted(found)
 
     def load(self, handle):
-        """Newest image with incarnation <= the handle's, or ``None``."""
+        """Newest image with incarnation <= the handle's, or ``None``.
+
+        An image that does not unpickle is renamed ``<name>.corrupt`` —
+        kept as evidence, skipped by every later load — and reported as
+        :class:`CheckpointUnreadable`.
+        """
         best = None
         for incarnation, fname in self._images(handle.key):
             if incarnation <= handle.incarnation:
                 best = fname
         if best is None:
             return None
-        with open(os.path.join(self.root, best), "rb") as f:
-            return pickle.load(f)
+        path = os.path.join(self.root, best)
+        with open(path, "rb") as f:
+            try:
+                return pickle.load(f)
+            except Exception as exc:
+                # Another agent restoring the same image may have
+                # quarantined it first.
+                with contextlib.suppress(FileNotFoundError):
+                    os.replace(path, path + ".corrupt")
+                raise CheckpointUnreadable(
+                    f"{best}: {type(exc).__name__}: {exc}") from exc
 
     def discard(self, handle):
-        """Remove every incarnation's image (after acked completion)."""
+        """Remove every incarnation's image (after an acked final exit)."""
         for _incarnation, fname in self._images(handle.key):
             path = os.path.join(self.root, fname)
             if os.path.exists(path):
@@ -301,7 +324,10 @@ class StationAgent:
             with self._lock:
                 self._outbox.pop(0)
             flushed = True
-            if msg["outcome"] == "completed" and reply.get("accepted"):
+            # A final exit the coordinator accepted needs no image; a
+            # rejected one may belong to a zombie whose successor does.
+            if (msg["outcome"] in ("completed", "failed")
+                    and reply.get("accepted")):
                 self.store.discard(_JobHandle(msg["key"], msg["key"],
                                               msg["incarnation"]))
             self._apply_commands(reply)
@@ -354,14 +380,16 @@ class StationAgent:
             self._progress[handle.key] = max(previous, progress)
 
     def _run_job(self, handle, context, fn):
-        state = self.store.load(handle)
-        if isinstance(state, int):
-            with self._lock:
-                self._progress[handle.key] = max(
-                    self._progress.get(handle.key, 0), int(state))
         try:
+            state = self.store.load(handle)
+            if isinstance(state, int):
+                with self._lock:
+                    self._progress[handle.key] = max(
+                        self._progress.get(handle.key, 0), int(state))
             result = fn(context, state)
-        except VacateRequested:
+        except (VacateRequested, CheckpointUnreadable):
+            # A quarantined image is not the job's fault: the next
+            # placement resumes from an older image or from scratch.
             self._finish(handle, "vacated")
             return
         except Exception as exc:    # the job's own bug

@@ -11,6 +11,11 @@ class ProtocolError(ServiceError):
     """A wire frame was malformed, oversized, or truncated."""
 
 
+class CheckpointUnreadable(ServiceError):
+    """A checkpoint image would not restore; the store has set it aside
+    so the job's next placement resumes from an older one."""
+
+
 class StaleEpochError(ServiceError):
     """Something acted under an epoch a newer coordinator has
     superseded (a deposed coordinator placing, a stale message)."""

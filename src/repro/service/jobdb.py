@@ -8,7 +8,7 @@ Up-Down accounting.
 
 The file is *the same queryable store PR 9 built* (Robinson & DeWitt:
 cluster management is data management): :class:`JobDatabase` creates the
-full :mod:`repro.telemetry.store` schema and keeps the ``jobs`` table's
+full :mod:`repro.telemetry.schema` and keeps the ``jobs`` table's
 lifecycle columns up to date on every transition, so ``repro-condor
 query jobs --db`` (and raw SQL) work on a live service database exactly
 as they do on an ingested trace.  Service-only state lives in four extra
@@ -45,7 +45,7 @@ import threading
 import time
 
 from repro.service.errors import ServiceError, StaleEpochError
-from repro.telemetry.store import SCHEMA_VERSION, _SCHEMA
+from repro.telemetry.schema import SCHEMA, SCHEMA_VERSION
 
 # -- the fine-grained service state machine -----------------------------
 SUBMITTED = "submitted"
@@ -144,7 +144,7 @@ class JobDatabase:
         self._db.execute("PRAGMA synchronous=FULL")
         self._db.execute("PRAGMA busy_timeout=10000")
         with self._db:
-            self._db.executescript(_SCHEMA)
+            self._db.executescript(SCHEMA)
             self._db.executescript(_SERVICE_SCHEMA)
             if self._meta("schema_version") is None:
                 self._meta_set("schema_version", str(SCHEMA_VERSION))

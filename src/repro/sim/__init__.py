@@ -10,65 +10,22 @@ Public surface:
   so scheduler code reads like the paper ("every two minutes").
 """
 
-from repro.sim.errors import (
-    Interrupted,
-    SignalAlreadyFired,
-    SimulationError,
-    StopProcess,
-)
-from repro.sim.events import EventHandle, Signal
-from repro.sim.kernel import Simulation
-from repro.sim.process import Process
-from repro.sim.randomness import (
-    Bernoulli,
-    BoundedPareto,
-    Constant,
-    DiscreteChoice,
-    Distribution,
-    Erlang,
-    Exponential,
-    Hyperexponential,
-    LogNormal,
-    Mixture,
-    RandomStream,
-    Shifted,
-    Uniform,
-    fit_hyperexponential,
-)
+from repro import lazy_exports
 
-#: One simulated second is the base unit; these are the derived constants.
-SECOND = 1.0
-MINUTE = 60.0
-HOUR = 3600.0
-DAY = 24 * HOUR
-WEEK = 7 * DAY
-
-__all__ = [
-    "Simulation",
-    "Signal",
-    "Process",
-    "EventHandle",
-    "SimulationError",
-    "Interrupted",
-    "StopProcess",
-    "SignalAlreadyFired",
-    "RandomStream",
-    "Distribution",
-    "Constant",
-    "Uniform",
-    "Exponential",
-    "Hyperexponential",
-    "Erlang",
-    "LogNormal",
-    "Mixture",
-    "BoundedPareto",
-    "Bernoulli",
-    "DiscreteChoice",
-    "Shifted",
-    "fit_hyperexponential",
-    "SECOND",
-    "MINUTE",
-    "HOUR",
-    "DAY",
-    "WEEK",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Simulation": "kernel",
+    "Signal": "events",
+    "Process": "process",
+    "EventHandle": "events",
+    "SimulationError": "errors", "Interrupted": "errors",
+    "StopProcess": "errors", "SignalAlreadyFired": "errors",
+    "RandomStream": "randomness", "Distribution": "randomness",
+    "Constant": "randomness", "Uniform": "randomness",
+    "Exponential": "randomness", "Hyperexponential": "randomness",
+    "Erlang": "randomness", "LogNormal": "randomness",
+    "Mixture": "randomness", "BoundedPareto": "randomness",
+    "Bernoulli": "randomness", "DiscreteChoice": "randomness",
+    "Shifted": "randomness", "fit_hyperexponential": "randomness",
+    "SECOND": "kernel", "MINUTE": "kernel", "HOUR": "kernel",
+    "DAY": "kernel", "WEEK": "kernel",
+})

@@ -24,6 +24,14 @@ from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappus
 
 from repro.sim.errors import SimulationError
 from repro.sim.events import FIRED, PENDING, EventHandle
+from repro.sim.process import Process
+
+#: One simulated second is the base unit; these are the derived constants.
+SECOND = 1.0
+MINUTE = 60.0
+HOUR = 3600.0
+DAY = 24 * HOUR
+WEEK = 7 * DAY
 
 #: Compact the agenda when at least this many cancelled entries are
 #: buried in it *and* they outnumber the live ones (see ``_maybe_compact``).
@@ -95,8 +103,6 @@ class Simulation:
 
     def spawn(self, generator, name=None):
         """Start a generator-based process; see :mod:`repro.sim.process`."""
-        from repro.sim.process import Process
-
         return Process(self, generator, name=name)
 
     # ------------------------------------------------------------------

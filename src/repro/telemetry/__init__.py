@@ -10,50 +10,17 @@ Every layer of the reproduction reports through this package:
   JSONL traces and offline reconstruction of the headline metrics.
 """
 
-from repro.telemetry import kinds
-from repro.telemetry.events import (
-    SubscriberError,
-    TelemetryEvent,
-    TelemetryHub,
-    UnknownEventKind,
-)
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.telemetry.store import (
-    TraceStore,
-    ingest_trace,
-)
-from repro.telemetry.trace import (
-    TraceRecorder,
-    TraceSummary,
-    encode_event,
-    jsonify,
-    read_trace,
-    replay_trace,
-    summarize_trace,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "kinds",
-    "TelemetryEvent",
-    "TelemetryHub",
-    "SubscriberError",
-    "UnknownEventKind",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "TraceRecorder",
-    "TraceStore",
-    "ingest_trace",
-    "TraceSummary",
-    "encode_event",
-    "jsonify",
-    "read_trace",
-    "replay_trace",
-    "summarize_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "kinds": "kinds",
+    "TelemetryEvent": "events", "TelemetryHub": "events",
+    "SubscriberError": "events", "UnknownEventKind": "events",
+    "MetricsRegistry": "metrics", "Counter": "metrics", "Gauge": "metrics",
+    "Histogram": "metrics",
+    "TraceRecorder": "trace",
+    "TraceStore": "store", "ingest_trace": "store",
+    "TraceSummary": "trace", "encode_event": "trace", "jsonify": "trace",
+    "read_trace": "trace", "replay_trace": "trace",
+    "summarize_trace": "trace",
+})

@@ -2,30 +2,11 @@
 
 Robinson & DeWitt's thesis — cluster management *is* data management —
 made operational here: :class:`TraceStore` incrementally ingests the
-deterministic JSONL trace (see :mod:`repro.telemetry.trace`) into
-normalized tables, so every operational question ("which user starved
-last week?", "which jobs lost checkpoints?", "how hot was pool 2 on
-Tuesday?") becomes a query instead of a re-simulation.
-
-Tables
-------
-``events``       every record verbatim: ``(seq, t, src, kind, payload)``
-                 with the payload re-encoded canonically;
-``event_counts`` per-kind totals (the replay summary's counters);
-``users``        per-user submit/complete/demand rollup, ordered by
-                 first appearance;
-``jobs``         one row per job with the full submit → place → vacate →
-                 complete lifecycle and every per-job fault counter;
-``ledger``       per-station per-category booked CPU seconds, folded in
-                 trace order so the doubles equal the live ledgers
-                 bit-for-bit;
-``utilization``  the same bookings split into hourly buckets — heatmap
-                 feedstock;
-``leases``       cross-pool lease lifecycle (granted / returned /
-                 expired), one row per leased station;
-``faults``       every fault/recovery/storage-fault event with its
-                 payload, for chaos-scenario timelines;
-``meta``         the ingest cursor, the file cursor and schema version.
+deterministic JSONL trace (see :mod:`repro.telemetry.trace`) into the
+normalized tables of :mod:`repro.telemetry.schema`, so every
+operational question ("which user starved last week?", "which jobs lost
+checkpoints?", "how hot was pool 2 on Tuesday?") becomes a query
+instead of a re-simulation.
 
 Ingest cursor
 -------------
@@ -76,13 +57,12 @@ import sqlite3
 
 from repro.sim.errors import SimulationError
 from repro.telemetry import kinds
+from repro.telemetry.schema import SCHEMA, SCHEMA_VERSION
 from repro.telemetry.trace import (
     TraceSummary,
     _encode as _canonical,
     _parse_line,
 )
-
-SCHEMA_VERSION = 1
 
 #: Width of one utilization heatmap bucket (seconds).
 BUCKET_SECONDS = 3600.0
@@ -91,94 +71,6 @@ BUCKET_SECONDS = 3600.0
 #: cached aggregates, never the trace's.  A constant, not a knob — the
 #: result is the same for every value (tests run 7, 1 000 and 10**9).
 CHUNK_EVENTS = 4096
-
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS meta (
-    key   TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS events (
-    seq     INTEGER PRIMARY KEY,
-    t       REAL NOT NULL,
-    src     TEXT NOT NULL,
-    kind    TEXT NOT NULL,
-    payload TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS events_by_kind ON events (kind, seq);
-CREATE INDEX IF NOT EXISTS events_by_src ON events (src, seq);
-CREATE TABLE IF NOT EXISTS event_counts (
-    kind  TEXT PRIMARY KEY,
-    count INTEGER NOT NULL
-);
-CREATE TABLE IF NOT EXISTS users (
-    id              INTEGER PRIMARY KEY AUTOINCREMENT,
-    user            TEXT UNIQUE NOT NULL,
-    jobs_submitted  INTEGER NOT NULL DEFAULT 0,
-    jobs_completed  INTEGER NOT NULL DEFAULT 0,
-    demand_seconds  REAL NOT NULL DEFAULT 0.0,
-    demand_entries  INTEGER NOT NULL DEFAULT 0
-);
-CREATE TABLE IF NOT EXISTS jobs (
-    key                  TEXT PRIMARY KEY,
-    id                   INTEGER,
-    name                 TEXT,
-    user                 TEXT,
-    home                 TEXT,
-    demand_seconds       REAL,
-    status               TEXT,
-    submitted_t          REAL,
-    first_placed_t       REAL,
-    completed_t          REAL,
-    last_host            TEXT,
-    placements           INTEGER NOT NULL DEFAULT 0,
-    placement_failures   INTEGER NOT NULL DEFAULT 0,
-    suspensions          INTEGER NOT NULL DEFAULT 0,
-    resumes              INTEGER NOT NULL DEFAULT 0,
-    vacates              INTEGER NOT NULL DEFAULT 0,
-    periodic_checkpoints INTEGER NOT NULL DEFAULT 0,
-    kills                INTEGER NOT NULL DEFAULT 0,
-    preemptions          INTEGER NOT NULL DEFAULT 0,
-    host_losses          INTEGER NOT NULL DEFAULT 0,
-    images_lost          INTEGER NOT NULL DEFAULT 0,
-    torn_writes          INTEGER NOT NULL DEFAULT 0,
-    restore_fallbacks    INTEGER NOT NULL DEFAULT 0
-);
-CREATE INDEX IF NOT EXISTS jobs_by_user ON jobs (user);
-CREATE TABLE IF NOT EXISTS ledger (
-    station  TEXT NOT NULL,
-    category TEXT NOT NULL,
-    seconds  REAL NOT NULL,
-    entries  INTEGER NOT NULL,
-    PRIMARY KEY (station, category)
-);
-CREATE TABLE IF NOT EXISTS utilization (
-    station  TEXT NOT NULL,
-    bucket   INTEGER NOT NULL,
-    category TEXT NOT NULL,
-    seconds  REAL NOT NULL,
-    PRIMARY KEY (station, bucket, category)
-);
-CREATE TABLE IF NOT EXISTS leases (
-    lease_id      TEXT NOT NULL,
-    station       TEXT NOT NULL,
-    lender        TEXT,
-    borrower      TEXT,
-    granted_t     REAL,
-    expires_at    REAL,
-    returned_t    REAL,
-    return_reason TEXT,
-    expired_t     REAL,
-    PRIMARY KEY (lease_id, station)
-);
-CREATE TABLE IF NOT EXISTS faults (
-    seq    INTEGER PRIMARY KEY,
-    t      REAL NOT NULL,
-    kind   TEXT NOT NULL,
-    fault  TEXT,
-    target TEXT,
-    detail TEXT NOT NULL
-);
-"""
 
 #: jobs-table columns, in schema order (used for the cache round trip).
 _JOB_COLS = (
@@ -252,7 +144,7 @@ class TraceStore:
     def __init__(self, path):
         self.path = path
         self._db = sqlite3.connect(path)
-        self._db.executescript(_SCHEMA)
+        self._db.executescript(SCHEMA)
         stored = self._meta_get("schema_version")
         if stored is None:
             self._meta_set("schema_version", str(SCHEMA_VERSION))

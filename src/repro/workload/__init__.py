@@ -1,45 +1,15 @@
 """Workload modelling: Table 1's users, clusters, generators, traces."""
 
-from repro.workload.cluster import (
-    DEFAULT_SESSION_MEAN,
-    PAPER_STATION_COUNT,
-    build_cluster_specs,
-    default_user_homes,
-    station_name,
-)
-from repro.workload.generator import WorkloadGenerator
-from repro.workload.traces import (
-    TraceReplayer,
-    dump_trace,
-    export_trace,
-    job_to_record,
-    load_trace,
-    record_to_job,
-)
-from repro.workload.users import (
-    DEMAND_CV2,
-    HEAVY_STANDING_TARGET,
-    TABLE_1,
-    UserProfile,
-    paper_profiles,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "UserProfile",
-    "paper_profiles",
-    "TABLE_1",
-    "DEMAND_CV2",
-    "HEAVY_STANDING_TARGET",
-    "WorkloadGenerator",
-    "build_cluster_specs",
-    "default_user_homes",
-    "station_name",
-    "PAPER_STATION_COUNT",
-    "DEFAULT_SESSION_MEAN",
-    "TraceReplayer",
-    "export_trace",
-    "dump_trace",
-    "load_trace",
-    "job_to_record",
-    "record_to_job",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "UserProfile": "users", "paper_profiles": "users", "TABLE_1": "users",
+    "DEMAND_CV2": "users", "HEAVY_STANDING_TARGET": "users",
+    "WorkloadGenerator": "generator",
+    "build_cluster_specs": "cluster", "default_user_homes": "cluster",
+    "station_name": "cluster", "PAPER_STATION_COUNT": "cluster",
+    "DEFAULT_SESSION_MEAN": "cluster",
+    "TraceReplayer": "traces", "export_trace": "traces",
+    "dump_trace": "traces", "load_trace": "traces",
+    "job_to_record": "traces", "record_to_job": "traces",
+})

@@ -905,6 +905,63 @@ class TestRecoveryPaths:
             agent.stop()
 
 
+def checkpoints_then_fails():
+    """A job factory: one checkpoint, then the job's own bug."""
+
+    def fn(ctx, state):
+        ctx.checkpoint(1)
+        raise RuntimeError("after one checkpoint")
+
+    return fn
+
+
+class TestCheckpointImages:
+    """An image that will not restore, and images nobody will read."""
+
+    @pytest.fixture
+    def one_agent(self, tmp_path, db_path):
+        daemon = CoordinatorDaemon(db_path, agent_timeout=1.0,
+                                   poll_interval=0.01)
+        daemon.start()
+        ckpt = tmp_path / "ckpt"
+        agent = StationAgent("s0", [daemon.endpoint], ckpt,
+                             heartbeat_interval=0.02)
+        agent.start()
+        yield daemon, agent, ServiceClient([daemon.endpoint]), ckpt
+        agent.stop()
+        daemon.stop()
+
+    def test_a_corrupt_image_is_quarantined_and_the_job_replaced(
+            self, one_agent):
+        daemon, agent, client, ckpt = one_agent
+        (ckpt / "job-1.i0.ckpt").write_bytes(b"not a pickle")
+        key = client.submit(COUNT, payload={"steps": 20,
+                                            "checkpoint_every": 5})
+        assert key == "#1"
+        wait_for(lambda: daemon.db.job(key)["state"] == "done",
+                 what="the job to finish past its corrupt image")
+        assert placements_of(daemon, key) == 2
+        assert daemon.db.job(key)["progress"] == 20
+        assert (ckpt / "job-1.i0.ckpt.corrupt").exists()
+        # The agent is not wedged: it takes and finishes the next job.
+        second = client.submit(INSTANT)
+        wait_for(lambda: daemon.db.job(second)["state"] == "done",
+                 what="a second job on the same agent")
+        snapshot = client.q()
+        assert (snapshot["done"], snapshot["pending"],
+                snapshot["inflight"]) == (2, 0, 0)
+        assert not agent.busy
+
+    def test_a_failed_job_leaves_no_images(self, one_agent):
+        daemon, _agent, client, ckpt = one_agent
+        key = client.submit(f"{__name__}:checkpoints_then_fails")
+        wait_for(lambda: daemon.db.job(key)["state"] == "failed",
+                 what="the job to fail")
+        assert "after one checkpoint" in daemon.db.job(key)["error"]
+        wait_for(lambda: not list(ckpt.glob("job-*.i*.ckpt")),
+                 what="the failed job's images to be discarded")
+
+
 class TestFailover:
     def test_standby_promotes_and_finishes_work(self, tmp_path, db_path):
         primary_port, standby_port = free_port(), free_port()
