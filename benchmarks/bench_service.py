@@ -58,8 +58,8 @@ def bench_submission_rate(jobs=400):
 
     with tempfile.TemporaryDirectory() as tmp:
         db = os.path.join(tmp, "svc.sqlite")
-        with CoordinatorDaemon(db, poll_interval=0.5) as daemon:
-            client = ServiceClient([daemon.endpoint])
+        with CoordinatorDaemon(db, poll_interval=0.5) as daemon, \
+                ServiceClient([daemon.endpoint]) as client:
             client.submit(INSTANT)           # warm the path
             t0 = time.perf_counter()
             for i in range(jobs):
@@ -88,10 +88,10 @@ def bench_end_to_end(jobs=80, agents=3):
                         for i in range(agents)]
             for station in stations:
                 station.start()
-            client = ServiceClient([daemon.endpoint])
-            t0 = time.perf_counter()
-            for i in range(jobs):
-                client.submit(INSTANT, owner=f"u{i % 4}")
+            with ServiceClient([daemon.endpoint]) as client:
+                t0 = time.perf_counter()
+                for i in range(jobs):
+                    client.submit(INSTANT, owner=f"u{i % 4}")
             _wait(lambda: daemon.db.counts().get("done", 0) >= jobs)
             wall = time.perf_counter() - t0
             for station in stations:
@@ -122,12 +122,13 @@ def bench_recovery(jobs=12):
                     for i in range(2)]
         for station in stations:
             station.start()
-        client = ServiceClient([endpoint], retries=60, retry_cap=0.2)
-        for i in range(jobs):
-            client.submit(COUNT,
-                          payload={"steps": 2000, "step_sleep": 0.002,
-                                   "checkpoint_every": 25},
-                          owner=f"u{i % 2}")
+        with ServiceClient([endpoint], retries=60,
+                           retry_cap=0.2) as client:
+            for i in range(jobs):
+                client.submit(COUNT,
+                              payload={"steps": 2000, "step_sleep": 0.002,
+                                       "checkpoint_every": 25},
+                              owner=f"u{i % 2}")
         _wait(lambda: any(progress > 0 for _k, _a, _i, _e, progress, _o
                           in first.db.inflight()))
         first.stop()

@@ -459,13 +459,13 @@ def _cmd_submit(args):
 
     try:
         payload = json.loads(args.payload) if args.payload else {}
-        client = _service_client(args)
-        for i in range(args.count):
-            name = (args.name if args.count == 1 and args.name
-                    else (f"{args.name}-{i}" if args.name else None))
-            print(client.submit(args.entry, payload=payload, name=name,
-                                owner=args.owner,
-                                demand_seconds=args.demand))
+        with _service_client(args) as client:
+            for i in range(args.count):
+                name = (args.name if args.count == 1 and args.name
+                        else (f"{args.name}-{i}" if args.name else None))
+                print(client.submit(args.entry, payload=payload, name=name,
+                                    owner=args.owner,
+                                    demand_seconds=args.demand))
     except (ServiceError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -477,7 +477,8 @@ def _cmd_q(args):
     from repro.service.errors import ServiceError
 
     try:
-        snapshot = _service_client(args).q(limit=args.limit)
+        with _service_client(args) as client:
+            snapshot = client.q(limit=args.limit)
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -504,10 +505,11 @@ def _cmd_rm(args):
     from repro.service.errors import ServiceError
 
     try:
-        client = _service_client(args)
-        for key in args.keys:
-            stopped = client.remove(key)
-            print(f"{key}: {'stopped' if stopped else 'already finished'}")
+        with _service_client(args) as client:
+            for key in args.keys:
+                stopped = client.remove(key)
+                print(f"{key}: "
+                      f"{'stopped' if stopped else 'already finished'}")
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -518,13 +520,14 @@ def _cmd_drain(args):
     from repro.service.errors import ServiceError
 
     try:
-        client = _service_client(args)
-        snapshot = client.drain()
-        print(f"# draining: pending {snapshot['pending']}, "
-              f"in-flight {snapshot['inflight']}, done {snapshot['done']}")
-        if args.wait:
-            final = client.wait_idle(timeout=args.wait)
-            print(f"# drained: {final['done']} jobs done")
+        with _service_client(args) as client:
+            snapshot = client.drain()
+            print(f"# draining: pending {snapshot['pending']}, "
+                  f"in-flight {snapshot['inflight']}, "
+                  f"done {snapshot['done']}")
+            if args.wait:
+                final = client.wait_idle(timeout=args.wait)
+                print(f"# drained: {final['done']} jobs done")
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

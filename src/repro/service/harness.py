@@ -234,6 +234,7 @@ class ServiceFixture:
                 proc.terminate()
             except (OSError, ProcessLookupError):
                 pass
+        self.client.close()
         self.db.close()
 
 

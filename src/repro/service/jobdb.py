@@ -33,12 +33,16 @@ Durability discipline: WAL journal with ``synchronous=FULL`` (every
 commit reaches the disk before the transition is acknowledged), and
 every lifecycle transition is exactly one transaction — there is no
 observable intermediate state for a crash to expose.  Transitions that
-are decided together commit together: all placements of one cycle plus
-the Up-Down indices (:meth:`JobDatabase.place_batch`), and an exit
-report's final checkpoint with its completion — three commits in a
-job's life (submit, place, exit), the middle one shared by its cycle.
+are decided together commit together (:meth:`JobDatabase.transaction`:
+a transition called inside an open transaction joins it): all
+placements of one cycle plus the Up-Down indices
+(:meth:`JobDatabase.place_batch`), an exit report's final checkpoint
+with its completion, and a verb's own transition with the placement it
+enables — two commits in a job's life (submit, exit), each carrying
+the placement it made possible.
 """
 
+import contextlib
 import json
 import sqlite3
 import threading
@@ -203,6 +207,28 @@ class JobDatabase:
                         "FROM jobs WHERE jobs.key = service_queue.key)")
             self._db.execute(_QUEUE_INDEX)
 
+    @contextlib.contextmanager
+    def transaction(self):
+        """One ``BEGIN IMMEDIATE … COMMIT`` under the database lock.
+
+        Re-entrant: a transition called inside an open transaction joins
+        it, so moves decided together commit together or not at all.  An
+        exception leaving the outermost block rolls everything back.  The
+        write lock is taken first, so an epoch read inside cannot be
+        overtaken by another process's bump before the writes land.
+        """
+        with self._lock:
+            if self._db.in_transaction:
+                yield
+                return
+            self._db.execute("BEGIN IMMEDIATE")
+            try:
+                yield
+                self._db.commit()
+            except BaseException:
+                self._db.rollback()
+                raise
+
     def _bump(self, counter):
         self._meta_set(counter, int(self._meta(counter, "0")) + 1)
 
@@ -226,7 +252,7 @@ class JobDatabase:
         agents reporting it are told to re-register, and a deposed
         coordinator discovers the newer epoch here and abdicates.
         """
-        with self._lock, self._db:
+        with self.transaction():
             epoch = int(self._meta("service_epoch", "0")) + 1
             self._meta_set("service_epoch", epoch)
             if promotion:
@@ -238,7 +264,7 @@ class JobDatabase:
     def submit(self, entry, payload=None, name=None, owner="anonymous",
                demand_seconds=0.0):
         """submitted: new job at the queue tail; returns its key."""
-        with self._lock, self._db:
+        with self.transaction():
             job_id = int(self._meta("service_next_job_id", "1"))
             self._meta_set("service_next_job_id", job_id + 1)
             key = f"#{job_id}"
@@ -275,14 +301,12 @@ class JobDatabase:
         The coordinator's claim is checked inside the transaction: when
         a newer coordinator has bumped ``meta.service_epoch`` past
         ``epoch`` nothing is placed and :class:`StaleEpochError` is
-        raised, so a deposed coordinator cannot place in the gap
-        between two of its own fencing polls.
+        raised — rolling back the enclosing transaction, if any — so a
+        deposed coordinator cannot place in the gap between two of its
+        own fencing polls.
         """
         placed = {}
-        with self._lock, self._db:
-            # The write lock first: the epoch read below must not be
-            # overtaken by another process's bump before our writes.
-            self._db.execute("BEGIN IMMEDIATE")
+        with self.transaction():
             current = int(self._meta("service_epoch", "0"))
             if current > epoch:
                 raise StaleEpochError(
@@ -333,7 +357,7 @@ class JobDatabase:
 
     def running(self, key, agent, incarnation):
         """running: the agent confirmed execution began."""
-        with self._lock, self._db:
+        with self.transaction():
             row = self._guarded(key, agent, incarnation)
             if row is None or row[0] != PLACED:
                 return False
@@ -365,7 +389,7 @@ class JobDatabase:
         watermark is kept and ``service_progress_regressions`` counts
         the violation for the chaos suite to assert on.
         """
-        with self._lock, self._db:
+        with self.transaction():
             row = self._guarded(key, agent, incarnation)
             if row is None or row[0] not in INFLIGHT_STATES:
                 return False
@@ -376,7 +400,7 @@ class JobDatabase:
         """One transaction: the exit report's last checkpoint (if it
         carries ``progress``) and the terminal state, accepted only from
         the owning incarnation."""
-        with self._lock, self._db:
+        with self.transaction():
             row = self._guarded(key, agent, incarnation)
             if row is None or row[0] not in INFLIGHT_STATES:
                 self._bump("service_stale_results_rejected")
@@ -407,15 +431,21 @@ class JobDatabase:
         return self._finish(key, agent, incarnation, progress, FAILED,
                             "error", str(error), "failed")
 
-    def vacate(self, key, reason="vacated", requeue=True):
+    def vacate(self, key, reason="vacated", requeue=True, agent=None,
+               incarnation=None):
         """vacated: back to the queue **head** — the job keeps its age
         and is re-placed before younger submissions (resume, not
-        restart).  Returns False if the job is not in flight."""
-        with self._lock, self._db:
+        restart).  Returns False if the job is not in flight — or, when
+        ``agent`` / ``incarnation`` are given, not in flight there: a
+        decision read before a re-placement never requeues the next
+        placement."""
+        with self.transaction():
             row = self._db.execute(
-                "SELECT state FROM service_jobs WHERE key = ?",
-                (key,)).fetchone()
-            if row is None or row[0] not in INFLIGHT_STATES:
+                "SELECT state, agent, incarnation FROM service_jobs "
+                "WHERE key = ?", (key,)).fetchone()
+            if (row is None or row[0] not in INFLIGHT_STATES
+                    or agent not in (None, row[1])
+                    or incarnation not in (None, row[2])):
                 return False
             self._db.execute(
                 "UPDATE service_jobs SET state = ?, agent = NULL "
@@ -439,7 +469,7 @@ class JobDatabase:
         An in-flight job is marked stopped immediately — the daemon
         tells its agent to drop it, and any later exit report from that
         incarnation is rejected as stale."""
-        with self._lock, self._db:
+        with self.transaction():
             row = self._db.execute(
                 "SELECT state FROM service_jobs WHERE key = ?",
                 (key,)).fetchone()
@@ -546,7 +576,7 @@ class JobDatabase:
 
     def save_owner_indices(self, indices):
         """Persist the Up-Down schedule indices (one transaction)."""
-        with self._lock, self._db:
+        with self.transaction():
             self._write_owner_indices(indices)
 
     def load_owner_indices(self):
@@ -557,7 +587,7 @@ class JobDatabase:
     # -- agents --------------------------------------------------------
 
     def register_agent(self, name, epoch):
-        with self._lock, self._db:
+        with self.transaction():
             self._db.execute(
                 "INSERT INTO service_agents (name, epoch, registered_t) "
                 "VALUES (?, ?, ?) ON CONFLICT (name) DO UPDATE SET "
@@ -566,15 +596,15 @@ class JobDatabase:
                 (name, epoch, self._now()))
 
     def count_stale_result(self):
-        with self._lock, self._db:
+        with self.transaction():
             self._bump("service_stale_results_rejected")
 
     def count_stale_epoch(self):
-        with self._lock, self._db:
+        with self.transaction():
             self._bump("service_stale_epoch_rejections")
 
     def count_agent_expiry(self):
-        with self._lock, self._db:
+        with self.transaction():
             self._bump("service_agent_expiries")
 
     def __repr__(self):

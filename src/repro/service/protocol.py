@@ -70,7 +70,8 @@ def recv_frame(sock):
 
 
 def request(endpoint, obj, timeout=5.0):
-    """One-shot RPC: connect, send ``obj``, read one reply, close."""
+    """One-shot RPC: connect, send ``obj``, read one reply, close (the
+    standby's liveness ping; clients keep their connection)."""
     with socket.create_connection(endpoint, timeout=timeout) as sock:
         sock.settimeout(timeout)
         send_frame(sock, obj)

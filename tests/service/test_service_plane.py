@@ -644,6 +644,7 @@ class TestParkedHeartbeat:
             # The serve thread dies with its connection, nothing else.
             wait_for(lambda: not parked_agents(client),
                      what="the parked beat to be released")
+            client.close()
             wait_for(lambda: len(daemon._conns) == 0,
                      what="the serve thread to exit")
             thread.join(timeout=1.0)
