@@ -7,9 +7,9 @@ client submitted against a freshly promoted standby just works.
 
 Like an agent, a client keeps its connection: one socket, to the
 endpoint that last answered, reused by every verb until it fails.  A
-verb then costs one round trip instead of a connect, an accept and a
-serve thread's start.  A lock makes one client safe to share across
-threads; ``close()`` (or leaving a ``with`` block) hangs up.
+verb then costs one round trip instead of a connect and an accept.  A
+lock makes one client safe to share across threads; ``close()`` (or
+leaving a ``with`` block) hangs up.
 """
 
 import random

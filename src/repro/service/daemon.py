@@ -16,32 +16,38 @@ Epoch fencing (PR 4/7's placement-lease machinery on real sockets):
   heartbeat and exit report; a mismatch is rejected with
   ``stale_epoch`` and the agent re-registers;
 * a deposed coordinator notices the database epoch has moved past its
-  own — polled by the place thread, and checked again *inside* every
+  own — polled by every tick, and checked again *inside* every
   placement transaction, so it cannot place in the gap between two
   polls — and abdicates (stops placing, answers agents with
   ``stale_coordinator``) instead of fighting the new one.
 
-Placement is one function, :meth:`CoordinatorDaemon._place_cycle`, under
-one lock.  The place thread runs it on every wake, as the polling
-coordinator of the paper does.  A verb whose transition enables a
-placement runs it too, with that transition inside the cycle's
-transaction: a ``submit`` while an agent is idle, and a completed or
-failed ``job_exit`` (whose ack carries the resulting ``commands``
-exactly as a heartbeat reply does — a freed slot is refilled on the
-exit ack instead of a heartbeat later).  A cycle asks the database only
-for what it will act on (the wanting owners, the in-flight rows, and
-per owner in Up-Down order the few head rows that fit the idle agents),
-so its cost does not grow with the queue behind them, and commits
-everything it decided — with the verb's own move — in one transaction.
+One thread serves the coordinator, as the paper's coordinator is one
+process running one loop over its stations.  A ``selectors`` loop
+accepts, reads frames into per-connection buffers, hands each frame to
+:meth:`CoordinatorDaemon._dispatch` — which returns a reply, or a
+:class:`Hold` — writes replies, releases held ones, and runs
+:meth:`CoordinatorDaemon._tick` every ``poll_interval`` or at once when
+a registration or a ``vacated`` report wakes it.  Decisions are plain
+functions of (message, database, now): none blocks, takes a lock or
+starts a thread, so none can race another.
 
-Lock order: ``_place_lock`` → ``_lock`` → the database's lock.  Nothing
-takes ``_lock`` inside a database transaction: a cycle reads the idle
-agents before its transaction and queues its commands after the commit.
+Placement is one function, :meth:`CoordinatorDaemon._place_cycle`.  The
+tick runs it, as the polling coordinator of the paper does.  A verb
+whose transition enables a placement runs it too, with that transition
+inside the cycle's transaction: a ``submit`` while an agent is idle, and
+a completed or failed ``job_exit`` (whose ack carries the resulting
+``commands`` exactly as a heartbeat reply does — a freed slot is
+refilled on the exit ack instead of a heartbeat later).  A cycle asks
+the database only for what it will act on (the wanting owners, the
+in-flight rows, and per owner in Up-Down order the few head rows that
+fit the idle agents), so its cost does not grow with the queue behind
+them, and commits everything it decided — with the verb's own move — in
+one transaction.
 
 A reply is the only way to reach an agent, so an idle agent's heartbeat
-is *parked*: held (:meth:`CoordinatorDaemon._park`) until a command is
-queued for that agent or its hold — at most half the agent timeout —
-runs out, and a placement reaches its agent when it commits.
+is *held*: its reply is deferred until a command is queued for that
+agent or its hold — at most half the agent timeout — runs out, and a
+placement reaches its agent when it commits.
 
 Recovery sequence on start: bump epoch → read queue + in-flight rows →
 give each in-flight job a reconcile window.  Agents that re-register
@@ -54,6 +60,9 @@ image.
 """
 
 import functools
+import heapq
+import itertools
+import selectors
 import socket
 import threading
 import time
@@ -64,13 +73,16 @@ from repro.service import protocol
 from repro.service.errors import ProtocolError, ServiceError, StaleEpochError
 from repro.service.jobdb import JobDatabase
 
+#: Bytes asked of a readable socket at once.
+_READ_CHUNK = 65536
+
 
 def _field(msg, name, kind, default=None):
     """``msg[name]`` as ``kind``, or ``default`` when absent.
 
     A value of the wrong type raises a :class:`ServiceError` naming the
-    field, which the serve loop turns into an error reply — the
-    connection and its thread survive a malformed request.
+    field, which the loop turns into an error reply — the connection
+    survives a malformed request.
     """
     value = msg.get(name)
     if value is None:
@@ -101,22 +113,65 @@ def _running_reports(msg):
     return reports
 
 
+def _print_exc():
+    import traceback
+
+    traceback.print_exc()
+
+
 class _AgentState:
     """In-memory cache of one registered agent (rebuildable)."""
 
-    def __init__(self, name, now, lock):
+    def __init__(self, name, now):
         self.name = name
         self.last_beat = now
         self.job = None             # key the daemon believes it hosts
         self.incarnation = None     # ...and which placement of it
         self.commands = []          # queued for the agent's next reply
-        self.parked = False         # a heartbeat is held, awaiting commands
-        self.wake = threading.Condition(lock)   # notified where they queue
-        self.lost = {}              # key -> incarnation it disowned
+        self.hold = None            # its held heartbeat, if any
+
+
+class Hold:
+    """A deferred reply: an idle agent's heartbeat, answered when a
+    command is queued for the agent, at ``deadline`` (``time.monotonic``
+    seconds, whatever ``clock=`` says), when the agent re-registers or
+    expires, or at ``stop()``.  The release counts as a beat."""
+
+    __slots__ = ("state", "deadline", "conn")
+
+    def __init__(self, state, deadline):
+        self.state = state
+        self.deadline = deadline
+        self.conn = None
+
+
+class _Conn:
+    """One open connection: its socket, the bytes read but not yet
+    served, the reply bytes the kernel has not yet taken, and the beat
+    held on it."""
+
+    __slots__ = ("sock", "frames", "out", "hold", "events")
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.frames = protocol.FrameDecoder()
+        self.out = bytearray()
+        self.hold = None
+        self.events = selectors.EVENT_READ
+
+    def sendall(self, data):
+        """What :func:`protocol.send_frame` writes through: as much as
+        the kernel takes now; the rest waits for ``EVENT_WRITE``."""
+        if not self.out:
+            try:
+                data = data[self.sock.send(data):]
+            except BlockingIOError:
+                pass
+        self.out += data
 
 
 class CoordinatorDaemon:
-    """The central coordinator: TCP server + placement loop."""
+    """The central coordinator: one loop serving TCP and placing jobs."""
 
     def __init__(self, db_path, host="127.0.0.1", port=0,
                  poll_interval=0.05, agent_timeout=1.0,
@@ -145,14 +200,17 @@ class CoordinatorDaemon:
         self._reconcile = {}        # key -> adoption deadline
         self._owners = []           # registration order for the policy
         self._last_update = None
-        self._lock = threading.RLock()
-        #: Serialises placement cycles and agent expiry across the place
-        #: thread and the serving threads.
-        self._place_lock = threading.Lock()
         self._halt = threading.Event()
-        self._wake = threading.Event()
+        self._woken = False         # tick at once, not at the next poll
+        self._next_tick = 0.0
+        self._ready = []            # holds with a reason to be released
+        self._deadlines = []        # heap of (deadline, seq, hold)
+        self._seq = itertools.count()
+        self._writing = {}          # conn -> when its write last progressed
+        self._selector = None
         self._listener = None
-        self._threads = []
+        self._waker = None          # (loop's end, stop()'s end)
+        self._thread = None
         self._conns = set()
 
     # ------------------------------------------------------------------
@@ -162,25 +220,31 @@ class CoordinatorDaemon:
         """Recover from the job database and begin serving."""
         if self.db is not None:
             return
-        self.db = JobDatabase(self.db_path)
-        self.epoch = self.db.bump_epoch(promotion=self.promotion)
         self._recover()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((self.host, self.port))
         self._listener.listen(64)
-        self._listener.settimeout(0.2)
+        self._listener.setblocking(False)
         self.endpoint = (self.host, self._listener.getsockname()[1])
-        for target, name in ((self._accept_loop, "svc-accept"),
-                             (self._place_loop, "svc-place")):
-            thread = threading.Thread(target=target, name=name,
-                                      daemon=True)
-            thread.start()
-            self._threads.append(thread)
+        self._waker = socket.socketpair()
+        for sock in self._waker:
+            sock.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ,
+                                self._accept)
+        self._selector.register(self._waker[0], selectors.EVENT_READ,
+                                self._drain_waker)
+        self._thread = threading.Thread(target=self._run, name="svc-loop",
+                                        daemon=True)
+        self._thread.start()
         return self.endpoint
 
     def _recover(self):
-        """Rebuild the volatile picture from the durable one."""
+        """Claim the database and rebuild the volatile picture from the
+        durable one (``start()`` without the serving)."""
+        self.db = JobDatabase(self.db_path)
+        self.epoch = self.db.bump_epoch(promotion=self.promotion)
         saved = self.db.load_owner_indices()
         for owner in sorted(saved):
             self.policy.restore_index(owner, saved[owner])
@@ -191,21 +255,13 @@ class CoordinatorDaemon:
 
     def stop(self):
         self._halt.set()
-        self._wake.set()
-        if self._listener is not None:
-            self._listener.close()
-        with self._lock:
-            conns = list(self._conns)
-            for state in self._agents.values():
-                state.wake.notify_all()
-        for conn in conns:
+        thread, self._thread = self._thread, None
+        if thread is not None:
             try:
-                conn.close()
+                self._waker[1].send(b"\0")
             except OSError:
                 pass
-        for thread in self._threads:
             thread.join(timeout=5.0)
-        self._threads = []
         if self.db is not None:
             self.db.close()
             self.db = None
@@ -228,57 +284,218 @@ class CoordinatorDaemon:
             self.stop()
 
     # ------------------------------------------------------------------
-    # server plumbing
+    # the loop
 
-    def _accept_loop(self):
-        while not self._halt.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            conn.settimeout(self.rpc_timeout)
-            with self._lock:
-                self._conns.add(conn)
-            thread = threading.Thread(target=self._serve_conn,
-                                      args=(conn,), daemon=True)
-            thread.start()
-
-    def _serve_conn(self, conn):
+    def _run(self):
         try:
             while not self._halt.is_set():
-                try:
-                    msg = protocol.recv_frame(conn)
-                except socket.timeout:
-                    continue
-                if msg is None:
-                    return
-                try:
-                    reply = self._dispatch(msg)
-                except ServiceError as exc:
-                    reply = {"ok": False, "error": str(exc)}
-                try:
-                    protocol.send_frame(conn, reply)
-                except OSError:
-                    if reply.get("commands"):
-                        self._untake_commands(msg["agent"],
-                                              reply["commands"])
-                    raise
-        except (OSError, ProtocolError):
-            pass
+                now = time.monotonic()
+                for key, events in self._selector.select(
+                        self._timeout(now)):
+                    if isinstance(key.data, _Conn):
+                        self._on_event(key.data, events)
+                    else:
+                        key.data()
+                now = time.monotonic()
+                if self._woken or now >= self._next_tick:
+                    self._woken = False
+                    self._next_tick = now + self.poll_interval
+                    self._tick()
+                self._release_due(now)
+                for conn, since in list(self._writing.items()):
+                    # A peer that stopped reading: hung up on, as a
+                    # blocking write would have timed out.
+                    if now - since > self.rpc_timeout:
+                        self._close(conn)
         finally:
-            with self._lock:
-                self._conns.discard(conn)
+            # Refuse new connections first: one accepted now would only
+            # be hung up on.
+            self._selector.unregister(self._listener)
+            self._listener.close()
+            for conn in list(self._conns):
+                if conn.hold is not None:
+                    self._release(conn.hold)
+            for conn in list(self._conns):
+                self._close(conn)
+            self._selector.close()
+            for sock in self._waker:
+                sock.close()
+
+    def _timeout(self, now):
+        """Seconds ``select`` may sleep: until the next tick, hold
+        deadline or write timeout, whichever is first."""
+        if self._woken:
+            return 0.0
+        due = self._next_tick
+        if self._deadlines:
+            due = min(due, self._deadlines[0][0])
+        if self._writing:
+            due = min(due, min(self._writing.values()) + self.rpc_timeout)
+        return max(0.0, due - now)
+
+    def _drain_waker(self):
+        try:
+            self._waker[0].recv(_READ_CHUNK)
+        except OSError:
+            pass
+
+    def _accept(self):
+        while True:
             try:
-                conn.close()
+                sock, _addr = self._listener.accept()
+            except OSError:     # BlockingIOError: none left to accept
+                return
+            sock.setblocking(False)
+            conn = _Conn(sock)
+            self._conns.add(conn)
+            self._selector.register(sock, conn.events, conn)
+
+    def _on_event(self, conn, events):
+        if events & selectors.EVENT_WRITE:
+            self._flush(conn)
+        elif events & selectors.EVENT_READ:
+            try:
+                data = conn.sock.recv(_READ_CHUNK)
+            except BlockingIOError:
+                return
             except OSError:
-                pass
+                data = b""
+            # Nothing is served while a beat is held: a peer that sends
+            # more than a frame meanwhile is not an agent.
+            if not data or (conn.hold is not None
+                            and len(conn.frames) > protocol.MAX_FRAME):
+                self._close(conn)
+                return
+            conn.frames.feed(data)
+            self._serve(conn)
+
+    def _serve(self, conn):
+        """Answer the frames ``conn`` has buffered, in order, until one
+        is held or a reply waits for the kernel (no more is read from a
+        peer that is not reading its replies)."""
+        while conn.hold is None and not conn.out and conn in self._conns:
+            try:
+                msg = conn.frames.next_frame()
+            except ProtocolError:
+                self._close(conn)      # the stream cannot be resynchronized
+                return
+            if msg is None:
+                break
+            try:
+                reply = self._dispatch(msg)
+            except ServiceError as exc:
+                reply = {"ok": False, "error": str(exc)}
+            except Exception:
+                _print_exc()
+                self._close(conn)
+                return
+            if isinstance(reply, Hold):
+                self._hold(conn, reply)
+            else:
+                self._reply(conn, reply, msg.get("agent"))
+        self._interest(conn)
+
+    def _reply(self, conn, reply, agent):
+        """Write one reply through :func:`protocol.send_frame`.  One over
+        the frame cap becomes an error reply; one that cannot be written
+        closes the connection.  Either way a reply that never left took
+        nothing: its commands go back to the agent's queue."""
+        try:
+            protocol.send_frame(conn, reply)
+        except ProtocolError as exc:
+            self._untake_commands(agent, reply.get("commands"))
+            self._reply(conn, {"ok": False, "error": (
+                f"reply too large ({exc}); ask for less, e.g. q --limit")},
+                agent)
+        except OSError:
+            self._untake_commands(agent, reply.get("commands"))
+            self._close(conn)
+        else:
+            if conn.out:
+                self._writing[conn] = time.monotonic()
+
+    def _flush(self, conn):
+        try:
+            sent = conn.sock.send(conn.out)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._close(conn)
+            return
+        del conn.out[:sent]
+        if conn.out:
+            self._writing[conn] = time.monotonic()
+        else:
+            del self._writing[conn]
+            self._serve(conn)
+
+    def _interest(self, conn):
+        """Read from ``conn`` unless a reply to it is waiting to be
+        written; then wait for it to drain instead."""
+        events = selectors.EVENT_WRITE if conn.out else selectors.EVENT_READ
+        if events != conn.events and conn in self._conns:
+            conn.events = events
+            self._selector.modify(conn.sock, events, conn)
+
+    def _close(self, conn):
+        if conn not in self._conns:
+            return
+        self._conns.discard(conn)
+        self._writing.pop(conn, None)
+        if conn.hold is not None:
+            if conn.hold.state.hold is conn.hold:
+                conn.hold.state.hold = None
+            conn.hold = None
+        self._selector.unregister(conn.sock)
+        try:
+            conn.sock.close()
+        except OSError:
+            pass
+
+    # -- held heartbeats -----------------------------------------------
+
+    def _hold(self, conn, hold):
+        hold.conn = conn
+        conn.hold = hold.state.hold = hold
+        heapq.heappush(self._deadlines,
+                       (hold.deadline, next(self._seq), hold))
+
+    def _wake_hold(self, state):
+        """Release ``state``'s held beat, if any, once this event is
+        handled (a command was queued for it, or it left the registry)."""
+        if state.hold is not None:
+            self._ready.append(state.hold)
+
+    def _release_due(self, now):
+        while self._ready:
+            self._release(self._ready.pop())
+        while self._deadlines and self._deadlines[0][0] <= now:
+            self._release(heapq.heappop(self._deadlines)[2])
+
+    def _release(self, hold):
+        """Answer a held beat (once; a released or dropped hold is
+        skipped), then serve what its connection sent meanwhile."""
+        conn, state = hold.conn, hold.state
+        if conn.hold is not hold:
+            return
+        conn.hold = None
+        if state.hold is hold:
+            state.hold = None
+        if self._agents.get(state.name) is state:
+            state.last_beat = self.clock()
+            reply = {"ok": True, "epoch": self.epoch,
+                     "commands": self._take_commands(state)}
+        else:
+            # Expired or re-registered while the beat was held.
+            reply = self._stale_epoch()
+        self._reply(conn, reply, state.name)
+        self._serve(conn)
 
     # ------------------------------------------------------------------
     # dispatch
 
     def _dispatch(self, msg):
+        """One request's reply, or a :class:`Hold` to answer it later."""
         op = msg.get("op")
         if op == "ping":
             return {"ok": True, "epoch": self.epoch,
@@ -321,23 +538,22 @@ class CoordinatorDaemon:
             name=_field(msg, "name", str),
             owner=_field(msg, "owner", str) or "anonymous",
             demand_seconds=_field(msg, "demand_seconds", float, 0.0))
-        now = self.clock()
-        with self._lock:
-            idle = self._idle_agents(now)
         # With nobody idle there is nothing to place: an exit's or a
         # registration's cycle picks the job up, and the poll backs them.
-        key = self._place_cycle(submit) if idle else submit()
+        if self._idle_agents(self.clock()):
+            key = self._place_cycle(submit)
+        else:
+            key = submit()
         return {"ok": True, "key": key}
 
     def _op_q(self, msg):
         now = self.clock()
-        with self._lock:
-            agents = [
-                {"agent": state.name, "job": state.job,
-                 "beat_age": round(now - state.last_beat, 3),
-                 "parked": state.parked}
-                for _name, state in sorted(self._agents.items())
-            ]
+        agents = [
+            {"agent": state.name, "job": state.job,
+             "beat_age": round(now - state.last_beat, 3),
+             "parked": state.hold is not None}
+            for _name, state in sorted(self._agents.items())
+        ]
         jobs = [
             {"key": key, "state": record_state, "agent": agent,
              "progress": progress, "owner": owner}
@@ -354,14 +570,11 @@ class CoordinatorDaemon:
             return {"ok": False, "error": f"unknown job {key!r}"}
         hosting = record["agent"]
         stopped = self.db.stop(key)
-        if stopped and hosting:
-            with self._lock:
-                state = self._agents.get(hosting)
-                if state is not None:
-                    state.commands.append({"cmd": "vacate", "key": key})
-                    state.wake.notify()
-                    if state.job == key:
-                        state.job = None
+        state = self._agents.get(hosting) if stopped and hosting else None
+        if state is not None:
+            # The slot stays held until the agent's exit report frees
+            # it: the job runs until it reaches a checkpoint.
+            self._command(state, {"cmd": "vacate", "key": key})
         self._reconcile.pop(key, None)
         return {"ok": stopped, "key": key,
                 **({} if stopped else {"error": "already finished"})}
@@ -412,39 +625,31 @@ class CoordinatorDaemon:
                 if self.db.vacate(key, reason="registration_mismatch",
                                   agent=agent):
                     self._reconcile.pop(key, None)
-        with self._lock:
-            # The row is truth: a job the database places here that
-            # the agent neither runs nor is about to report went out in
-            # a reply that never arrived (a lost reply is a lost
-            # connection, and that ends here).  Read under the lock: a
-            # cycle committing meanwhile is seen here and finds its key
-            # in ``lost``, or delivers to the new session.
-            state = _AgentState(agent, now, self._lock)
-            lost = state.lost = {
-                key: incarnation
-                for key, hosting, incarnation, *_rest in self.db.inflight()
-                if hosting == agent and key not in known}
-            old = self._agents.get(agent)
-            self._agents[agent] = state
-            # A dropped-but-still-running zombie keeps the slot marked
-            # busy; its vacated exit report (or a heartbeat expiry)
-            # frees it.  Placing into the slot earlier would race the
-            # zombie and bounce.
-            state.job, state.incarnation = adopted or zombie or (None, None)
-            if old is not None:
-                old.wake.notify_all()   # a beat parked by the old session
-        for key, incarnation in lost.items():
-            self.db.vacate(key, reason="start_lost", agent=agent,
-                           incarnation=incarnation)
-            self._reconcile.pop(key, None)
-        self._wake.set()
+        # The row is truth: a job the database places here that the
+        # agent neither runs nor is about to report went out in a reply
+        # that never arrived (a lost reply is a lost connection, and
+        # that ends here).
+        for key, hosting, incarnation, *_rest in self.db.inflight():
+            if hosting == agent and key not in known:
+                self.db.vacate(key, reason="start_lost", agent=agent,
+                               incarnation=incarnation)
+                self._reconcile.pop(key, None)
+        state = _AgentState(agent, now)
+        # A dropped-but-still-running zombie keeps the slot marked busy;
+        # its vacated exit report (or a heartbeat expiry) frees it.
+        # Placing into the slot earlier would race the zombie and bounce.
+        state.job, state.incarnation = adopted or zombie or (None, None)
+        old = self._agents.get(agent)
+        self._agents[agent] = state
+        if old is not None:
+            self._wake_hold(old)    # a beat held for the old session
+        self._woken = True
         return {"ok": True, "epoch": self.epoch, "drop": drop}
 
     def _op_heartbeat(self, agent, msg):
         park = _field(msg, "park", float, 0.0)
         now = self.clock()
-        with self._lock:
-            state = self._agents.get(agent)
+        state = self._agents.get(agent)
         if state is None:
             # Expired (or unknown) between beats: force a re-register so
             # adoption logic runs before any new placement.
@@ -466,48 +671,37 @@ class CoordinatorDaemon:
             if progress > record["progress"]:
                 self.db.checkpoint(key, agent, record["incarnation"],
                                    progress)
-        with self._lock:
-            state.last_beat = now
-            if not commands:
-                self._park(state, min(park, self.agent_timeout / 2.0))
-            if self._agents.get(agent) is state:
-                return {"ok": True, "epoch": self.epoch,
-                        "commands": self._take_commands(state) + commands}
-        # Expired or re-registered while the beat was held.
-        return self._stale_epoch()
+        state.last_beat = now
+        # Held until there is something to say, for at most half the
+        # timeout of real time; a park of zero, below or NaN is no wait.
+        hold = min(park, self.agent_timeout / 2.0)
+        if not commands and not state.commands and hold > 0.0:
+            return Hold(state, time.monotonic() + hold)
+        return {"ok": True, "epoch": self.epoch,
+                "commands": self._take_commands(state) + commands}
 
-    def _park(self, state, hold):
-        """Hold an idle agent's beat (``_lock`` held) until a command is
-        queued for it or ``hold`` real seconds pass, whatever ``clock=``
-        says: the reply is the only channel to an agent.  The release
-        counts as a beat, so a parked agent never expires and a dead
-        one does a timeout after its last release."""
-        if hold > 0.0:      # not zero, negative or NaN
-            state.parked = True
-            state.wake.wait_for(
-                lambda: state.commands or self._halt.is_set()
-                or self._agents.get(state.name) is not state, hold)
-            state.parked = False
-            state.last_beat = self.clock()
+    def _command(self, state, command):
+        """Queue ``command`` for the agent's next reply; a held beat of
+        its carries it at once."""
+        state.commands.append(command)
+        self._wake_hold(state)
 
     def _take_commands(self, state):
         """Drain what is queued for an agent into the reply being built
         (heartbeat reply or exit ack: same list, same handling)."""
-        with self._lock:
-            commands, state.commands = state.commands, []
+        commands, state.commands = state.commands, []
         return commands
 
     def _untake_commands(self, agent, commands):
         """A reply that was never written took nothing: its commands go
         back to the queue's front (a ``start`` only while the slot holds
         it), for expiry or the next registration to dispose of."""
-        with self._lock:
-            state = self._agents.get(agent)
-            if state is not None:
-                state.commands[:0] = [
-                    command for command in commands
-                    if command["cmd"] != "start"
-                    or command["job"]["key"] == state.job]
+        state = self._agents.get(agent) if commands else None
+        if state is not None:
+            state.commands[:0] = [
+                command for command in commands
+                if command["cmd"] != "start"
+                or command["job"]["key"] == state.job]
 
     def _op_job_exit(self, agent, msg):
         key = _field(msg, "key", str)
@@ -532,13 +726,14 @@ class CoordinatorDaemon:
                     self.db.checkpoint(key, agent, incarnation, progress)
                 accepted = self.db.vacate(key, agent=agent,
                                           incarnation=incarnation)
-                if not accepted:
+                if not accepted and not self._stopped_here(
+                        key, agent, incarnation):
                     self.db.count_stale_result()
             state = self._exit_heard(agent, key, incarnation)
             # Possibly a bounce off a still-busy agent: refilling the
-            # slot on this ack would spin; the place thread re-places
-            # and the next heartbeat delivers, paced by the beat.
-            self._wake.set()
+            # slot on this ack would spin; the tick re-places and the
+            # next heartbeat delivers, paced by the beat.
+            self._woken = True
         else:
             # The agent is done with the job whether or not its report is
             # accepted, so the slot is free for the cycle that commits it.
@@ -549,6 +744,16 @@ class CoordinatorDaemon:
                 "commands": [] if state is None
                 else self._take_commands(state)}
 
+    def _stopped_here(self, key, agent, incarnation):
+        """Whether ``rm`` stopped ``key`` while ``(agent, incarnation)``
+        held it: that placement's ``vacated`` report is the agent's
+        acknowledgement of the ``vacate``, not a stale result."""
+        record = self.db.job(key)
+        return (record is not None
+                and record["state"] == db_states.STOPPED
+                and (record["agent"], record["incarnation"])
+                == (agent, incarnation))
+
     def _exit_heard(self, agent, key, incarnation):
         """Note an exit report of ``(key, incarnation)``; returns the
         reporter's state, or None when it is not registered.
@@ -558,32 +763,31 @@ class CoordinatorDaemon:
         the placement the slot holds — not a newer one of the same key,
         made since the agent re-registered with this exit outstanding.
         """
-        with self._lock:
-            state = self._agents.get(agent)
-            if state is not None:
-                state.last_beat = self.clock()
-                if (state.job, state.incarnation) == (key, incarnation):
-                    state.job = None
+        state = self._agents.get(agent)
+        if state is not None:
+            state.last_beat = self.clock()
+            if (state.job, state.incarnation) == (key, incarnation):
+                state.job = None
         return state
 
     # ------------------------------------------------------------------
-    # the placement loop
+    # the tick
 
-    def _place_loop(self):
-        while not self._halt.is_set():
-            self._wake.wait(self.poll_interval)
-            self._wake.clear()
-            if self._halt.is_set():
+    def _tick(self):
+        """What the paper's coordinator does every poll: notice a newer
+        coordinator, expire silent agents and unclaimed placements, and
+        run a placement cycle."""
+        try:
+            self._check_fencing()
+            if self.deposed:
                 return
-            try:
-                self._check_fencing()
-                if self.deposed:
-                    continue
-                self._expire_agents()
-                self._expire_reconcile()
-                self._place_cycle()
-            except ServiceError:
-                continue
+            self._expire_agents()
+            self._expire_reconcile()
+            self._place_cycle()
+        except ServiceError:
+            pass
+        except Exception:
+            _print_exc()
 
     def _check_fencing(self):
         """Abdicate when the database says a newer coordinator exists."""
@@ -592,13 +796,11 @@ class CoordinatorDaemon:
 
     def _expire_agents(self):
         now = self.clock()
-        # Not while a cycle is choosing among the agents: a placement
-        # onto an agent expired in between would be owned by nobody.
-        with self._place_lock, self._lock:
-            expired = [name for name, state in sorted(self._agents.items())
-                       if now - state.last_beat > self.agent_timeout]
-            states = [self._agents.pop(name) for name in expired]
-        for state in states:
+        expired = [name for name, state in sorted(self._agents.items())
+                   if now - state.last_beat > self.agent_timeout]
+        for name in expired:
+            state = self._agents.pop(name)
+            self._wake_hold(state)
             self.db.count_agent_expiry()
             if state.job is not None:
                 # Only if the dead agent still holds the job — it may
@@ -622,9 +824,8 @@ class CoordinatorDaemon:
             self._owners.append(owner)
 
     def _idle_agents(self, now):
-        """The agents a placement cycle may fill, in name order (``_lock``
-        held): no job, nothing queued for them, heard from within the
-        timeout."""
+        """The agents a placement cycle may fill, in name order: no job,
+        nothing queued for them, heard from within the timeout."""
         return [name for name, state in sorted(self._agents.items())
                 if state.job is None and not state.commands
                 and now - state.last_beat <= self.agent_timeout]
@@ -640,32 +841,25 @@ class CoordinatorDaemon:
         a newer coordinator has taken over, everything rolls back, the
         daemon abdicates, and the transition commits alone.
         """
-        with self._place_lock:
-            if self.deposed:
-                return transition() if transition else None
-            now = self.clock()
-            with self._lock:
-                idle = self._idle_agents(now)
-            try:
-                if transition is None:
-                    result, starts = None, self._choose(now, idle)
-                else:
-                    with self.db.transaction():
-                        result = transition()
-                        starts = self._choose(now, idle)
-            except StaleEpochError:
-                self.deposed = True
-                return transition() if transition else None
-            with self._lock:
-                for agent, job in starts:
-                    # Still registered: expiry waits for the place lock.
-                    live = self._agents[agent]
-                    if live.lost.get(job["key"]) == job["incarnation"]:
-                        continue    # re-registered since: being vacated
-                    live.commands.append({"cmd": "start", "job": job})
-                    live.job, live.incarnation = job["key"], job["incarnation"]
-                    live.wake.notify()
-            return result
+        if self.deposed:
+            return transition() if transition else None
+        now = self.clock()
+        idle = self._idle_agents(now)
+        try:
+            if transition is None:
+                result, starts = None, self._choose(now, idle)
+            else:
+                with self.db.transaction():
+                    result = transition()
+                    starts = self._choose(now, idle)
+        except StaleEpochError:
+            self.deposed = True
+            return transition() if transition else None
+        for agent, job in starts:
+            state = self._agents[agent]
+            self._command(state, {"cmd": "start", "job": job})
+            state.job, state.incarnation = job["key"], job["incarnation"]
+        return result
 
     def _choose(self, now, idle):
         """The cycle's database half: read the wanting owners and the

@@ -468,7 +468,8 @@ class JobDatabase:
 
         An in-flight job is marked stopped immediately — the daemon
         tells its agent to drop it, and any later exit report from that
-        incarnation is rejected as stale."""
+        incarnation is rejected (a ``vacated`` one is the agent's
+        acknowledgement, not counted as stale)."""
         with self.transaction():
             row = self._db.execute(
                 "SELECT state FROM service_jobs WHERE key = ?",

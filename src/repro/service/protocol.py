@@ -10,6 +10,12 @@ checkpoint store — so the frame cap is deliberately tight.
 A clean EOF between frames returns ``None`` (the peer hung up); an EOF
 mid-frame raises :class:`ProtocolError` (the peer died mid-sentence, and
 the stream cannot be resynchronized).
+
+Two readers share one check of a frame's header and body (cap, UTF-8,
+JSON object), so they reject exactly the same frames:
+:func:`recv_frame` blocks on a socket, and :class:`FrameDecoder` takes
+whatever bytes a non-blocking socket had and yields the frames they
+complete.
 """
 
 import json
@@ -34,6 +40,27 @@ def send_frame(sock, obj):
     sock.sendall(_HEADER.pack(len(body)) + body)
 
 
+def _announced(head):
+    """The body length a 4-byte header announces, within the cap."""
+    (length,) = _HEADER.unpack(head)
+    if length > MAX_FRAME:
+        raise ProtocolError(
+            f"announced frame of {length} bytes exceeds cap {MAX_FRAME}")
+    return length
+
+
+def _decode(body):
+    """A frame body as the JSON object it must be."""
+    try:
+        obj = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProtocolError(f"undecodable frame: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ProtocolError(
+            f"frame must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def _recv_exact(sock, n, eof_ok):
     chunks = []
     remaining = n
@@ -54,19 +81,40 @@ def recv_frame(sock):
     head = _recv_exact(sock, _HEADER.size, eof_ok=True)
     if head is None:
         return None
-    (length,) = _HEADER.unpack(head)
-    if length > MAX_FRAME:
-        raise ProtocolError(
-            f"announced frame of {length} bytes exceeds cap {MAX_FRAME}")
-    body = _recv_exact(sock, length, eof_ok=False)
-    try:
-        obj = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"undecodable frame: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ProtocolError(
-            f"frame must be a JSON object, got {type(obj).__name__}")
-    return obj
+    return _decode(_recv_exact(sock, _announced(head), eof_ok=False))
+
+
+class FrameDecoder:
+    """Frames out of a byte stream that arrives in arbitrary pieces.
+
+    ``feed()`` what a read returned, then call ``next_frame()`` until it
+    returns ``None`` (no complete frame buffered).  A bad frame raises
+    the :class:`ProtocolError` :func:`recv_frame` would, and an
+    over-cap announcement does so as soon as its header is in.
+    ``len()`` is the number of bytes buffered.
+    """
+
+    __slots__ = ("_buf",)
+
+    def __init__(self):
+        self._buf = bytearray()
+
+    def __len__(self):
+        return len(self._buf)
+
+    def feed(self, data):
+        self._buf += data
+
+    def next_frame(self):
+        buf = self._buf
+        if len(buf) < _HEADER.size:
+            return None
+        end = _HEADER.size + _announced(buf[:_HEADER.size])
+        if len(buf) < end:
+            return None
+        body = bytes(buf[_HEADER.size:end])
+        del buf[:end]
+        return _decode(body)
 
 
 def request(endpoint, obj, timeout=5.0):

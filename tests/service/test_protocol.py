@@ -151,3 +151,75 @@ class TestEndpoints:
     def test_bad_endpoints_rejected(self, bad):
         with pytest.raises(ProtocolError):
             protocol.parse_endpoints(bad)
+
+
+def _frame(body):
+    return struct.pack(">I", len(body)) + body
+
+
+#: Byte streams both readers must refuse, each ending in its bad frame.
+MALFORMED = {
+    "oversized": struct.pack(">I", protocol.MAX_FRAME + 1),
+    "array": _frame(b"[1,2,3]"),
+    "string": _frame(b'"ping"'),
+    "not utf-8": _frame(b"\xff\xfe{"),
+    "not json": _frame(b"{op: ping}"),
+    "after a good frame": _frame(b'{"op":"ping"}') + _frame(b"null"),
+}
+
+
+class TestFrameDecoder:
+    """The buffered reader the coordinator's loop uses against the
+    blocking one everybody else uses: same frames, same refusals."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_both_readers_refuse_a_bad_frame_alike(self, name):
+        data = MALFORMED[name]
+        a, b = _pair()
+        try:
+            a.sendall(data)
+            with pytest.raises(ProtocolError) as blocking:
+                while True:
+                    protocol.recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+        decoder = protocol.FrameDecoder()
+        with pytest.raises(ProtocolError) as buffered:
+            for i in range(len(data)):      # a byte at a time
+                decoder.feed(data[i:i + 1])
+                while decoder.next_frame() is not None:
+                    pass
+        assert str(buffered.value) == str(blocking.value)
+
+    def test_frames_split_anywhere_decode_in_order(self):
+        frames = [{"op": "submit", "i": i, "pad": "x" * (i * 37)}
+                  for i in range(40)]
+        a, b = _pair()
+        try:
+            for frame in frames:
+                protocol.send_frame(a, frame)
+            a.shutdown(socket.SHUT_WR)
+            stream = b""
+            while chunk := b.recv(65536):
+                stream += chunk
+        finally:
+            a.close()
+            b.close()
+        decoder = protocol.FrameDecoder()
+        out = []
+        for start in range(0, len(stream), 7):
+            decoder.feed(stream[start:start + 7])
+            while (frame := decoder.next_frame()) is not None:
+                out.append(frame)
+        assert out == frames
+        assert len(decoder) == 0
+
+    def test_a_partial_frame_waits(self):
+        decoder = protocol.FrameDecoder()
+        data = _frame(b'{"op":"ping"}')
+        decoder.feed(data[:-1])
+        assert decoder.next_frame() is None
+        assert len(decoder) == len(data) - 1
+        decoder.feed(data[-1:])
+        assert decoder.next_frame() == {"op": "ping"}

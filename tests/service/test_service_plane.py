@@ -278,9 +278,8 @@ class TestPlacementPath:
                 # the light owner's falls while it waits.
                 now[0] += 60.0
                 def charged():
-                    with daemon._place_lock:
-                        return (daemon.policy.index("ann") > 0
-                                > daemon.policy.index("bob"))
+                    return (daemon.policy.index("ann") > 0
+                            > daemon.policy.index("bob"))
                 wait_for(charged, what="a poll to charge the holder")
                 (second,) = starts_in(fake.job_exit(first))
                 assert (first["key"], second["key"]) == (heavy[0], light)
@@ -297,7 +296,11 @@ class TestPlacementPath:
                 fake.close()
 
     def test_key_removed_between_read_and_commit(self, db_path):
-        with CoordinatorDaemon(db_path, poll_interval=0.01) as daemon:
+        # Driven through the loop's two entry points, without the loop:
+        # nothing runs but what the test calls.
+        daemon = CoordinatorDaemon(db_path, poll_interval=0.01)
+        daemon._recover()
+        try:
             keys = [daemon.db.submit(INSTANT, owner="ann")
                     for _ in range(3)]
             read_heads = daemon.db.queue_heads
@@ -311,26 +314,23 @@ class TestPlacementPath:
                 return rows
 
             daemon.db.queue_heads = heads_then_rm
-            fakes = [FakeAgent(name, daemon.endpoint)
-                     for name in ("fake-a", "fake-b")]
-            try:
-                # Both idle before the next cycle runs.
-                with daemon._place_lock:
-                    for fake in fakes:
-                        fake.register()
-                wait_for(lambda: daemon.db.counts().get("placed") == 2,
-                         what="the rest of the batch, then the third job")
-                assert removed == [keys[0]]
-                states = {key: daemon.db.job(key) for key in keys}
-                assert states[keys[0]]["state"] == "stopped"
-                assert states[keys[0]]["agent"] is None
-                assert {states[k]["agent"] for k in keys[1:]} == {
-                    "fake-a", "fake-b"}
-                assert daemon.db.queue() == []
-                assert daemon.db.counts()["pending"] == 0
-            finally:
-                for fake in fakes:
-                    fake.close()
+            # Both idle before the next cycle runs.
+            for name in ("fake-a", "fake-b"):
+                assert daemon._dispatch({"op": "register", "agent": name,
+                                         "running": []})["ok"]
+            daemon._tick()      # the rest of the batch...
+            daemon._tick()      # ...then the third job
+            assert daemon.db.counts().get("placed") == 2
+            assert removed == [keys[0]]
+            states = {key: daemon.db.job(key) for key in keys}
+            assert states[keys[0]]["state"] == "stopped"
+            assert states[keys[0]]["agent"] is None
+            assert {states[k]["agent"] for k in keys[1:]} == {
+                "fake-a", "fake-b"}
+            assert daemon.db.queue() == []
+            assert daemon.db.counts()["pending"] == 0
+        finally:
+            daemon.stop()
 
     def test_newer_epoch_mid_drain_places_nothing(self, db_path):
         # No poll will notice the takeover in time: only the check
