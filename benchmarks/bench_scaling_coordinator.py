@@ -99,7 +99,7 @@ def test_delta_protocol_wallclock_scaling(benchmark, show, quick):
         results[1000]["poll_wall"] = timed(1000, "poll")["wall"]
         if not quick:
             for size, pools in FEDERATED_SIZES:
-                results[size] = timed(size, "federated", days=1,
+                results[size] = timed(size, "delta", days=1,
                                       pools=pools)
         return results
 

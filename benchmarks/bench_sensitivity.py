@@ -8,7 +8,8 @@ Two knobs the paper fixed by engineering judgment:
 The sweep replays the identical workload and shows each knob's effect.
 """
 
-from repro.analysis.sensitivity import metric_series, monotone, sweep_config
+from repro.analysis.sensitivity import metric_series, monotone
+from repro.analysis.sweep import sweep_values
 from repro.metrics.report import render_table
 from repro.sim import MINUTE
 
@@ -18,7 +19,7 @@ CAP_VALUES = (2, 4, 8, None)
 
 def test_poll_interval_sensitivity(benchmark, ablation_trace, show):
     results = benchmark.pedantic(
-        lambda: sweep_config(ablation_trace, "poll_interval", POLL_VALUES),
+        lambda: sweep_values(ablation_trace, "poll_interval", POLL_VALUES),
         rounds=1, iterations=1,
     )
     rows = [(v / MINUTE, s["avg_wait_light"], s["avg_wait_all"],
@@ -40,7 +41,7 @@ def test_poll_interval_sensitivity(benchmark, ablation_trace, show):
 
 def test_machine_cap_sensitivity(benchmark, ablation_trace, show):
     results = benchmark.pedantic(
-        lambda: sweep_config(ablation_trace, "max_machines_per_station",
+        lambda: sweep_values(ablation_trace, "max_machines_per_station",
                              CAP_VALUES),
         rounds=1, iterations=1,
     )

@@ -217,7 +217,7 @@ SUITES = {
     "federation": ("pool-coordinator-crash", "matchmaker-partition"),
 }
 
-_FEDERATED_K2 = {"coordinator_mode": "federated", "federation_pools": 2}
+_FEDERATED_K2 = {"federation_pools": 2}
 
 #: Per-scenario CondorConfig overrides, applied when the caller passes
 #: no explicit config.  corrupt-restore keeps two generations so a

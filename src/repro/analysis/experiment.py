@@ -49,11 +49,9 @@ class ExperimentRun:
         self.config = config or CondorConfig(max_machines_per_station=6)
         if pools is not None:
             # Federate the pool: K per-pool coordinators under the
-            # matchmaker, regardless of what mode the config named.
-            self.config = dataclasses.replace(
-                self.config, coordinator_mode="federated",
-                federation_pools=pools,
-            )
+            # matchmaker.
+            self.config = dataclasses.replace(self.config,
+                                              federation_pools=pools)
         self.system = CondorSystem(
             self.sim, self.specs, config=self.config, policy=policy,
             network=network,

@@ -1,25 +1,10 @@
-"""Parameter-sensitivity sweeps over scheduler configuration knobs.
+"""Reading parameter-sensitivity sweeps.
 
-Answers "how much does result X depend on parameter P?" by replaying the
-fixed ablation workload under a family of configs that differ in exactly
-one field.  Used by the sensitivity benchmark and available to users
-exploring deployments different from the paper's.
+:func:`repro.analysis.sweep.sweep_values` replays the fixed ablation
+workload under a family of configs that differ in exactly one field;
+the helpers here pull one metric out of its results and check how it
+moves.  Used by the sensitivity benchmark.
 """
-
-from repro.analysis.sweep import sweep_values
-
-
-def sweep_config(records, field, values, base_config=None, seed=42,
-                 days=None, jobs=None, **variant_kwargs):
-    """Replay ``records`` once per value of ``config.<field>``.
-
-    Returns ``[(value, summary_dict), ...]`` in input order.  ``days``
-    defaults to the ablation harness default.  ``jobs=N`` runs the
-    variants on N worker processes (results are identical to the serial
-    run; see :mod:`repro.analysis.sweep`).
-    """
-    return sweep_values(records, field, values, base_config=base_config,
-                        seed=seed, days=days, jobs=jobs, **variant_kwargs)
 
 
 def metric_series(sweep_results, metric):

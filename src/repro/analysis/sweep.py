@@ -178,10 +178,12 @@ def sweep_seeds(seeds, jobs=None, collector="headline", trace_dir=None,
 
 def sweep_values(records, field, values, base_config=None, seed=42,
                  days=None, jobs=None, **variant_kwargs):
-    """One trace replay per config value; ``[(value, summary), ...]``.
+    """Replay ``records`` once per value of ``config.<field>``.
 
-    The parallel engine behind
-    :func:`repro.analysis.sensitivity.sweep_config`.
+    Returns ``[(value, summary), ...]`` in input order.  ``days``
+    defaults to the ablation harness default.  ``jobs=N`` runs the
+    variants on N worker processes (results are identical to the serial
+    run).
     """
     from repro.core.config import CondorConfig
 

@@ -109,12 +109,62 @@ class _Help(str):
         return str(self) % {**params, "names": self.names}
 
 
+def _int_at_least(low):
+    """argparse ``type=``: an integer no smaller than ``low``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _seeds(text):
+    """argparse ``type=``: ``"3"``, ``"1,5,9"``, or the inclusive range
+    ``"1..8"``; never empty."""
+    try:
+        if ".." in text:
+            lo, _, hi = text.partition("..")
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"malformed seeds {text!r} (want A..B or A,B,C)") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"no seeds in {text!r}")
+    return seeds
+
+
+def _month_run(args, **kwargs):
+    """The verb's month experiment, built but not yet run; ``None``
+    after printing ``error: ...`` when its arguments make no run."""
+    from repro.analysis.experiment import ExperimentRun
+    from repro.sim import SimulationError
+
+    try:
+        return ExperimentRun(seed=args.seed, days=args.days,
+                             job_scale=args.scale, **kwargs)
+    except SimulationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_month(args):
-    from repro.analysis import ALL_EXHIBITS, run_month
+    from repro.analysis import ALL_EXHIBITS
 
     start = time.time()
-    run = run_month(seed=args.seed, days=args.days, job_scale=args.scale,
-                    trace_path=args.trace, pools=args.pools or None)
+    run = _month_run(args, trace_path=args.trace, pools=args.pools or None)
+    if run is None:
+        return 2
+    run.execute()
     if args.trace:
         print(f"# recorded {run.telemetry.events_emitted:,} telemetry "
               f"events to {args.trace}")
@@ -160,20 +210,24 @@ def _cmd_ablation(args):
 
 
 def _cmd_trace(args):
-    from repro.analysis import run_month
     from repro.workload.traces import dump_trace
 
-    run = run_month(seed=args.seed, days=args.days, job_scale=args.scale)
+    run = _month_run(args)
+    if run is None:
+        return 2
+    run.execute()
     dump_trace(run.jobs, args.output)
     print(f"wrote {len(run.jobs)} job records to {args.output}")
     return 0
 
 
 def _cmd_stations(args):
-    from repro.analysis import run_month
     from repro.metrics.stations import render_station_breakdown
 
-    run = run_month(seed=args.seed, days=args.days, job_scale=args.scale)
+    run = _month_run(args)
+    if run is None:
+        return 2
+    run.execute()
     print(render_station_breakdown(
         run.system.stations.values(), run.horizon,
         title=f"Per-station accounting over {args.days} days",
@@ -277,30 +331,27 @@ def _cmd_query(args):
         store.close()
 
 
-def _parse_seeds(text):
-    """``"3"``, ``"1,5,9"``, or the inclusive range ``"1..8"``."""
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part]
-
-
 def _cmd_sweep(args):
     import json as _json
     import os
 
     from repro.analysis.sweep import sweep_seeds
     from repro.metrics.report import render_table
+    from repro.sim import SimulationError
 
-    seeds = _parse_seeds(args.seeds)
+    seeds = args.seeds
     if args.trace_dir:
         os.makedirs(args.trace_dir, exist_ok=True)
     start = time.time()
-    results = sweep_seeds(
-        seeds, jobs=args.jobs, days=args.days, job_scale=args.scale,
-        stations=args.stations, trace_dir=args.trace_dir,
-        pools=args.pools or None,
-    )
+    try:
+        results = sweep_seeds(
+            seeds, jobs=args.jobs, days=args.days, job_scale=args.scale,
+            stations=args.stations, trace_dir=args.trace_dir,
+            pools=args.pools or None,
+        )
+    except SimulationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.time() - start
     print(f"# {len(seeds)} seeds x {args.days} days on "
           f"{args.jobs or 1} worker(s): {elapsed:.1f} s\n")
@@ -591,7 +642,7 @@ def build_parser():
 
     month = sub.add_parser("month", help="run the one-month experiment")
     month.add_argument("--seed", type=int, default=42)
-    month.add_argument("--days", type=int, default=30)
+    month.add_argument("--days", type=_int_at_least(1), default=30)
     month.add_argument("--scale", type=float, default=1.0)
     month.add_argument("--exhibit").choices = _Names(
         lambda: _registry("repro.analysis.exhibits", "ALL_EXHIBITS"))
@@ -599,9 +650,10 @@ def build_parser():
                        help="also export every exhibit as CSV files")
     month.add_argument("--trace", metavar="FILE",
                        help="record the telemetry event stream as JSONL")
-    month.add_argument("--pools", type=int, default=0, metavar="K",
+    month.add_argument("--pools", type=_int_at_least(0), default=0,
+                       metavar="K",
                        help="federate the coordinator into K pools "
-                            "(flocking; K=1 is byte-identical to delta)")
+                            "(flocking; 0 or 1 is one coordinator)")
     month.set_defaults(fn=_cmd_month)
 
     ablation = sub.add_parser("ablation",
@@ -609,20 +661,20 @@ def build_parser():
     ablation.add_argument("variants", nargs="+",
                           choices=sorted(ABLATIONS))
     ablation.add_argument("--seed", type=int, default=42)
-    ablation.add_argument("--days", type=int, default=8)
+    ablation.add_argument("--days", type=_int_at_least(1), default=8)
     ablation.set_defaults(fn=_cmd_ablation)
 
     trace = sub.add_parser("trace", help="export the month's workload")
     trace.add_argument("output")
     trace.add_argument("--seed", type=int, default=42)
-    trace.add_argument("--days", type=int, default=30)
+    trace.add_argument("--days", type=_int_at_least(1), default=30)
     trace.add_argument("--scale", type=float, default=1.0)
     trace.set_defaults(fn=_cmd_trace)
 
     stations = sub.add_parser("stations",
                               help="per-station capacity accounting")
     stations.add_argument("--seed", type=int, default=42)
-    stations.add_argument("--days", type=int, default=30)
+    stations.add_argument("--days", type=_int_at_least(1), default=30)
     stations.add_argument("--scale", type=float, default=1.0)
     stations.set_defaults(fn=_cmd_stations)
 
@@ -666,18 +718,20 @@ def build_parser():
         "sweep",
         help="run the experiment across seeds, optionally in parallel",
     )
-    sweep.add_argument("--seeds", default="1..8", metavar="A..B|A,B,C",
+    sweep.add_argument("--seeds", type=_seeds, default="1..8",
+                       metavar="A..B|A,B,C",
                        help="inclusive range '1..8' or list '1,5,9'")
     sweep.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="worker processes (default: serial)")
-    sweep.add_argument("--days", type=int, default=6)
+    sweep.add_argument("--days", type=_int_at_least(1), default=6)
     sweep.add_argument("--scale", type=float, default=0.2)
     sweep.add_argument("--stations", type=int, default=23)
     sweep.add_argument("--trace-dir", metavar="DIR",
                        help="also record one telemetry trace per seed")
     sweep.add_argument("--json", metavar="FILE",
                        help="write per-seed metrics as JSON")
-    sweep.add_argument("--pools", type=int, default=0, metavar="K",
+    sweep.add_argument("--pools", type=_int_at_least(0), default=0,
+                       metavar="K",
                        help="federate the coordinator into K pools")
     sweep.set_defaults(fn=_cmd_sweep)
 

@@ -15,7 +15,6 @@ constructor.
 import copy
 
 from repro.core.config import CondorConfig
-from repro.core.coordinator import Coordinator
 from repro.core.federation import (
     Matchmaker,
     PoolCoordinator,
@@ -88,22 +87,15 @@ class CondorSystem:
         host_name = coordinator_host or names[0]
         if host_name not in self.stations:
             raise SimulationError(f"unknown coordinator host {host_name!r}")
-        federated = self.config.coordinator_mode == "federated"
         #: Advance capacity reservations (future work §5(3)); unavailable
         #: under federation (a reservation would need matchmaker
         #: mediation).
-        self.reservations = None if federated else ReservationBook(sim)
-        #: The matchmaker daemon (federated mode with >1 pool), else None.
+        self.reservations = (ReservationBook(sim)
+                             if self.config.federation_pools == 1 else None)
+        #: The matchmaker daemon (more than one pool), else None.
         self.matchmaker = None
-        if federated:
-            self.coordinators = self._build_pools(names, host_name)
-        else:
-            self.coordinators = [Coordinator(
-                sim, self.network, names, self.policy, self.telemetry,
-                self.config, host_station=self.stations[host_name],
-                reservations=self.reservations,
-            )]
-        #: Pool 0's coordinator (the only one outside federated mode) —
+        self.coordinators = self._build_pools(names, host_name)
+        #: Pool 0's coordinator (the only one with a single pool) —
         #: kept as an attribute for reports, sweeps and fault schedules.
         self.coordinator = self.coordinators[0]
         #: All jobs ever submitted through this system, in order
@@ -115,7 +107,9 @@ class CondorSystem:
         self._started = False
 
     def _build_pools(self, names, host_name):
-        """Construct the federated pool coordinators (and matchmaker)."""
+        """Construct the pool coordinators (and, above one pool, the
+        matchmaker).  One pool is one coordinator named ``"coordinator"``
+        holding the whole cluster and the reservation book."""
         n_pools = self.config.federation_pools
         pools = federation_pools(names, n_pools)
         matchmaker_name = "matchmaker" if n_pools > 1 else None
@@ -124,8 +118,7 @@ class CondorSystem:
             pool_host = host_name if host_name in members else members[0]
             # Each pool runs Up-Down *locally* over its own stations; a
             # shared policy instance would append K decay-history entries
-            # per cycle.  With one pool the prototype is used directly
-            # (byte-identity with delta mode).
+            # per cycle.  With one pool the prototype is used directly.
             pool_policy = (self.policy if n_pools == 1
                            else copy.deepcopy(self.policy))
             coordinators.append(PoolCoordinator(
@@ -134,6 +127,7 @@ class CondorSystem:
                 host_station=self.stations[pool_host],
                 name=pool_name(k, n_pools),
                 matchmaker_name=matchmaker_name,
+                reservations=self.reservations,
             ))
             for station in members:
                 self.schedulers[station].coordinator_name = (

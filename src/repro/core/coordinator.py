@@ -35,8 +35,13 @@ from repro.machine.accounting import COORDINATOR
 from repro.net import Node, ReliableSender
 from repro.sim import Signal
 from repro.sim.errors import SimulationError
-from repro.sim.randomness import RandomStream
 from repro.telemetry import kinds as ev
+
+#: Cycle CPU cost charged to the host station (<1 %, §3.1): a base plus
+#: one unit per station polled (``per_station``) or per update absorbed
+#: or probe sent (``per_update``).
+CYCLE_BASE_COST = 0.05
+CYCLE_UNIT_COST = 0.01
 
 
 class PollResult:
@@ -189,15 +194,7 @@ class Coordinator(Node):
         self._ctr_stale = metrics.counter("coordinator.updates_stale")
         #: At-least-once delivery for host_lost notices: a home that
         #: never learns its host died would strand the job forever.
-        self._retry = ReliableSender(
-            net, self.name,
-            RandomStream(config.retry_seed, f"retry.{self.name}"),
-            hub=hub,
-            backoff_base=config.retry_backoff_base,
-            backoff_cap=config.retry_backoff_cap,
-            jitter_frac=config.retry_jitter_frac,
-            ack_timeout=config.rpc_timeout,
-        )
+        self._retry = ReliableSender(net, self.name, hub=hub)
         self.register_handler("state_update", self._handle_state_update)
         net.attach(self)
 
@@ -280,7 +277,10 @@ class Coordinator(Node):
         else:
             tickets = [self.net.rpc_batch(targets, "poll", None,
                                           callback=settle, src=src)]
-        deadline = self.sim.schedule(self.config.rpc_timeout, done.fire, None)
+        # A station silent for one RPC timeout (the reliable sender's
+        # ack timeout) is considered down.
+        deadline = self.sim.schedule(self._retry.ack_timeout, done.fire,
+                                     None)
         yield done
         deadline.cancel()
         # The shared deadline passed (or every station answered): the
@@ -722,10 +722,10 @@ class Coordinator(Node):
 
     def _order_preemptions(self, snapshot, ranked, grants, removed,
                            allocated_counts):
-        """When the pool is exhausted, evict for deprived requesters."""
+        """When the pool is exhausted, evict for one deprived requester
+        (the paper's one preemption per cycle)."""
         if not self.policy.allows_preemption:
             return []
-        budget = self.config.preemptions_per_cycle
         cap = self.config.max_machines_per_station
         granted = {requester for requester, _host in grants}
         used_hosts = {host for _requester, host in grants}
@@ -750,11 +750,8 @@ class Coordinator(Node):
                     if self.reservations is not None else {})
         holders = [(host, home) for host, home in holders
                    if home not in reserved]
-        preemptions = []
         states = snapshot.states
         for requester in ranked:
-            if budget == 0:
-                break
             if requester in granted:
                 continue
             if states[requester]["pending"] == 0:
@@ -768,14 +765,12 @@ class Coordinator(Node):
             )
             if victim_host is None:
                 continue
-            holders = [(h, o) for h, o in holders if h != victim_host]
-            preemptions.append((requester, victim_host))
-            budget -= 1
             self.preemptions_ordered += 1
             self.net.message(victim_host, "preempt", {
                 "for_station": requester,
             }, src=self.name)
-        return preemptions
+            return [(requester, victim_host)]
+        return []
 
     def _charge_overhead(self):
         work = self._work_units
@@ -788,13 +783,9 @@ class Coordinator(Node):
                      if self.config.coordinator_mode == "poll"
                      else "per_update")
         if model == "per_station":
-            cost = (self.config.coordinator_cycle_base_cost
-                    + self.config.coordinator_cycle_per_station_cost
-                    * len(self.station_names))
-        else:
-            cost = (self.config.coordinator_cycle_base_cost
-                    + self.config.coordinator_cycle_per_update_cost * work)
-        self.host_station.ledger.charge(COORDINATOR, cost)
+            work = len(self.station_names)
+        self.host_station.ledger.charge(
+            COORDINATOR, CYCLE_BASE_COST + CYCLE_UNIT_COST * work)
 
     # ------------------------------------------------------------------
     # failure / recovery (§2.1: the coordinator is cheap to move)

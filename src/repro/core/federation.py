@@ -3,13 +3,14 @@ thin matchmaker trading surplus capacity between them.
 
 One delta-state coordinator tops out in the tens of thousands of
 stations: every push, probe and allocation decision funnels through a
-single daemon.  ``coordinator_mode="federated"`` partitions the cluster
-into K *pools* — station i of N belongs to pool ``i*K//N`` — and runs
-one :class:`PoolCoordinator` per pool.  Each pool coordinator IS the
-existing delta-state coordinator (same
+single daemon.  ``CondorConfig.federation_pools = K`` partitions the
+cluster into K *pools* — station i of N belongs to pool ``i*K//N`` — and
+runs one :class:`PoolCoordinator` per pool.  Each pool coordinator IS
+the delta-state coordinator (same
 :class:`~repro.core.cluster_view.ClusterView`, same Up-Down policy, same
-anti-entropy sweep) over its own stations; with one pool and no
-matchmaker the federated build is *byte-identical* to the delta build.
+anti-entropy sweep) over its own stations.  Every run is built this way:
+the default K=1 is one pool coordinator, no matchmaker, and every
+federation hook a no-op.
 
 Capacity flows between pools through a lease protocol, every message
 riding the :class:`~repro.net.ReliableSender` machinery:
@@ -22,7 +23,7 @@ riding the :class:`~repro.net.ReliableSender` machinery:
   aggregate_pressure`).
 * ``lease_request`` (matchmaker → lender): the matchmaker pairs the
   most-pressured deficit pool with the largest surplus pool and asks the
-  lender to ship up to ``federation_max_lease`` stations.
+  lender to ship up to :data:`MAX_LEASE` stations.
 * ``lease_grant`` (lender → borrower): the lender *retires* the chosen
   stations from its view (their registration slots survive as
   tombstones) and ships their last-known states.  The borrower admits
@@ -47,25 +48,31 @@ home receives ``host_lost``; a *borrower coordinator* that crashes
 forgets its loans on recovery and sends each lender a state-less
 ``lease_return`` (the lender re-probes the station from scratch); a
 *lender* keeps its loan book across a crash, and every lease is
-backstopped by a reclaim timer at ``expiry + federation_reclaim_grace``
+backstopped by a reclaim timer at ``expiry +`` :data:`RECLAIM_GRACE`
 that takes unreturned stations back unilaterally and publishes
 ``cross_pool_lease_expired``.
 """
 
 from repro.core.cluster_view import observable_idle, observable_wanting
 from repro.core.coordinator import Coordinator
+from repro.core.local_scheduler import PLACEMENT_ATTEMPTS
 from repro.net import Node, ReliableSender
+from repro.sim import MINUTE
 from repro.sim.errors import SimulationError
-from repro.sim.randomness import RandomStream
 from repro.telemetry import kinds as ev
+
+#: Extra grace past a lease's expiry before the *lender* unilaterally
+#: reclaims a station whose return never arrived (borrower crashed).
+RECLAIM_GRACE = 10 * MINUTE
+#: Cap on stations moved by one lease grant.
+MAX_LEASE = 4
 
 
 def pool_name(index, n_pools):
     """Node name of pool ``index``'s coordinator.
 
-    With one pool the name is exactly ``"coordinator"`` — the delta-mode
-    name — which is what makes the K=1 federated trace byte-identical to
-    the single-coordinator trace.
+    With one pool the name is exactly ``"coordinator"``, the name the
+    local schedulers push to by default.
     """
     if n_pools == 1:
         return "coordinator"
@@ -91,23 +98,25 @@ def federation_pools(names, n_pools):
 
 
 class PoolCoordinator(Coordinator):
-    """One pool's delta-state coordinator plus the lease edges.
+    """One pool's coordinator plus the lease edges.
 
     Everything the base :class:`~repro.core.coordinator.Coordinator`
     does is unchanged; this subclass adds the per-cycle federation
     upkeep (:meth:`_post_cycle`) and the three lease message handlers.
+    ``reservations`` is forwarded to the base class; only a one-pool
+    system has a reservation book.
     """
 
     def __init__(self, sim, net, station_names, policy, hub, config,
                  pool_index=0, host_station=None, name="coordinator",
-                 matchmaker_name=None):
+                 matchmaker_name=None, reservations=None):
         super().__init__(sim, net, station_names, policy, hub, config,
-                         host_station=host_station, reservations=None,
-                         name=name)
+                         host_station=host_station,
+                         reservations=reservations, name=name)
         self.pool_index = pool_index
-        #: ``None`` when the federation has a single pool — in that case
+        #: ``None`` when the system has a single pool — in that case
         #: every federation hook is a no-op and this daemon behaves
-        #: byte-for-byte like the delta-mode coordinator.
+        #: byte-for-byte like the base coordinator.
         self.matchmaker_name = matchmaker_name
         #: Borrowed station -> lease bookkeeping (insertion = grant order).
         self._borrowed = {}
@@ -300,11 +309,11 @@ class PoolCoordinator(Coordinator):
             borrower, "lease_grant",
             {"lender": self.name, "lease_id": lease_id,
              "expires_at": expires_at, "stations": entries},
-            max_attempts=self.config.placement_rpc_retries,
+            max_attempts=PLACEMENT_ATTEMPTS,
             abort=lambda: self.crashed,
         )
         self.sim.schedule(
-            expires_at + self.config.federation_reclaim_grace - self.sim.now,
+            expires_at + RECLAIM_GRACE - self.sim.now,
             self._reclaim, lease_id,
         )
         return True
@@ -336,8 +345,7 @@ class PoolCoordinator(Coordinator):
             return
         if self.crashed:
             # A dead lender cannot act; check again after another grace.
-            self.sim.schedule(self.config.federation_reclaim_grace,
-                              self._reclaim, lease_id)
+            self.sim.schedule(RECLAIM_GRACE, self._reclaim, lease_id)
             return
         del self._on_loan[lease_id]
         for name in lease["stations"]:
@@ -447,7 +455,7 @@ class Matchmaker(Node):
 
     Keeps nothing but the latest advert per pool (seq-gated against
     reordered redelivery) and a monotonic lease counter; every
-    ``federation_interval`` it walks deficits in most-pressured-first
+    ``poll_interval`` it walks deficits in most-pressured-first
     order and asks the largest-surplus pools to lend.  Stored adverts
     are decremented as leases are brokered so one surplus is never
     promised to two borrowers between advert refreshes.
@@ -470,15 +478,7 @@ class Matchmaker(Node):
         self._lease_seq = 0
         self.leases_brokered = 0
         self._process = None
-        self._retry = ReliableSender(
-            net, self.name,
-            RandomStream(config.retry_seed, "retry.matchmaker"),
-            hub=hub,
-            backoff_base=config.retry_backoff_base,
-            backoff_cap=config.retry_backoff_cap,
-            jitter_frac=config.retry_jitter_frac,
-            ack_timeout=config.rpc_timeout,
-        )
+        self._retry = ReliableSender(net, self.name, hub=hub)
         self.register_handler("pool_advert", self._handle_advert)
         net.attach(self)
 
@@ -488,9 +488,7 @@ class Matchmaker(Node):
             self._process = self.sim.spawn(self._run(), name="matchmaker")
 
     def _run(self):
-        interval = (self.config.federation_interval
-                    if self.config.federation_interval is not None
-                    else self.config.poll_interval)
+        interval = self.config.poll_interval
         while True:
             yield interval
             if self.crashed:
@@ -513,14 +511,13 @@ class Matchmaker(Node):
         deficits.sort(key=lambda a: (-a["pressure"], a["pool"]))
         surpluses = [a for a in adverts if a["surplus"] > 0]
         surpluses.sort(key=lambda a: (-a["surplus"], a["pool"]))
-        max_lease = self.config.federation_max_lease
         for deficit in deficits:
             for surplus in surpluses:
                 if deficit["need"] <= 0:
                     break
                 if surplus["pool"] == deficit["pool"]:
                     continue
-                take = min(deficit["need"], surplus["surplus"], max_lease)
+                take = min(deficit["need"], surplus["surplus"], MAX_LEASE)
                 if take <= 0:
                     continue
                 surplus["surplus"] -= take

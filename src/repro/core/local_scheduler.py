@@ -30,12 +30,19 @@ from repro.remote_unix import (
     checkpoint_cpu_cost,
 )
 from repro.sim import HOUR
-from repro.sim.randomness import RandomStream
 from repro.telemetry import kinds as ev
 
 #: Vacate reasons recorded on JOB_VACATED events.
 REASON_OWNER_RETURNED = "owner_returned"
 REASON_PRIORITY = "priority_preemption"
+
+#: Attempts for a pushed ``state_update`` before giving up (a newer push
+#: or the anti-entropy poll supersedes it; giving up merely forces the
+#: next flush to resend full state).
+PUSH_ATTEMPTS = 4
+#: Attempts for the ``start_job`` placement RPC before the home station
+#: abandons the placement and requeues the job.
+PLACEMENT_ATTEMPTS = 6
 
 
 class HostedExecution:
@@ -136,15 +143,7 @@ class LocalScheduler(Node):
         #: job notices.  The jitter stream is seeded independently of the
         #: workload streams so retry timing cannot perturb them (and no
         #: draw happens unless a retry actually fires).
-        self._retry = ReliableSender(
-            net, self.name,
-            RandomStream(config.retry_seed, f"retry.{station.name}"),
-            hub=hub,
-            backoff_base=config.retry_backoff_base,
-            backoff_cap=config.retry_backoff_cap,
-            jitter_frac=config.retry_jitter_frac,
-            ack_timeout=config.rpc_timeout,
-        )
+        self._retry = ReliableSender(net, self.name, hub=hub)
 
         net.attach(self)
         self.register_handler("poll", self._handle_poll)
@@ -236,7 +235,7 @@ class LocalScheduler(Node):
             self._retry.send(
                 self.coordinator_name, "state_update",
                 {"station": self.name, "state": state, "seq": seq},
-                max_attempts=self.config.push_retry_limit,
+                max_attempts=PUSH_ATTEMPTS,
                 abort=lambda: self.crashed or self._push_seq != seq,
                 on_give_up=self._push_gave_up,
             )
@@ -517,7 +516,7 @@ class LocalScheduler(Node):
         self._retry.send(
             host_name, "start_job",
             {"job": job, "home": self.name, "incarnation": incarnation},
-            max_attempts=self.config.placement_rpc_retries,
+            max_attempts=PLACEMENT_ATTEMPTS,
             abort=lambda: (self.crashed
                            or self.active_by_host.get(host_name) is not job
                            or job.incarnation != incarnation),
@@ -904,9 +903,7 @@ class LocalScheduler(Node):
         hosted = self.hosted
         job = hosted.job
         job.transition(jobstate.VACATING)
-        image_mb = job.layout.image_mb(
-            job.progress, include_text=self.config.include_text_in_checkpoint
-        )
+        image_mb = job.layout.image_mb(job.progress)
         self._send_vacate_image(hosted, image_mb, reason, attempt=1)
 
     def _send_vacate_image(self, hosted, image_mb, reason, attempt):
@@ -1013,9 +1010,7 @@ class LocalScheduler(Node):
         progress_now = job.progress + (
             (self.sim.now - hosted.run_started_at) * self.station.cpu_speed
         )
-        image_mb = job.layout.image_mb(
-            progress_now, include_text=self.config.include_text_in_checkpoint
-        )
+        image_mb = job.layout.image_mb(progress_now)
         transfer = self.net.transfer(self.name, hosted.home_name, image_mb)
         home = hosted.home_name
 

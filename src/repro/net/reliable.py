@@ -35,19 +35,22 @@ needs the cycle collector (the rule is in :mod:`repro.net.network`).
 """
 
 from repro.sim.errors import SimulationError
+from repro.sim.randomness import RandomStream
 from repro.telemetry import kinds
 
 
 class ReliableSender:
     """Retrying message channel for one sending daemon.
 
-    One instance per daemon, built with the daemon's own jitter stream
-    (forked from ``config.retry_seed``) so retry timing is deterministic
-    per sender and independent of every other random process in the
-    simulation.
+    One instance per daemon, with the daemon's own jitter stream —
+    ``RandomStream(0, "retry.<src>")`` unless ``stream`` is given — so
+    retry timing is deterministic per sender and independent of every
+    other random process in the simulation.  The defaults are the
+    simulator's policy: first retry after 2 s, doubling to a 120 s cap,
+    each delay stretched by up to half of itself, and a 10 s ack timeout.
     """
 
-    def __init__(self, net, src, stream, hub=None,
+    def __init__(self, net, src, stream=None, hub=None,
                  backoff_base=2.0, backoff_cap=120.0, jitter_frac=0.5,
                  ack_timeout=10.0):
         if backoff_base <= 0 or backoff_cap < backoff_base:
@@ -58,7 +61,8 @@ class ReliableSender:
             raise SimulationError(f"jitter_frac {jitter_frac} not in [0,1]")
         self.net = net
         self.src = src
-        self.stream = stream
+        self.stream = (stream if stream is not None
+                       else RandomStream(0, f"retry.{src}"))
         self.hub = hub
         self.backoff_base = float(backoff_base)
         self.backoff_cap = float(backoff_cap)

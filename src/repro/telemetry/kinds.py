@@ -76,7 +76,7 @@ STORAGE_KINDS = (
     CHECKPOINT_RESTORE_FALLBACK,
 )
 
-# -- federation (coordinator_mode="federated") --------------------------
+# -- federation (federation_pools > 1) ----------------------------------
 #: A pool coordinator advertised (surplus, need, pressure) to the
 #: matchmaker.  Sent only when the advertised tuple changed, so a quiet
 #: federation is silent.

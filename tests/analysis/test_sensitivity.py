@@ -3,8 +3,9 @@
 import pytest
 
 from repro.analysis.ablation import baseline_trace
-from repro.analysis.sensitivity import metric_series, monotone, sweep_config
-from repro.sim import MINUTE, SimulationError
+from repro.analysis.sensitivity import metric_series, monotone
+from repro.analysis.sweep import sweep_values
+from repro.sim import MINUTE
 
 TRACE_KWARGS = {"seed": 3, "days": 2, "job_scale": 0.04}
 
@@ -14,13 +15,8 @@ def trace():
     return baseline_trace(**TRACE_KWARGS)
 
 
-def test_unknown_field_rejected(trace):
-    with pytest.raises(SimulationError):
-        sweep_config(trace, "warp_factor", (1, 2), days=2, seed=3)
-
-
 def test_sweep_returns_one_summary_per_value(trace):
-    results = sweep_config(trace, "grace_period",
+    results = sweep_values(trace, "grace_period",
                            (0.0, 5 * MINUTE), days=2, seed=3)
     assert [v for v, _s in results] == [0.0, 5 * MINUTE]
     assert all("checkpoints" in s for _v, s in results)

@@ -20,7 +20,8 @@ class TestCondorConfig:
         {"poll_interval": 0},
         {"grace_period": -1},
         {"placements_per_cycle": -1},
-        {"preemptions_per_cycle": -2},
+        {"coordinator_mode": "federated"},
+        {"coordinator_mode": "poll", "federation_pools": 2},
         {"grants_per_station_per_cycle": 0},
         {"host_selection": "astrology"},
         {"periodic_checkpoint_interval": 0},

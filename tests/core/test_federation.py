@@ -1,20 +1,22 @@
 """Federated coordination: pool partitioning, cross-pool leases, and
 the two guarantees the flocking tree must preserve.
 
-* **K=1 identity** — with a single pool there is no matchmaker and the
-  pool coordinator IS the delta-state coordinator, so the complete
-  experiment trace must be byte-identical to ``coordinator_mode=
-  "delta"``.  This is the federation analogue of the delta-vs-poll
-  golden trace: federation is a topology change, not a policy change.
+* **K=1 identity** — every run is built as a federation; with a single
+  pool there is no matchmaker and the pool coordinator IS the
+  delta-state coordinator, so the complete experiment trace is pinned
+  to the bytes the dedicated single-coordinator build recorded.
+  Federation is a topology change, not a policy change.
 * **Fairness composes** — holdings are charged to the requester's
   Up-Down index no matter which pool the host machine came from, so a
   heavy user in one pool cannot borrow the federation past fair share.
 """
 
+import hashlib
+
 import pytest
 
 from repro.core import CondorConfig, CondorSystem, Job, StationSpec
-from repro.core.federation import federation_pools, pool_name
+from repro.core.federation import Matchmaker, federation_pools, pool_name
 from repro.core.job import reset_job_ids
 from repro.machine import AlwaysActiveOwner, NeverActiveOwner, TraceOwner
 from repro.metrics import jobs as job_metrics
@@ -53,7 +55,6 @@ class TestPartitioning:
 
 def federated_system(sim, specs, **overrides):
     config = CondorConfig(
-        coordinator_mode="federated",
         federation_pools=overrides.pop("pools", 2),
         max_machines_per_station=6,
         **overrides,
@@ -85,6 +86,16 @@ class TestCrossPoolLeases:
         assert system.matchmaker is None
         assert len(system.coordinators) == 1
         assert system.coordinator.name == "coordinator"
+        assert system.reservations is not None
+
+    def test_pool_count_alone_federates(self):
+        specs = [StationSpec(f"s{i}") for i in range(8)]
+        system = CondorSystem(Simulation(), specs,
+                              config=CondorConfig(federation_pools=4))
+        assert [c.name for c in system.coordinators] == [
+            pool_name(k, 4) for k in range(4)]
+        assert isinstance(system.matchmaker, Matchmaker)
+        assert system.reservations is None
 
     def test_surplus_flows_to_deficit_pool(self):
         sim = Simulation()
@@ -179,25 +190,26 @@ class TestCrossPoolLeases:
 
 
 class TestSinglePoolGoldenTrace:
-    """Federated K=1 must be byte-identical to the delta coordinator."""
+    """The K=1 build must be byte-identical to the delta coordinator.
 
-    @staticmethod
-    def _run(mode, trace_path):
-        reset_job_ids()
-        config = CondorConfig(max_machines_per_station=6,
-                              coordinator_mode=mode,
-                              federation_pools=1)
-        return ExperimentRun(seed=SEED, days=8, config=config,
-                             trace_path=str(trace_path)).execute()
+    The pin is the sha256 of the 8-day seed-42 trace recorded by the
+    dedicated single-``Coordinator`` build that K=1 replaced.
+    """
+
+    DELTA_8_DAYS_SEED_42 = (
+        "d5baa0c332e15f88ad61947b2c281e808cb488143348456f4fa248bf5a6459b0"
+    )
 
     def test_k1_trace_byte_identical_to_delta(self, tmp_path):
-        delta_path = tmp_path / "delta.jsonl"
-        federated_path = tmp_path / "federated.jsonl"
-        self._run("delta", delta_path)
-        self._run("federated", federated_path)
-        delta_bytes = delta_path.read_bytes()
-        assert len(delta_bytes) > 0
-        assert delta_bytes == federated_path.read_bytes()
+        reset_job_ids()
+        path = tmp_path / "k1.jsonl"
+        run = ExperimentRun(
+            seed=SEED, days=8, trace_path=str(path),
+            config=CondorConfig(max_machines_per_station=6),
+        ).execute()
+        assert run.system.matchmaker is None
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            self.DELTA_8_DAYS_SEED_42)
 
 
 class TestFederatedFairness:

@@ -218,6 +218,27 @@ def test_space_parallel_flags_are_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--seeds", "5..1"], "--seeds"),
+    (["sweep", "--seeds", "x"], "--seeds"),
+    (["month", "--days", "0"], "--days"),
+    (["trace", "unused.json", "--days", "0"], "--days"),
+    (["stations", "--days", "0"], "--days"),
+    (["sweep", "--pools", "-1"], "--pools"),
+], ids=["seeds-reversed", "seeds-malformed", "month-days-0",
+        "trace-days-0", "stations-days-0", "sweep-pools-negative"])
+def test_bad_numeric_input_is_a_usage_error(argv, flag, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_more_pools_than_stations_is_an_error_not_a_traceback(capsys):
+    assert main(["month", "--pools", "99", "--days", "1"]) == 2
+    assert capsys.readouterr().err == "error: 99 pools for 23 stations\n"
+
+
 def test_chaos_suite_help_lists_every_suite(capsys):
     from repro.analysis.chaos import SUITES
 
