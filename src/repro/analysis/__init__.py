@@ -10,7 +10,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "figure_4": "exhibits", "figure_5": "exhibits", "figure_6": "exhibits",
     "figure_7": "exhibits", "figure_8": "exhibits", "figure_9": "exhibits",
     "headline_scalars": "exhibits", "ALL_EXHIBITS": "exhibits",
-    "ReplayRun": "ablation", "baseline_trace": "ablation",
+    "baseline_trace": "ablation",
     "run_variant": "ablation", "summarize": "ablation",
     "export_csvs": "export",
 })

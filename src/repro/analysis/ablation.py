@@ -11,82 +11,26 @@ behaviour, so:
 * the cluster is rebuilt from the same master seed, so every owner
   arrival lands at the same simulated instant in every variant.
 
-Only the scheduler configuration/policy differs.
+A variant is an :class:`~repro.analysis.experiment.ExperimentRun` built
+with ``records``: the same run builder as the month, with the trace
+replayed in place of the generated workload.  Only the scheduler
+configuration/policy differs.
 """
 
 from repro.analysis import paper
-from repro.core.condor import CondorSystem
+from repro.analysis.experiment import ExperimentRun
 from repro.core.config import CondorConfig
-from repro.metrics.queues import QueueLengthMonitor
-from repro.metrics.utilization import UtilizationMonitor
-from repro.sim import DAY, Simulation
+from repro.metrics import jobs as job_metrics
+from repro.sim import DAY
 from repro.sim.randomness import RandomStream
-from repro.workload.cluster import build_cluster_specs
-from repro.workload.traces import TraceReplayer, export_trace
+from repro.workload.cluster import build_cluster_specs, default_user_homes
+from repro.workload.traces import export_trace
+from repro.workload.users import paper_profiles
 
 #: Default ablation scale: big enough for stable shapes, small enough
 #: that a bench suite of many variants stays quick.
 ABLATION_DAYS = 8
 ABLATION_JOB_SCALE = 0.25
-HEAVY_USER = "A"
-
-
-class ReplayRun:
-    """One scheduler variant executing a fixed workload trace."""
-
-    def __init__(self, records, seed=42, days=ABLATION_DAYS,
-                 stations=paper.STATIONS, config=None, policy=None):
-        self.records = records
-        self.seed = seed
-        self.days = days
-        self.horizon = days * DAY
-        self.sim = Simulation()
-        stream = RandomStream(seed)
-        self.specs = build_cluster_specs(stream.fork("cluster"),
-                                         count=stations)
-        self.config = config or CondorConfig()
-        self.system = CondorSystem(self.sim, self.specs, config=self.config,
-                                   policy=policy)
-        self.replayer = TraceReplayer(self.sim, self.system, records)
-        self.util = UtilizationMonitor(self.system.stations.values())
-        users = {record["user"] for record in records}
-        self.light_users = frozenset(users - {HEAVY_USER})
-        self.queues = QueueLengthMonitor(self.sim, self.system,
-                                         self.light_users)
-        self.executed = False
-
-    def execute(self):
-        if self.executed:
-            return self
-        self.system.start()
-        self.replayer.start()
-        self.queues.start()
-        self.sim.run(until=self.horizon)
-        self.system.finalize()
-        self.executed = True
-        return self
-
-    @property
-    def jobs(self):
-        return self.replayer.jobs
-
-    @property
-    def completed_jobs(self):
-        return [job for job in self.jobs if job.finished]
-
-    def light_jobs(self):
-        return [job for job in self.completed_jobs
-                if job.user in self.light_users]
-
-    def heavy_jobs(self):
-        return [job for job in self.completed_jobs
-                if job.user not in self.light_users]
-
-    def __repr__(self):
-        return (
-            f"<ReplayRun days={self.days} jobs={len(self.records)} "
-            f"policy={self.system.policy.name}>"
-        )
 
 
 _TRACE_CACHE = {}
@@ -105,23 +49,15 @@ def baseline_trace(seed=42, days=ABLATION_DAYS,
     """
     key = (seed, days, job_scale, stations, saturate)
     if key not in _TRACE_CACHE:
-        from repro.analysis.experiment import ExperimentRun
-        from repro.sim import DAY as _DAY
-        from repro.workload.cluster import (
-            build_cluster_specs as _specs_builder,
-            default_user_homes,
-        )
-        from repro.workload.users import paper_profiles
-        from repro.sim.randomness import RandomStream as _RS
-
-        specs = _specs_builder(_RS(seed).fork("cluster"), count=stations)
+        specs = build_cluster_specs(RandomStream(seed).fork("cluster"),
+                                    count=stations)
         homes = default_user_homes(specs)
         profiles = None
         config = None
         if saturate:
             # Heavy user floods: big budget, no daily pacing; scheduler
             # work-conserving (no per-station cap).
-            profiles = paper_profiles(homes, days * _DAY,
+            profiles = paper_profiles(homes, days * DAY,
                                       job_scale=max(job_scale, 0.8))
             for profile in profiles:
                 if profile.heavy:
@@ -136,15 +72,19 @@ def baseline_trace(seed=42, days=ABLATION_DAYS,
 
 def run_variant(records, config=None, policy=None, seed=42,
                 days=ABLATION_DAYS, stations=paper.STATIONS):
-    """Execute one variant over the trace and return the ReplayRun."""
-    return ReplayRun(records, seed=seed, days=days, stations=stations,
-                     config=config, policy=policy).execute()
+    """Execute one variant over the trace and return the finished run.
+
+    The config defaults to a plain :class:`CondorConfig`, not the
+    month's per-station cap: the ablated mechanisms only matter under
+    contention.
+    """
+    return ExperimentRun(seed=seed, days=days, stations=stations,
+                         config=config or CondorConfig(), policy=policy,
+                         records=records).execute()
 
 
 def summarize(run):
     """The comparison metrics every ablation bench reports."""
-    from repro.metrics import jobs as job_metrics
-
     completed = run.completed_jobs
     return {
         "completed": len(completed),

@@ -343,9 +343,3 @@ def replay_identical(schedule_name, seed=7, **kwargs):
     first = run_chaos(schedule_name, seed=seed, **kwargs)
     second = run_chaos(schedule_name, seed=seed, **kwargs)
     return first.trace_bytes == second.trace_bytes, first
-
-
-def run_suite(seed=7, schedules=None, **kwargs):
-    """Run every (or the named) schedule; returns ``{name: ChaosRun}``."""
-    names = list(schedules) if schedules else sorted(SCHEDULES)
-    return {name: run_chaos(name, seed=seed, **kwargs) for name in names}

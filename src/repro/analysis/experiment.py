@@ -5,6 +5,10 @@ Table-1 workload, monitors — runs it, and returns an
 :class:`ExperimentRun` from which every table and figure of the paper is
 computed.  A process-wide cache lets the per-exhibit benchmarks share one
 simulated month instead of re-simulating it nine times.
+
+With ``records`` (an exported workload trace) the same class replays
+those jobs instead of generating Table 1's users: a replay is how the
+ablation studies (:mod:`repro.analysis.ablation`) compare variants.
 """
 
 import dataclasses
@@ -21,6 +25,10 @@ from repro.workload.cluster import build_cluster_specs, default_user_homes
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.users import paper_profiles
 
+#: The user who floods the pool (Table 1's ``A``); in a replayed
+#: workload every other user counts as light.
+HEAVY_USER = "A"
+
 
 class ExperimentRun:
     """A configured (and, after :meth:`execute`, completed) experiment."""
@@ -29,7 +37,7 @@ class ExperimentRun:
                  stations=paper.STATIONS, config=None, policy=None,
                  job_scale=1.0, disk_mb=None, profiles=None,
                  busyness_mix=None, network=None, trace_path=None,
-                 pools=None):
+                 pools=None, records=None):
         self.seed = seed
         self.days = days
         self.horizon = days * DAY
@@ -56,15 +64,25 @@ class ExperimentRun:
             self.sim, self.specs, config=self.config, policy=policy,
             network=network,
         )
-        homes = default_user_homes(self.specs)
-        if profiles is None:
-            profiles = paper_profiles(homes, self.horizon,
-                                      job_scale=job_scale)
+        # The workload source: Table 1's users, or a recorded trace
+        # replayed verbatim (``profiles`` is then ``None``).
+        if records is None:
+            if profiles is None:
+                profiles = paper_profiles(default_user_homes(self.specs),
+                                          self.horizon, job_scale=job_scale)
+            self.generator = WorkloadGenerator(
+                self.sim, self.system, profiles,
+                self.stream.fork("workload"), horizon=self.horizon,
+            )
+            self.light_users = self.generator.light_user_names()
+        else:
+            from repro.workload.traces import TraceReplayer
+
+            profiles = None
+            self.generator = TraceReplayer(self.sim, self.system, records)
+            self.light_users = frozenset(
+                {record["user"] for record in records} - {HEAVY_USER})
         self.profiles = profiles
-        self.generator = WorkloadGenerator(
-            self.sim, self.system, self.profiles,
-            self.stream.fork("workload"), horizon=self.horizon,
-        )
         #: The system's telemetry spine and metric instruments.
         self.telemetry = self.system.telemetry
         self.metrics = self.system.metrics
@@ -78,7 +96,7 @@ class ExperimentRun:
         # and still captures every entry.
         self.util = UtilizationMonitor(self.system.stations.values())
         self.queues = QueueLengthMonitor(
-            self.sim, self.system, self.generator.light_user_names(),
+            self.sim, self.system, self.light_users,
             registry=self.metrics,
         )
         self.executed = False
@@ -108,10 +126,6 @@ class ExperimentRun:
     @property
     def completed_jobs(self):
         return [job for job in self.jobs if job.finished]
-
-    @property
-    def light_users(self):
-        return self.generator.light_user_names()
 
     def light_jobs(self, only_completed=True):
         jobs = (self.completed_jobs if only_completed else self.jobs)

@@ -5,8 +5,8 @@ scans, config-sensitivity sweeps, ablation grids — has the same shape:
 N completely independent simulations followed by a cheap reduction.
 This module gives them one executor:
 
-* a **spec** is a small picklable description of one run (seed, days,
-  config, which collector to apply);
+* a **spec** is a small picklable description of one run (seed, run
+  kwargs such as a replay's ``records``, which collector to apply);
 * a **worker** is a module-level function that builds the run from the
   spec inside the worker process, executes it, applies the collector,
   and returns a compact result record — simulation objects never cross
@@ -28,11 +28,12 @@ what makes the contract above hold on every platform.
 """
 
 import dataclasses
+import multiprocessing
 
-from repro.analysis import paper
-from repro.analysis.executor import map_specs
-from repro.analysis.ablation import ABLATION_DAYS, ReplayRun, summarize
+from repro.analysis.ablation import ABLATION_DAYS, summarize
+from repro.analysis.experiment import ExperimentRun
 from repro.analysis.validation import headline_metrics
+from repro.metrics import jobs as job_metrics
 from repro.sim.errors import SimulationError
 
 # ----------------------------------------------------------------------
@@ -45,8 +46,6 @@ from repro.sim.errors import SimulationError
 
 def _pool_metrics(run):
     """What the pool-size study records per cluster size."""
-    from repro.metrics import jobs as job_metrics
-
     completed = run.completed_jobs
     host = run.system.coordinator.host_station
     return {
@@ -64,11 +63,6 @@ COLLECTORS = {
     "ablation": summarize,
     "pool": _pool_metrics,
 }
-
-
-def register_collector(name, fn):
-    """Register a custom ``callable(run) -> dict`` under ``name``."""
-    COLLECTORS[name] = fn
 
 
 def _collect(name, run):
@@ -95,20 +89,6 @@ class MonthSpec:
     trace_path: str = None
 
 
-@dataclasses.dataclass(frozen=True)
-class VariantSpec:
-    """One :class:`~repro.analysis.ablation.ReplayRun` over a fixed
-    workload trace — the sensitivity/ablation unit of work."""
-
-    records: tuple
-    config: object = None
-    policy: object = None
-    seed: int = 42
-    days: int = ABLATION_DAYS
-    stations: int = paper.STATIONS
-    collector: str = "ablation"
-
-
 def month_spec(seed, collector="headline", trace_path=None, **run_kwargs):
     """Build a :class:`MonthSpec` from ``run_month``-style kwargs."""
     return MonthSpec(seed=seed, run_kwargs=tuple(sorted(run_kwargs.items())),
@@ -127,18 +107,11 @@ def run_spec(spec):
     """
     from repro.core.job import reset_job_ids
 
-    reset_job_ids()
-    if isinstance(spec, MonthSpec):
-        from repro.analysis.experiment import ExperimentRun
-
-        run = ExperimentRun(seed=spec.seed, trace_path=spec.trace_path,
-                            **dict(spec.run_kwargs)).execute()
-    elif isinstance(spec, VariantSpec):
-        run = ReplayRun(list(spec.records), seed=spec.seed, days=spec.days,
-                        stations=spec.stations, config=spec.config,
-                        policy=spec.policy).execute()
-    else:
+    if not isinstance(spec, MonthSpec):
         raise SimulationError(f"unknown sweep spec {spec!r}")
+    reset_job_ids()
+    run = ExperimentRun(seed=spec.seed, trace_path=spec.trace_path,
+                        **dict(spec.run_kwargs)).execute()
     return {
         "seed": spec.seed,
         "metrics": _collect(spec.collector, run),
@@ -149,12 +122,17 @@ def run_spec(spec):
 def run_specs(specs, jobs=None):
     """Execute every spec; results come back **in input order**.
 
-    ``jobs=None``/``0``/``1`` runs serially in-process (no pool, no
-    pickling); ``jobs=N`` fans out over N ``spawn`` workers (via the
-    shared :mod:`repro.analysis.executor`).  Results are independent of
-    ``jobs`` — parallelism changes wall time only.
+    ``jobs=None``/``0``/``1`` or a single spec runs serially in-process
+    (no pool, no pickling); ``jobs=N`` fans out over
+    ``min(N, len(specs))`` ``spawn`` workers.  Results are independent
+    of ``jobs`` — parallelism changes wall time only.
     """
-    return map_specs(run_spec, specs, jobs=jobs)
+    specs = list(specs)
+    if not jobs or jobs <= 1 or len(specs) <= 1:
+        return [run_spec(spec) for spec in specs]
+    ctx = multiprocessing.get_context("spawn")
+    with ctx.Pool(processes=min(jobs, len(specs))) as pool:
+        return pool.map(run_spec, specs)
 
 
 # ----------------------------------------------------------------------
@@ -192,11 +170,10 @@ def sweep_values(records, field, values, base_config=None, seed=42,
         raise SimulationError(f"unknown CondorConfig field {field!r}")
     records = tuple(records)
     specs = [
-        VariantSpec(
-            records=records,
+        month_spec(
+            seed, collector="ablation", records=records,
             config=dataclasses.replace(base, **{field: value}),
-            seed=seed,
-            **({"days": days} if days is not None else {}),
+            days=ABLATION_DAYS if days is None else days,
             **variant_kwargs,
         )
         for value in values

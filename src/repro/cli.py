@@ -32,6 +32,7 @@ verbs load the service plane, not the simulator.
 
 import argparse
 import importlib
+import math
 import sys
 import time
 
@@ -124,6 +125,19 @@ def _int_at_least(low):
         return value
 
     return parse
+
+
+def _positive_float(text):
+    """argparse ``type=``: a finite float greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}")
+    return value
 
 
 def _seeds(text):
@@ -643,7 +657,7 @@ def build_parser():
     month = sub.add_parser("month", help="run the one-month experiment")
     month.add_argument("--seed", type=int, default=42)
     month.add_argument("--days", type=_int_at_least(1), default=30)
-    month.add_argument("--scale", type=float, default=1.0)
+    month.add_argument("--scale", type=_positive_float, default=1.0)
     month.add_argument("--exhibit").choices = _Names(
         lambda: _registry("repro.analysis.exhibits", "ALL_EXHIBITS"))
     month.add_argument("--csv", metavar="DIR",
@@ -668,14 +682,14 @@ def build_parser():
     trace.add_argument("output")
     trace.add_argument("--seed", type=int, default=42)
     trace.add_argument("--days", type=_int_at_least(1), default=30)
-    trace.add_argument("--scale", type=float, default=1.0)
+    trace.add_argument("--scale", type=_positive_float, default=1.0)
     trace.set_defaults(fn=_cmd_trace)
 
     stations = sub.add_parser("stations",
                               help="per-station capacity accounting")
     stations.add_argument("--seed", type=int, default=42)
     stations.add_argument("--days", type=_int_at_least(1), default=30)
-    stations.add_argument("--scale", type=float, default=1.0)
+    stations.add_argument("--scale", type=_positive_float, default=1.0)
     stations.set_defaults(fn=_cmd_stations)
 
     replay = sub.add_parser(
@@ -706,7 +720,7 @@ def build_parser():
                             "matches replay_trace(TRACE) bit-for-bit")
     query.add_argument("--by-day", action="store_true",
                        help="fair-share: one row per user per day")
-    query.add_argument("--bucket-hours", type=float, default=24.0,
+    query.add_argument("--bucket-hours", type=_positive_float, default=24.0,
                        help="utilization: aggregation period (hours)")
     query.add_argument("--user", metavar="NAME",
                        help="jobs: only this user's jobs")
@@ -724,7 +738,7 @@ def build_parser():
     sweep.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="worker processes (default: serial)")
     sweep.add_argument("--days", type=_int_at_least(1), default=6)
-    sweep.add_argument("--scale", type=float, default=0.2)
+    sweep.add_argument("--scale", type=_positive_float, default=0.2)
     sweep.add_argument("--stations", type=int, default=23)
     sweep.add_argument("--trace-dir", metavar="DIR",
                        help="also record one telemetry trace per seed")

@@ -108,11 +108,6 @@ class LocalScheduler(Node):
         #: Placement start times by job id (placement-latency metric).
         self._placement_started = {}
         self._started = False
-        #: When true, :class:`~repro.core.condor.CondorSystem` charges
-        #: daemon overhead for the whole cluster from one hourly loop
-        #: (one agenda event instead of N); a standalone scheduler keeps
-        #: its own per-station loop.
-        self.daemon_managed = False
         #: Delta protocol: push ``state_update`` messages instead of
         #: waiting to be polled.  One coalesced push per simulation
         #: timestamp with an observable change, tagged with a monotonic
@@ -161,14 +156,11 @@ class LocalScheduler(Node):
         station.on_owner_change(self._owner_changed)
 
     def start(self):
-        """Start the station and the daemon-overhead bookkeeping."""
+        """Start the station and announce it to the coordinator."""
         if self._started:
             return
         self._started = True
         self.station.start()
-        if self.config.scheduler_daemon_load > 0 and not self.daemon_managed:
-            self.sim.spawn(self._daemon_overhead(),
-                           name=f"{self.name}.daemon")
         # Announce the initial state so the coordinator's view covers us
         # without waiting for its first full probe.
         self._mark_dirty()
@@ -278,13 +270,6 @@ class LocalScheduler(Node):
                 SCHEDULER, self.sim.now - HOUR, self.sim.now,
                 self.config.scheduler_daemon_load,
             )
-
-    def _daemon_overhead(self):
-        # Book the daemon's small background load in hourly chunks so the
-        # utilisation time series sees it spread, not lumped at the end.
-        while True:
-            yield HOUR
-            self.charge_daemon_overhead()
 
     # ==================================================================
     # submit side

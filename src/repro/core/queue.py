@@ -102,9 +102,6 @@ class BackgroundJobQueue:
     def pending_jobs(self):
         return tuple(self._pending)
 
-    def active_jobs(self):
-        return tuple(self._active)
-
     @property
     def wants_capacity(self):
         """Whether this station should request cycles from the coordinator."""

@@ -113,9 +113,6 @@ class TelemetryHub:
             self.counts.setdefault(kind, 0)
             self._rebuild_dispatch()
 
-    def known_kind(self, kind):
-        return kind in self._kinds
-
     def _check(self, kind):
         if kind not in self._kinds:
             raise UnknownEventKind(f"unknown event kind {kind!r}")

@@ -90,6 +90,10 @@ class TraceReplayer:
         self._started = True
         self.sim.spawn(self._run(), name="trace-replayer")
 
+    def all_jobs(self):
+        """Every successfully submitted job, in submission order."""
+        return self.jobs
+
     def _run(self):
         for record in self.records:
             delay = record["submitted_at"] - self.sim.now

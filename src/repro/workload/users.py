@@ -18,6 +18,8 @@ batches of ≈5 jobs.  Service demands are heavy-tailed (mean ≈5 h but
 median <3 h, Fig. 2), modelled per-user as two-phase hyperexponentials.
 """
 
+import math
+
 from repro.sim import HOUR
 from repro.sim.errors import SimulationError
 from repro.sim.randomness import Exponential, LogNormal, Uniform, fit_hyperexponential
@@ -89,6 +91,9 @@ def paper_profiles(homes, horizon_seconds, job_scale=1.0, cv2=DEMAND_CV2):
     counts proportionally for fast test runs; demands are untouched so
     per-job statistics keep their shape.
     """
+    if not math.isfinite(job_scale) or job_scale <= 0:
+        raise SimulationError(
+            f"job_scale must be a finite number > 0: {job_scale}")
     profiles = []
     for name, jobs, mean_hours in TABLE_1:
         total = max(1, round(jobs * job_scale))

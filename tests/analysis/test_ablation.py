@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.analysis.ablation import (
-    ReplayRun,
-    baseline_trace,
-    run_variant,
-    summarize,
-)
+from repro.analysis.ablation import baseline_trace, run_variant, summarize
 from repro.core import CondorConfig, FcfsPolicy
 
 TRACE_KWARGS = {"seed": 3, "days": 2, "job_scale": 0.04}
@@ -64,7 +59,7 @@ def test_summarize_keys(trace):
 
 
 def test_replay_run_light_heavy_partition(trace):
-    run = ReplayRun(trace, seed=3, days=2).execute()
+    run = run_variant(trace, seed=3, days=2)
     assert "A" not in run.light_users
     all_users = {j.user for j in run.jobs}
     assert run.light_users <= all_users

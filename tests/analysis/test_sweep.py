@@ -15,7 +15,6 @@ from repro.analysis.ablation import baseline_trace
 from repro.analysis.sweep import (
     COLLECTORS,
     MonthSpec,
-    VariantSpec,
     month_spec,
     run_spec,
     run_specs,
@@ -96,11 +95,11 @@ class TestVariantSweep:
     def test_spec_is_picklable(self, records):
         import pickle
 
-        spec = VariantSpec(records=tuple(records),
-                           config=CondorConfig(grace_period=0.0))
-        clone = pickle.loads(pickle.dumps(spec))
-        assert clone.config.grace_period == 0.0
-        assert len(clone.records) == len(records)
+        spec = month_spec(42, collector="ablation", records=tuple(records),
+                          config=CondorConfig(grace_period=0.0))
+        clone = dict(pickle.loads(pickle.dumps(spec)).run_kwargs)
+        assert clone["config"].grace_period == 0.0
+        assert len(clone["records"]) == len(records)
 
 
 class TestCollectorsRegistry:

@@ -113,7 +113,7 @@ PARENT_ALL = {
         "ExperimentRun", "run_month", "cached_month_run", "clear_cache",
         "paper", "table_1", "figure_2", "figure_3", "figure_4",
         "figure_5", "figure_6", "figure_7", "figure_8", "figure_9",
-        "headline_scalars", "ALL_EXHIBITS", "ReplayRun", "baseline_trace",
+        "headline_scalars", "ALL_EXHIBITS", "baseline_trace",
         "run_variant", "summarize", "export_csvs",
     ],
     "core": [

@@ -234,6 +234,30 @@ def test_bad_numeric_input_is_a_usage_error(argv, flag, capsys):
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["month", "--days", "1", "--scale", "nan"],
+    ["sweep", "--seeds", "1", "--days", "1", "--scale", "inf"],
+    ["month", "--days", "1", "--scale", "0"],
+    ["month", "--days", "1", "--scale", "-1"],
+], ids=["month-scale-nan", "sweep-scale-inf", "month-scale-0",
+        "month-scale-negative"])
+def test_scale_must_be_finite_and_positive(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "argument --scale:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hours", ["0", "-3", "nan"])
+def test_bucket_hours_must_be_finite_and_positive(hours, mini_trace,
+                                                  tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["query", "utilization", "--trace", str(mini_trace),
+              "--db", str(tmp_path / "ops.sqlite"), "--bucket-hours", hours])
+    assert excinfo.value.code == 2
+    assert "argument --bucket-hours:" in capsys.readouterr().err
+
+
 def test_more_pools_than_stations_is_an_error_not_a_traceback(capsys):
     assert main(["month", "--pools", "99", "--days", "1"]) == 2
     assert capsys.readouterr().err == "error: 99 pools for 23 stations\n"

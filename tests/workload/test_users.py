@@ -72,3 +72,9 @@ def test_negative_total_jobs_rejected():
     with pytest.raises(SimulationError):
         UserProfile("X", "ws-1", -1, Constant(HOUR),
                     interbatch_dist=Exponential(100.0))
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+def test_job_scale_must_be_finite_and_positive(scale):
+    with pytest.raises(SimulationError):
+        paper_profiles(HOMES, HORIZON, job_scale=scale)
