@@ -781,17 +781,17 @@ def build_parser():
                        help="crash-safe job database (sqlite, WAL)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=9618)
-    serve.add_argument("--agent-timeout", type=float, default=1.0,
+    serve.add_argument("--agent-timeout", type=_positive_float, default=1.0,
                        help="seconds without a heartbeat before an "
                             "agent's job is vacated")
-    serve.add_argument("--poll", type=float, default=0.05,
+    serve.add_argument("--poll", type=_positive_float, default=0.05,
                        help="placement-loop poll interval (seconds)")
     serve.add_argument("--standby-for", metavar="HOST:PORT",
                        help="run as a warm standby watching this primary;"
                             " promotes itself after repeated misses")
-    serve.add_argument("--standby-check", type=float, default=0.5,
+    serve.add_argument("--standby-check", type=_positive_float, default=0.5,
                        help="standby ping interval (seconds)")
-    serve.add_argument("--standby-misses", type=int, default=5,
+    serve.add_argument("--standby-misses", type=_int_at_least(1), default=5,
                        help="consecutive failed pings before promotion")
     serve.set_defaults(fn=_cmd_serve)
 
@@ -802,7 +802,7 @@ def build_parser():
                        help="coordinator endpoints, primary first")
     agent.add_argument("--ckpt", required=True, metavar="DIR",
                        help="checkpoint directory (shared across agents)")
-    agent.add_argument("--heartbeat", type=float, default=0.25,
+    agent.add_argument("--heartbeat", type=_positive_float, default=0.25,
                        help="heartbeat interval (seconds)")
     agent.add_argument("--seed", type=int, default=1,
                        help="reconnect-jitter seed")
@@ -819,30 +819,31 @@ def build_parser():
     submit.add_argument("--owner", default="anonymous")
     submit.add_argument("--demand", type=float, default=0.0,
                         help="declared demand (seconds), for accounting")
-    submit.add_argument("--count", type=int, default=1,
+    submit.add_argument("--count", type=_int_at_least(1), default=1,
                         help="submit this many identical jobs")
     submit.add_argument("--endpoints", default=_SERVICE_ENDPOINTS)
-    submit.add_argument("--timeout", type=float, default=5.0)
+    submit.add_argument("--timeout", type=_positive_float, default=5.0)
     submit.set_defaults(fn=_cmd_submit)
 
     q = sub.add_parser("q", help="queue/agents snapshot (like condor_q)")
-    q.add_argument("--limit", type=int, default=None)
+    q.add_argument("--limit", type=_int_at_least(1), default=None)
     q.add_argument("--endpoints", default=_SERVICE_ENDPOINTS)
-    q.add_argument("--timeout", type=float, default=5.0)
+    q.add_argument("--timeout", type=_positive_float, default=5.0)
     q.set_defaults(fn=_cmd_q)
 
     rm = sub.add_parser("rm", help="stop jobs (like condor_rm)")
     rm.add_argument("keys", nargs="+", metavar="KEY")
     rm.add_argument("--endpoints", default=_SERVICE_ENDPOINTS)
-    rm.add_argument("--timeout", type=float, default=5.0)
+    rm.add_argument("--timeout", type=_positive_float, default=5.0)
     rm.set_defaults(fn=_cmd_rm)
 
     drain = sub.add_parser(
         "drain", help="refuse new submissions; optionally wait for idle")
-    drain.add_argument("--wait", type=float, default=None, metavar="S",
+    drain.add_argument("--wait", type=_positive_float, default=None,
+                       metavar="S",
                        help="block until pending and in-flight hit zero")
     drain.add_argument("--endpoints", default=_SERVICE_ENDPOINTS)
-    drain.add_argument("--timeout", type=float, default=5.0)
+    drain.add_argument("--timeout", type=_positive_float, default=5.0)
     drain.set_defaults(fn=_cmd_drain)
 
     demo = sub.add_parser("demo", help="narrated five-station demo")

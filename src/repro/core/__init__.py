@@ -15,7 +15,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "BackgroundJobQueue": "queue",
     "UpDownPolicy": "updown",
     "AllocationPolicy": "policies", "FcfsPolicy": "policies",
-    "RandomPolicy": "policies", "RoundRobinPolicy": "policies",
+    "RoundRobinPolicy": "policies",
     "SchedulingError": "errors", "SubmissionRefused": "errors",
     "InvariantChecker": "invariants", "InvariantViolation": "invariants",
     "Reservation": "reservations", "ReservationBook": "reservations",

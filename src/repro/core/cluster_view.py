@@ -1,14 +1,14 @@
 """The coordinator's materialized view of the cluster (delta protocol).
 
-Under ``coordinator_mode="delta"`` the coordinator no longer polls every
-station every cycle.  Each local scheduler pushes a compact
-``state_update`` message whenever its observable state changes (idle
-transition, pending count, hosting assignment, disk headroom, boot
-epoch); this module keeps the last-known state per station *plus* the
-derived structures the allocation pass needs — the wanting set, the
-held-machine counts, the hosting map, and the idle list in station
-order — maintained incrementally so a cycle over a quiet 5000-station
-cluster does O(changed) work, not O(N).
+The delta-protocol coordinator does not poll every station every cycle
+(the reference ``PollingCoordinator`` does, and never reads this view).
+Each local scheduler pushes a compact ``state_update`` message whenever
+its observable state changes (idle transition, pending count, hosting
+assignment, disk headroom, boot epoch); this module keeps the last-known
+state per station *plus* the derived structures the allocation pass
+needs — the wanting set, the held-machine counts, the hosting map, and
+the idle list in station order — maintained incrementally so a cycle
+over a quiet 5000-station cluster does O(changed) work, not O(N).
 
 Staleness is handled with a per-sender monotonic sequence number: an
 update (or an anti-entropy poll reply) is applied only if its ``seq`` is

@@ -15,6 +15,7 @@ constructor.
 import copy
 
 from repro.core.config import CondorConfig
+from repro.core.coordinator import PollingCoordinator
 from repro.core.federation import (
     Matchmaker,
     PoolCoordinator,
@@ -109,7 +110,14 @@ class CondorSystem:
     def _build_pools(self, names, host_name):
         """Construct the pool coordinators (and, above one pool, the
         matchmaker).  One pool is one coordinator named ``"coordinator"``
-        holding the whole cluster and the reservation book."""
+        holding the whole cluster and the reservation book — under
+        ``"poll"``, the 1988 reference :class:`PollingCoordinator`."""
+        if self.config.coordinator_mode == "poll":
+            return [PollingCoordinator(
+                self.sim, self.network, names, self.policy, self.telemetry,
+                self.config, host_station=self.stations[host_name],
+                reservations=self.reservations,
+            )]
         n_pools = self.config.federation_pools
         pools = federation_pools(names, n_pools)
         matchmaker_name = "matchmaker" if n_pools > 1 else None

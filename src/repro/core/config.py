@@ -23,14 +23,15 @@ class CondorConfig:
 
     #: Coordinator polling/allocation period (§2.1: "every two minutes").
     poll_interval: float = 2 * MINUTE
-    #: How the coordinator learns cluster state each cycle:
-    #: ``"delta"`` — local schedulers push ``state_update`` messages when
-    #: their observable state changes and the coordinator allocates from a
-    #: materialized view (scales to thousands of stations);
-    #: ``"poll"`` — the 1988 behaviour: a full RPC fan-out every cycle.
+    #: How the coordinator learns cluster state each cycle (allocation
+    #: is shared): ``"delta"`` — local schedulers push ``state_update``
+    #: messages into a materialized view (scales to thousands of
+    #: stations); ``"poll"`` — the 1988 reference
+    #: :class:`~repro.core.coordinator.PollingCoordinator`: a full RPC
+    #: fan-out every cycle, pushes ignored.
     coordinator_mode: str = "delta"
-    #: In delta mode, run a full anti-entropy poll every this many cycles
-    #: to repair the view after lost pushes and catch silent reboots.
+    #: In delta mode, probe every station once per this many cycles to
+    #: repair the view after lost pushes and catch silent reboots.
     anti_entropy_interval: int = 15
     #: Grace a stopped job waits on a reclaimed station before being
     #: checkpointed off (§4: "within 5 minutes").
@@ -60,8 +61,8 @@ class CondorConfig:
     scheduler_daemon_load: float = 0.0025
     #: What the per-cycle overhead scales with: ``"per_station"`` (every
     #: registered station, the 1988 model), ``"per_update"`` (work
-    #: actually done), or ``"auto"`` — per_station under polling,
-    #: per_update under the delta protocol.
+    #: actually done), or ``"auto"`` — per_station for the polling
+    #: coordinator, per_update under the delta protocol.
     coordinator_overhead_model: str = "auto"
     #: Checkpoint generations each home store keeps per job.  1 is the
     #: paper's one-file-per-job behaviour; 2+ lets verify-on-restore fall

@@ -6,21 +6,23 @@ to requesting stations — at most one placement per cycle system-wide
 orders a priority preemption of a running job whose home hoards capacity
 (§2.4, the Up-Down algorithm).
 
-How it learns cluster state depends on ``config.coordinator_mode``:
+A cycle observes the cluster, then allocates — in
+:func:`~repro.core.updown.grant_order`, as the service daemon and the
+live runtime do.  :class:`Coordinator` observes through the delta
+protocol: local schedulers push ``state_update`` messages only when
+their observable state changes into a materialized
+:class:`~repro.core.cluster_view.ClusterView`.  Each cycle it probes
+only the stations it *must* hear from — hosts running foreign jobs
+(prompt lost-host detection), stations never heard from, and quarantined
+stations — plus a rotating anti-entropy sweep that repairs any drift
+from lost pushes and catches silent crash+reboots.  A quiet cycle costs
+O(active placements), not O(N).
 
-* ``"poll"`` — the 1988 behaviour: a full RPC fan-out to every station
-  every cycle.  Simple, but each cycle costs O(N) messages even when
-  nothing changed, which caps the cluster size the paper itself noted
-  ("a coordinator can manage as many as 100 workstations", §3.1).
-* ``"delta"`` (default) — local schedulers push ``state_update``
-  messages only when their observable state changes and the coordinator
-  allocates from a materialized :class:`~repro.core.cluster_view.ClusterView`.
-  Each cycle it probes only the stations it *must* hear from — hosts
-  running foreign jobs (prompt lost-host detection), stations never
-  heard from, and quarantined stations — and every
-  ``anti_entropy_interval`` cycles it falls back to one full poll that
-  repairs any drift from lost pushes and catches silent crash+reboots.
-  A quiet cycle costs O(active placements), not O(N).
+:class:`PollingCoordinator` (the ``"poll"`` mode) is the 1988 behaviour,
+kept as the reference the delta protocol is checked against: a full RPC
+fan-out to every station every cycle, O(N) messages even when nothing
+changed, which caps the cluster size the paper itself noted ("a
+coordinator can manage as many as 100 workstations", §3.1).
 
 Deliberately thin, per the paper's design philosophy: it keeps *no* job
 state, only allocation bookkeeping, so its failure stops new allocations
@@ -31,6 +33,7 @@ import time as _wallclock
 from functools import partial
 
 from repro.core.cluster_view import ClusterView
+from repro.core.updown import grant_order
 from repro.machine.accounting import COORDINATOR
 from repro.net import Node, ReliableSender
 from repro.sim import Signal
@@ -57,40 +60,28 @@ class PollResult:
 class CycleSnapshot:
     """What one cycle's allocation pass knows about the cluster.
 
-    Built either from a full poll's replies (poll mode) or from the
-    materialized view (delta mode); the allocation code downstream is
-    identical.  ``states`` maps station name to its observed state dict,
-    ``idle_hosts`` lists grantable stations in the deterministic order
-    allocation relies on, ``holders`` lists ``(host, home)`` for every
-    machine reporting a foreign job.
+    ``states`` maps station name to its observed state dict, ``holders``
+    lists ``(host, home)`` for every machine reporting a foreign job.
+    ``idle_hosts`` is a zero-arg callable returning the grantable
+    stations in the deterministic order allocation relies on: a quiet
+    cycle that issues nothing and has no trace subscriber never builds
+    the list at all — the per-cycle rebuild was the dominant allocation
+    cost at N=50000.
     """
 
     __slots__ = ("states", "wanting", "held_counts", "_idle_source",
-                 "_idle_hosts", "_idle_count", "holders", "unreachable",
-                 "live_idle")
+                 "_idle_hosts", "_idle_count", "holders", "unreachable")
 
-    def __init__(self, states, wanting, held_counts, idle_hosts, holders,
-                 unreachable, live_idle=False, idle_count=None):
+    def __init__(self, states, wanting, held_counts, idle_hosts, idle_count,
+                 holders, unreachable):
         self.states = states
         self.wanting = wanting
         self.held_counts = held_counts
-        # ``idle_hosts`` may be a ready list (poll mode) or a zero-arg
-        # callable (delta mode): a quiet cycle that issues nothing and
-        # has no trace subscriber never materializes the list at all —
-        # the per-cycle rebuild was the dominant allocation cost at
-        # N=50000.
-        if callable(idle_hosts):
-            self._idle_source = idle_hosts
-            self._idle_hosts = None
-        else:
-            self._idle_source = None
-            self._idle_hosts = idle_hosts
+        self._idle_source = idle_hosts
+        self._idle_hosts = None
         self._idle_count = idle_count
         self.holders = holders
         self.unreachable = unreachable
-        #: Whether ``current_idle`` must be derived from ``idle_since``
-        #: (view states are not re-stamped at every cycle).
-        self.live_idle = live_idle
 
     @property
     def idle_hosts(self):
@@ -105,36 +96,32 @@ class CycleSnapshot:
         Used by federation to keep expired-lease borrowed stations out
         of the allocation pass while they drain back to their lender.
         """
-        if self._idle_hosts is not None:
-            self._idle_hosts = [h for h in self._idle_hosts
-                                if h not in names]
-        else:
-            source = self._idle_source
-            self._idle_source = lambda: [h for h in source()
-                                         if h not in names]
+        source = self._idle_source
+        self._idle_source = lambda: [h for h in source() if h not in names]
+        self._idle_hosts = None
         self._idle_count = None
 
     @property
     def idle_count(self):
         """``len(idle_hosts)`` without forcing the list to exist."""
-        if self._idle_hosts is not None:
-            return len(self._idle_hosts)
-        if self._idle_count is not None:
-            return self._idle_count
-        return len(self.idle_hosts)
+        if self._idle_count is None:
+            self._idle_count = len(self.idle_hosts)
+        return self._idle_count
 
     def current_idle(self, name, now):
         """How long ``name`` has been idle, as of this cycle."""
         state = self.states[name]
-        if self.live_idle:
-            if not state["idle"]:
-                return 0.0
-            return now - state["idle_since"]
-        return state["current_idle"]
+        if not state["idle"]:
+            return 0.0
+        return now - state["idle_since"]
 
 
 class Coordinator(Node):
-    """Capacity allocator for the whole cluster."""
+    """Capacity allocator for the whole cluster (delta protocol)."""
+
+    #: What ``coordinator_overhead_model="auto"`` charges a cycle for:
+    #: the work it actually did (updates absorbed plus probes sent).
+    auto_overhead_model = "per_update"
 
     def __init__(self, sim, net, station_names, policy, hub, config,
                  host_station=None, reservations=None, name="coordinator"):
@@ -215,23 +202,13 @@ class Coordinator(Node):
             self._process = self.sim.spawn(self._run(), name=self.name)
 
     def _run(self):
-        delta = self.config.coordinator_mode != "poll"
         while True:
             yield self.config.poll_interval
             if self.crashed:
                 continue
-            if delta:
-                yield from self._refresh_view()
-                if self.crashed:
-                    continue   # went down while waiting on the probes
-                snapshot = self._snapshot_from_view()
-            else:
-                poll = yield from self._poll_all(self.station_names)
-                if self.crashed:
-                    continue   # went down while waiting on the poll
-                self._detect_lost_hosts(poll)
-                self._work_units += len(poll.replies)
-                snapshot = self._snapshot_from_poll(poll)
+            snapshot = yield from self._observe()
+            if snapshot is None:
+                continue   # went down while waiting on the replies
             self._allocate(snapshot)
             self._charge_overhead()
             self._post_cycle()
@@ -291,57 +268,13 @@ class Coordinator(Node):
         unreachable = {name for name in targets if name not in replies}
         return PollResult(replies, unreachable)
 
-    def _detect_lost_hosts(self, poll):
-        """Find hosts whose foreign job died with them since last cycle.
-
-        Two signatures: the host stopped answering polls, or it answers
-        with a *newer boot epoch* (it crashed and rebooted entirely
-        between two polls — too fast for a timeout to show).  Either way
-        the job it was hosting is gone; its home is told to restart it
-        from the last checkpoint.
-        """
-        for host, home in list(self._hosting_map.items()):
-            reply = poll.replies.get(host)
-            if host in poll.unreachable:
-                self._send_host_lost(home, host)
-            elif (reply is not None
-                  and reply["boot_epoch"] != self._boot_epochs.get(host)
-                  and reply["hosting_home"] is None):
-                self._send_host_lost(home, host)
-        self._hosting_map = {
-            name: reply["hosting_home"]
-            for name, reply in poll.replies.items()
-            if reply["hosting_home"] is not None
-        }
-        self._boot_epochs = {
-            name: reply["boot_epoch"]
-            for name, reply in poll.replies.items()
-        }
-
-    def _snapshot_from_poll(self, poll):
-        replies = poll.replies
-        wanting = {name for name, reply in replies.items()
-                   if reply["pending"] > 0 or reply.get("pending_gangs")}
-        held_counts = {}
-        holders = []
-        for name, reply in replies.items():
-            home = reply["hosting_home"]
-            if home is not None:
-                held_counts[home] = held_counts.get(home, 0) + 1
-                holders.append((name, home))
-        idle_hosts = [
-            name for name, reply in replies.items()
-            if reply["idle"] and reply["hosting_home"] is None
-            and reply["free_mb"] > 0
-        ]
-        return CycleSnapshot(replies, wanting, held_counts, idle_hosts,
-                             holders, poll.unreachable)
-
     # ------------------------------------------------------------------
     # delta protocol
 
-    def _refresh_view(self):
-        """Bring the materialized view current enough to allocate from.
+    def _observe(self):
+        """The cycle's observation step: bring the materialized view
+        current enough to allocate from, then snapshot it (``None`` if
+        the coordinator crashed meanwhile).
 
         Quiet cycles cost two latency hops (so allocation happens at the
         same instant a full poll's would) and zero messages.  Cycles with
@@ -384,12 +317,12 @@ class Coordinator(Node):
             # allocation sees exactly what polling mode would have.
             yield self.net.latency
             yield self.net.latency
-            return
+            return None if self.crashed else self._snapshot_from_view()
         self._work_units += len(targets)
         self.hub.metrics.counter("coordinator.probes_sent").inc(len(targets))
         poll = yield from self._poll_all(targets)
         if self.crashed:
-            return   # don't absorb observations made by a dead daemon
+            return None   # don't absorb observations made by a dead daemon
         for name, reply in poll.replies.items():
             self._absorb(name, reply["state"], reply["seq"],
                          from_reply=True)
@@ -398,11 +331,10 @@ class Coordinator(Node):
         # set iteration would make that hash-seed dependent.
         for name in sorted(poll.unreachable, key=order.__getitem__):
             self._note_unreachable(name)
+        return self._snapshot_from_view()
 
     def _handle_state_update(self, payload):
         """A local scheduler pushed its new observable state."""
-        if self.config.coordinator_mode == "poll":
-            return
         name = payload["station"]
         if self.view.member(name):
             self._absorb(name, payload["state"], payload["seq"],
@@ -421,7 +353,8 @@ class Coordinator(Node):
             # and most anti-entropy replies in a large pool land here.
             self._ctr_stale.inc()
             return
-        # Reboot signature first (mirrors _detect_lost_hosts): the host we
+        # Reboot signature first (mirrors the poll oracle's
+        # PollingCoordinator._detect_lost_hosts): the host we
         # believed was running a foreign job reports a fresh boot with an
         # empty slot — the job died with the old incarnation.
         home = self._hosting_map.get(name)
@@ -468,9 +401,8 @@ class Coordinator(Node):
         holders = [(host, view.hosting[host])
                    for host in sorted(view.hosting, key=view.order.__getitem__)]
         return CycleSnapshot(view.states, view.wanting, view.held_counts,
-                             view.idle_hosts, holders,
-                             view.quarantined, live_idle=True,
-                             idle_count=view.idle_count)
+                             view.idle_hosts, view.idle_count, holders,
+                             view.quarantined)
 
     # ------------------------------------------------------------------
     # allocation
@@ -645,51 +577,37 @@ class Coordinator(Node):
         return max(candidates, key=lambda pair: (index(pair[1]), pair[0]))[0]
 
     def _issue_grants(self, snapshot, ranked, removed, allocated_counts):
-        """Hand idle machines to requesters in priority order.
+        """Hand idle machines to requesters in Up-Down order.
 
-        ``available`` is a set (O(1) removal — the old list.remove made
-        a busy cycle O(grants x idle)), built only when some requester
-        passes the cap checks — the unconditional per-cycle rebuild was
-        pure waste on the (majority of) cycles where every ranked
-        requester is already at cap.  Host selection is order-free
-        because every mode totals-orders candidates by a key ending in
-        the station name.
+        A requester may take ``grants_per_station_per_cycle`` machines,
+        fewer if that would lift it past ``max_machines_per_station``.
+        The idle set is built only when some requester gets a machine —
+        on most cycles every ranked requester is already at its cap.
+        Host selection is order-free because every mode totals-orders
+        candidates by a key ending in the station name.
         """
-        budget = self.config.placements_per_cycle
+        slots = min(self.config.placements_per_cycle,
+                    snapshot.idle_count - len(removed))
+        if slots <= 0:
+            return []
         per_station = self.config.grants_per_station_per_cycle
         cap = self.config.max_machines_per_station
-        available = None
-        grants = []
-        granted_to = {}
-        progress = True
-        while budget > 0 and progress:
-            progress = False
-            for requester in ranked:
-                if budget == 0:
-                    break
-                if available is not None and not available:
-                    break
-                if granted_to.get(requester, 0) >= per_station:
-                    continue
-                if cap is not None and (
-                        allocated_counts.get(requester, 0)
-                        + granted_to.get(requester, 0)) >= cap:
-                    continue
-                if available is None:
-                    available = {h for h in snapshot.idle_hosts
-                                 if h not in removed}
-                    if not available:
-                        break
-                host = self._select_host(snapshot, available)
-                available.discard(host)
-                grants.append((requester, host))
-                granted_to[requester] = granted_to.get(requester, 0) + 1
-                budget -= 1
-                progress = True
-            if available is not None and not available:
-                break
+        allowance = {
+            requester: (per_station if cap is None else
+                        min(per_station,
+                            cap - allocated_counts.get(requester, 0)))
+            for requester in ranked
+        }
+        order = grant_order(ranked, slots, allowance)
+        if not order:
+            return []
+        available = {h for h in snapshot.idle_hosts if h not in removed}
         states = snapshot.states
-        for requester, host in grants:
+        grants = []
+        for requester in order:
+            host = self._select_host(snapshot, available)
+            available.discard(host)
+            grants.append((requester, host))
             self.grants_issued += 1
             self.net.message(requester, "grant", {
                 "host": host, "free_mb": states[host]["free_mb"],
@@ -779,9 +697,7 @@ class Coordinator(Node):
             return
         model = self.config.coordinator_overhead_model
         if model == "auto":
-            model = ("per_station"
-                     if self.config.coordinator_mode == "poll"
-                     else "per_update")
+            model = self.auto_overhead_model
         if model == "per_station":
             work = len(self.station_names)
         self.host_station.ledger.charge(
@@ -798,8 +714,8 @@ class Coordinator(Node):
         """Restart the coordinator on another machine.
 
         Only the schedule indexes' history is lost if the caller swaps in
-        a fresh policy; allocation state is rebuilt from the next poll.
-        In delta mode the view is wiped — pushes sent while the
+        a fresh policy; allocation state is rebuilt from the next
+        observations.  The view is wiped — pushes sent while the
         coordinator was down are gone for good, so every station is
         treated as unknown and probed back into the view.
         """
@@ -815,3 +731,78 @@ class Coordinator(Node):
             f"cycles={self.cycles} grants={self.grants_issued} "
             f"preemptions={self.preemptions_ordered}>"
         )
+
+
+class PollingCoordinator(Coordinator):
+    """The 1988 coordinator: every cycle polls every station.
+
+    :class:`~repro.core.condor.CondorSystem` builds it for the
+    ``"poll"`` mode.  It is the reference the delta protocol is checked
+    against: each cycle's snapshot and lost hosts are derived from
+    scratch out of one full poll's replies, and the stations' pushes are
+    acknowledged and dropped, so nothing the view machinery does can
+    reach its decisions.
+    """
+
+    #: The 1988 model: every registered station costs a unit per cycle.
+    auto_overhead_model = "per_station"
+
+    def _observe(self):
+        poll = yield from self._poll_all(self.station_names)
+        if self.crashed:
+            return None
+        self._detect_lost_hosts(poll)
+        self._work_units += len(poll.replies)
+        return self._snapshot_from_poll(poll)
+
+    def _handle_state_update(self, payload):
+        """Ignore pushes: a full poll alone informs this coordinator."""
+
+    def _detect_lost_hosts(self, poll):
+        """Find hosts whose foreign job died with them since last cycle.
+
+        Two signatures: the host stopped answering polls, or it answers
+        with a *newer boot epoch* (it crashed and rebooted entirely
+        between two polls — too fast for a timeout to show).  Either way
+        the job it was hosting is gone; its home is told to restart it
+        from the last checkpoint.
+        """
+        for host, home in list(self._hosting_map.items()):
+            reply = poll.replies.get(host)
+            if host in poll.unreachable:
+                self._send_host_lost(home, host)
+            elif (reply is not None
+                  and reply["state"]["boot_epoch"]
+                  != self._boot_epochs.get(host)
+                  and reply["state"]["hosting_home"] is None):
+                self._send_host_lost(home, host)
+        self._hosting_map = {
+            name: reply["state"]["hosting_home"]
+            for name, reply in poll.replies.items()
+            if reply["state"]["hosting_home"] is not None
+        }
+        self._boot_epochs = {
+            name: reply["state"]["boot_epoch"]
+            for name, reply in poll.replies.items()
+        }
+
+    def _snapshot_from_poll(self, poll):
+        states = {name: reply["state"]
+                  for name, reply in poll.replies.items()}
+        wanting = {name for name, state in states.items()
+                   if state["pending"] > 0 or state["pending_gangs"]}
+        held_counts = {}
+        holders = []
+        for name, state in states.items():
+            home = state["hosting_home"]
+            if home is not None:
+                held_counts[home] = held_counts.get(home, 0) + 1
+                holders.append((name, home))
+        idle_hosts = [
+            name for name, state in states.items()
+            if state["idle"] and state["hosting_home"] is None
+            and state["free_mb"] > 0
+        ]
+        return CycleSnapshot(states, wanting, held_counts,
+                             lambda: idle_hosts, len(idle_hosts), holders,
+                             poll.unreachable)

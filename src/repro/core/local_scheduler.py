@@ -112,11 +112,10 @@ class LocalScheduler(Node):
         #: waiting to be polled.  One coalesced push per simulation
         #: timestamp with an observable change, tagged with a monotonic
         #: per-sender sequence number so the coordinator can discard
-        #: stale reordered updates.
-        self._push_enabled = config.coordinator_mode != "poll"
-        #: Where pushes go.  Fixed in delta mode; under federation a
-        #: ``rehome`` message re-points it when this station is lent to
-        #: (or returned from) another pool's coordinator.
+        #: stale reordered updates.  Where pushes go: fixed with one
+        #: pool; under federation a ``rehome`` message re-points it when
+        #: this station is lent to (or returned from) another pool's
+        #: coordinator.
         self.coordinator_name = "coordinator"
         #: Timestamp of the last accepted rehome — a monotonic guard so a
         #: delayed, re-delivered rehome cannot roll the pointer back.
@@ -200,7 +199,7 @@ class LocalScheduler(Node):
         """
         self._state_cache = None
         self._reply_cache = None
-        if not self._push_enabled or self.crashed:
+        if self.crashed:
             return
         if self._flush_handle is None:
             self._flush_handle = self.sim.schedule(0.0, self._flush_state)
@@ -323,27 +322,19 @@ class LocalScheduler(Node):
     def _handle_poll(self, payload):
         """Answer the coordinator: am I idle, what do I want, whom do I host.
 
-        Under the delta protocol the reply is an envelope around the
-        (shared) observable-state snapshot plus the seq of the last
-        push, so a reply absorbed into the view can never be overridden
-        by an older in-flight push — and the anti-entropy sweep's
-        hundreds of thousands of probe replies per simulated day never
-        copy the snapshot.  A polling coordinator instead gets the flat
-        state with ``current_idle`` stamped fresh (only full polls need
-        it pre-computed; the delta view derives it from ``idle_since``).
+        The reply is an envelope around the (shared) observable-state
+        snapshot plus the seq of the last push, so a reply absorbed into
+        the view can never be overridden by an older in-flight push —
+        and the anti-entropy sweep's hundreds of thousands of probe
+        replies per simulated day never copy the snapshot.
         """
-        if self._push_enabled:
-            reply = self._reply_cache
-            if reply is None:
-                reply = self._reply_cache = {
-                    "state": self._observable_state(),
-                    "seq": self._push_seq,
-                }
-            return reply
-        return {
-            **self._observable_state(),
-            "current_idle": self.station.current_idle_seconds(),
-        }
+        reply = self._reply_cache
+        if reply is None:
+            reply = self._reply_cache = {
+                "state": self._observable_state(),
+                "seq": self._push_seq,
+            }
+        return reply
 
     def submit_gang(self, gang):
         """Accept a parallel program for a coordinated launch (§5(2)).

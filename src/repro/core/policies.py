@@ -7,14 +7,12 @@ there are machines.  These baselines expose what happens without it:
 
 * :class:`FcfsPolicy` — requests served strictly in the order stations
   first asked; a heavy user who asked first monopolises the pool.
-* :class:`RandomPolicy` — capacity raffled among requesters each cycle;
-  proportional to *request pressure*, so the heavy user still dominates.
+* :class:`RoundRobinPolicy` — priority rotated among requesters; fair in
+  grants per cycle but blind to what each station already holds.
 
 Both are preemption-free (a granted machine is held until the owner
 returns or the job finishes), isolating Up-Down's preemption as well.
 """
-
-from repro.sim.errors import SimulationError
 
 
 class AllocationPolicy:
@@ -66,22 +64,6 @@ class FcfsPolicy(AllocationPolicy):
         known = [r for r in requesters if r in self._position]
         unknown = sorted(r for r in requesters if r not in self._position)
         return sorted(known, key=lambda r: self._position[r]) + unknown
-
-
-class RandomPolicy(AllocationPolicy):
-    """Capacity raffled uniformly among current requesters each cycle."""
-
-    name = "random"
-
-    def __init__(self, stream):
-        if stream is None:
-            raise SimulationError("RandomPolicy needs a RandomStream")
-        self.stream = stream
-
-    def rank_requesters(self, requesters):
-        order = sorted(requesters)
-        self.stream.shuffle(order)
-        return order
 
 
 class RoundRobinPolicy(AllocationPolicy):

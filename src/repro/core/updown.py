@@ -204,3 +204,23 @@ class UpDownPolicy:
     def __repr__(self):
         indexes = {name: self.index(name) for name in sorted(self._index)}
         return f"<UpDownPolicy {indexes}>"
+
+
+def grant_order(ranked, slots, allowance):
+    """Who gets each of a cycle's machines, in Up-Down grant order.
+
+    Passes over ``ranked`` (most deprived first), one machine per
+    requester per pass, until ``slots`` machines are handed out or no
+    requester has ``allowance`` left (requester -> machines it may take;
+    absent or below one is none).  Returns one requester per machine.
+    """
+    left = [max(0, allowance.get(requester, 0)) for requester in ranked]
+    order = []
+    while len(order) < slots and any(left):
+        for i, requester in enumerate(ranked):
+            if len(order) == slots:
+                break
+            if left[i]:
+                left[i] -= 1
+                order.append(requester)
+    return order

@@ -6,9 +6,9 @@ A faithful, working miniature of the paper's structure on one machine:
 * a coordinator thread polls on a short interval, matching pending jobs
   to available workers — one placement per cycle, like the deployed
   system's two-minute throttle;
-* fairness across submitting users uses the same
-  :class:`~repro.core.updown.UpDownPolicy` the simulator uses (the
-  policy is pure bookkeeping, so it is shared verbatim).
+* fairness across submitting users uses the simulator's Up-Down
+  policy and :func:`~repro.core.updown.grant_order` (both are pure
+  bookkeeping, so they are shared verbatim).
 
 Vacated jobs resume from their last pickle checkpoint on another worker;
 nothing is ever restarted from scratch.
@@ -17,7 +17,7 @@ nothing is ever restarted from scratch.
 import threading
 import time
 
-from repro.core.updown import UpDownPolicy
+from repro.core.updown import UpDownPolicy, grant_order
 from repro.runtime.checkpoint import InMemoryCheckpointStore
 from repro.runtime.errors import LiveRuntimeError
 from repro.runtime.job import LiveJob
@@ -36,7 +36,7 @@ class LiveCluster:
     """
 
     def __init__(self, worker_names, store=None, poll_interval=0.02,
-                 placements_per_cycle=1, policy=None, hub=None,
+                 placements_per_cycle=1, hub=None,
                  shutdown_timeout=5.0):
         if not worker_names:
             raise LiveRuntimeError("need at least one worker")
@@ -49,7 +49,7 @@ class LiveCluster:
                         for name in worker_names}
         self.poll_interval = poll_interval
         self.placements_per_cycle = placements_per_cycle
-        self.policy = policy or UpDownPolicy()
+        self.policy = UpDownPolicy()
         self._queue = []
         self._jobs = []
         self.shutdown_timeout = shutdown_timeout
@@ -165,34 +165,26 @@ class LiveCluster:
         dt = (now - self._last_update) if self._last_update else 0.0
         self._last_update = now
 
+        queued = {}
         with self._lock:
-            wanting_owners = {job.owner for job in self._queue}
+            for job in self._queue:
+                queued[job.owner] = queued.get(job.owner, 0) + 1
         holding = {}
         for worker in self.workers.values():
             current = worker.current_job()
             if current is not None:
                 holding[current.owner] = holding.get(current.owner, 0) + 1
-        self.policy.update(wanting_owners, holding, dt)
+        self.policy.update(queued, holding, dt)
 
         available = [w for w in self.workers.values() if w.available]
-        placements = 0
-        progress = True
-        while (placements < self.placements_per_cycle and available
-               and progress):
-            progress = False
-            for owner in self.policy.rank_requesters(wanting_owners):
-                if placements >= self.placements_per_cycle or not available:
-                    break
-                job = self._pop_job_of(owner)
-                if job is None:
-                    continue
-                worker = available.pop(0)
-                if not worker.start_job(job, self._job_exited):
-                    with self._lock:
-                        self._queue.insert(0, job)
-                else:
-                    placements += 1
-                    progress = True
+        order = grant_order(self.policy.rank_requesters(queued),
+                            min(self.placements_per_cycle, len(available)),
+                            queued)
+        for worker, owner in zip(available, order):
+            job = self._pop_job_of(owner)
+            if not worker.start_job(job, self._job_exited):
+                with self._lock:
+                    self._queue.insert(0, job)
 
     def _pop_job_of(self, owner):
         with self._lock:

@@ -67,7 +67,7 @@ import socket
 import threading
 import time
 
-from repro.core.updown import UpDownPolicy
+from repro.core.updown import UpDownPolicy, grant_order
 from repro.service import jobdb as db_states
 from repro.service import protocol
 from repro.service.errors import ProtocolError, ServiceError, StaleEpochError
@@ -176,7 +176,7 @@ class CoordinatorDaemon:
     def __init__(self, db_path, host="127.0.0.1", port=0,
                  poll_interval=0.05, agent_timeout=1.0,
                  reconcile_timeout=None, placements_per_cycle=4,
-                 rpc_timeout=5.0, policy=None, promotion=False,
+                 rpc_timeout=5.0, promotion=False,
                  clock=time.monotonic):
         self.db_path = str(db_path)
         self.host = host
@@ -188,7 +188,7 @@ class CoordinatorDaemon:
                                   else reconcile_timeout)
         self.placements_per_cycle = placements_per_cycle
         self.rpc_timeout = rpc_timeout
-        self.policy = policy or UpDownPolicy()
+        self.policy = UpDownPolicy()
         self.promotion = promotion
         self.clock = clock
         self.db = None
@@ -884,22 +884,19 @@ class CoordinatorDaemon:
         slots = min(len(idle), self.placements_per_cycle)
         if not slots or not wanting:
             return []
-        # Round-robin over the owners in rank order: the owner at rank r
-        # can get at most ``slots - r`` agents, so that is all of its
-        # queue the cycle looks at.
+        # The owner at rank r can get at most ``slots - r`` agents, so
+        # that is all of its queue the cycle looks at.
         ranked = self.policy.rank_requesters(wanting)[:slots]
         heads = {owner: self.db.queue_heads(owner, slots - rank)
                  for rank, owner in enumerate(ranked)}
+        order = grant_order(ranked, slots,
+                            {owner: len(heads[owner]) for owner in ranked})
         assignments = []
         specs = {}
-        while len(assignments) < slots and any(heads.values()):
-            for owner in ranked:
-                if len(assignments) == slots:
-                    break
-                if heads[owner]:
-                    key, entry, payload = heads[owner].pop(0)
-                    specs[key] = (entry, payload)
-                    assignments.append((key, idle[len(assignments)]))
+        for agent, owner in zip(idle, order):
+            key, entry, payload = heads[owner].pop(0)
+            specs[key] = (entry, payload)
+            assignments.append((key, agent))
         placed = self.db.place_batch(
             assignments, self.epoch,
             {owner: self.policy.index(owner) for owner in self._owners})

@@ -22,10 +22,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "RandomStream": "randomness", "Distribution": "randomness",
     "Constant": "randomness", "Uniform": "randomness",
     "Exponential": "randomness", "Hyperexponential": "randomness",
-    "Erlang": "randomness", "LogNormal": "randomness",
-    "Mixture": "randomness", "BoundedPareto": "randomness",
-    "Bernoulli": "randomness", "DiscreteChoice": "randomness",
-    "Shifted": "randomness", "fit_hyperexponential": "randomness",
+    "LogNormal": "randomness", "Mixture": "randomness",
+    "fit_hyperexponential": "randomness",
     "SECOND": "kernel", "MINUTE": "kernel", "HOUR": "kernel",
     "DAY": "kernel", "WEEK": "kernel",
 })

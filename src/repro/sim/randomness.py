@@ -200,28 +200,6 @@ def fit_hyperexponential(mean, cv2):
     return Hyperexponential([(p1, m1), (p2, m2)])
 
 
-class Erlang(Distribution):
-    """Erlang-k with the given overall mean (sum of k exponentials)."""
-
-    def __init__(self, k, mean):
-        if k < 1 or int(k) != k:
-            raise SimulationError(f"Erlang k must be a positive integer, got {k}")
-        if mean <= 0:
-            raise SimulationError(f"Erlang mean must be > 0, got {mean}")
-        self.k = int(k)
-        self._mean = float(mean)
-
-    def sample(self, stream):
-        phase_mean = self._mean / self.k
-        return sum(stream.expovariate(1.0 / phase_mean) for _ in range(self.k))
-
-    def mean(self):
-        return self._mean
-
-    def __repr__(self):
-        return f"Erlang(k={self.k}, mean={self._mean})"
-
-
 class LogNormal(Distribution):
     """Log-normal parameterised by its actual mean and sigma of log-space."""
 
@@ -240,76 +218,6 @@ class LogNormal(Distribution):
 
     def __repr__(self):
         return f"LogNormal(mean={self._mean}, sigma={self.sigma})"
-
-
-class BoundedPareto(Distribution):
-    """Pareto on ``[low, high]`` with shape ``alpha`` (heavy-tailed sizes)."""
-
-    def __init__(self, alpha, low, high):
-        if alpha <= 0 or low <= 0 or high <= low:
-            raise SimulationError(
-                f"bad BoundedPareto(alpha={alpha}, low={low}, high={high})"
-            )
-        self.alpha = float(alpha)
-        self.low = float(low)
-        self.high = float(high)
-
-    def sample(self, stream):
-        u = stream.random()
-        la = self.low ** self.alpha
-        ha = self.high ** self.alpha
-        return (-(u * ha - u * la - ha) / (ha * la)) ** (-1.0 / self.alpha)
-
-    def mean(self):
-        a, l, h = self.alpha, self.low, self.high
-        if math.isclose(a, 1.0):
-            return math.log(h / l) / (1.0 / l - 1.0 / h)
-        num = (a / (a - 1.0)) * (l ** a) * (l ** (1 - a) - h ** (1 - a))
-        den = 1.0 - (l / h) ** a
-        return num / den
-
-    def __repr__(self):
-        return f"BoundedPareto(alpha={self.alpha}, low={self.low}, high={self.high})"
-
-
-class Bernoulli(Distribution):
-    """1 with probability ``p``, else 0."""
-
-    def __init__(self, p):
-        if not 0.0 <= p <= 1.0:
-            raise SimulationError(f"Bernoulli p must be in [0, 1], got {p}")
-        self.p = float(p)
-
-    def sample(self, stream):
-        return 1.0 if stream.random() < self.p else 0.0
-
-    def mean(self):
-        return self.p
-
-    def __repr__(self):
-        return f"Bernoulli({self.p})"
-
-
-class DiscreteChoice(Distribution):
-    """Weighted choice over arbitrary (numeric) values."""
-
-    def __init__(self, pairs):
-        if not pairs:
-            raise SimulationError("DiscreteChoice needs at least one pair")
-        self.values = [v for v, _ in pairs]
-        self.weights = [w for _, w in pairs]
-        if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
-            raise SimulationError(f"bad weights {self.weights}")
-
-    def sample(self, stream):
-        return stream.choices(self.values, self.weights)
-
-    def mean(self):
-        total = sum(self.weights)
-        return sum(v * w for v, w in zip(self.values, self.weights)) / total
-
-    def __repr__(self):
-        return f"DiscreteChoice({list(zip(self.values, self.weights))})"
 
 
 class Mixture(Distribution):
@@ -344,22 +252,3 @@ class Mixture(Distribution):
 
     def __repr__(self):
         return f"Mixture({self.branches})"
-
-
-class Shifted(Distribution):
-    """A distribution shifted right by ``offset`` (e.g. minimum job length)."""
-
-    def __init__(self, inner, offset):
-        if offset < 0:
-            raise SimulationError(f"offset must be >= 0, got {offset}")
-        self.inner = inner
-        self.offset = float(offset)
-
-    def sample(self, stream):
-        return self.offset + self.inner.sample(stream)
-
-    def mean(self):
-        return self.offset + self.inner.mean()
-
-    def __repr__(self):
-        return f"Shifted({self.inner!r}, +{self.offset})"

@@ -124,9 +124,13 @@ class TestClusterView:
 
 
 class TestDeltaLostHost:
-    def test_dead_host_detected_and_quarantined(self):
+    # The dead-host and crash-and-reboot cases also run under the poll
+    # oracle, whose from-scratch lost-host detection must reach the same
+    # outcome; the assertions about the view are delta-only.
+    @pytest.mark.parametrize("mode", ["delta", "poll"])
+    def test_dead_host_detected_and_quarantined(self, mode):
         sim = Simulation()
-        system = build(sim, 1)
+        system = build(sim, 1, config=CondorConfig(coordinator_mode=mode))
         system.start()
         job = submit(system, 1, demand=5 * HOUR)[0]
         sim.run(until=600.0)
@@ -135,7 +139,8 @@ class TestDeltaLostHost:
         sim.run(until=1200.0)
         assert job.state == "pending"
         assert system.telemetry.counts[kinds.HOST_LOST] == 1
-        assert "h0" in system.coordinator.view.quarantined
+        if mode == "delta":
+            assert "h0" in system.coordinator.view.quarantined
 
     def test_lost_notice_sent_once_while_dead(self):
         sim = Simulation()
@@ -147,14 +152,17 @@ class TestDeltaLostHost:
         sim.run(until=3000.0)
         assert system.telemetry.counts[kinds.HOST_LOST] == 1
 
-    def test_crash_and_reboot_between_anti_entropy_polls(self):
+    @pytest.mark.parametrize("mode", ["delta", "poll"])
+    def test_crash_and_reboot_between_anti_entropy_polls(self, mode):
         # The whole outage fits between two anti-entropy polls (interval
         # stretched to make sure no full poll lands inside it); the
         # bumped boot epoch — seen either on the pushed announcement or
         # on the hosting host's per-cycle probe — must still be read as
-        # "the job died with the old incarnation", exactly once.
+        # "the job died with the old incarnation", exactly once.  Under
+        # the poll oracle the epoch shows on the next full poll.
         sim = Simulation()
-        config = CondorConfig(anti_entropy_interval=1000)
+        config = CondorConfig(anti_entropy_interval=1000,
+                              coordinator_mode=mode)
         system = build(sim, 1, config=config)
         system.start()
         job = submit(system, 1, demand=100 * HOUR)[0]
@@ -169,7 +177,8 @@ class TestDeltaLostHost:
         # The rebooted host is back in rotation: the job lands again.
         sim.run(until=3 * HOUR)
         assert job.state == "running"
-        assert system.coordinator.view.quarantined == set()
+        if mode == "delta":
+            assert system.coordinator.view.quarantined == set()
 
     def test_recovered_host_readmitted_by_probe(self):
         sim = Simulation()

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from repro.core import FcfsPolicy, RandomPolicy, RoundRobinPolicy, UpDownPolicy
-from repro.core.updown import HISTORY_LIMIT
-from repro.sim import MINUTE, RandomStream, SimulationError
+from repro.core import FcfsPolicy, RoundRobinPolicy, UpDownPolicy
+from repro.core.updown import HISTORY_LIMIT, grant_order
+from repro.sim import MINUTE, SimulationError
 
 
 class TestUpDownIndex:
@@ -161,6 +161,36 @@ class TestUpDownPreemption:
         assert policy.choose_preemption_victim("light", []) is None
 
 
+class TestGrantOrder:
+    def test_one_machine_per_requester_per_pass(self):
+        assert grant_order(["a", "b", "c"], 5, {"a": 3, "b": 1, "c": 2}) \
+            == ["a", "b", "c", "a", "c"]
+
+    def test_slots_bound_the_order(self):
+        assert grant_order(["a", "b"], 3, {"a": 5, "b": 5}) == \
+            ["a", "b", "a"]
+        assert grant_order(["a", "b"], 0, {"a": 5, "b": 5}) == []
+
+    def test_allowance_caps_a_requester(self):
+        # The most deprived requester may take only one machine; the
+        # rest of the slots pass to the next in rank.
+        assert grant_order(["a", "b"], 4, {"a": 1, "b": 5}) == \
+            ["a", "b", "b", "b"]
+
+    def test_zero_negative_and_absent_allowances_get_nothing(self):
+        allowance = {"a": 0, "b": -2, "c": 1}
+        assert grant_order(["a", "b", "c", "d"], 4, allowance) == ["c"]
+        assert grant_order(["a", "b"], 4, allowance) == []
+
+    def test_owner_with_fewer_heads_than_its_share(self):
+        # The service daemon's case: each owner's allowance is the queue
+        # heads it has.  The top owner runs dry after one, so the slots
+        # it would have had go round to the others.
+        heads = {"light": 1, "mid": 2, "heavy": 4}
+        assert grant_order(["light", "mid", "heavy"], 6, heads) == \
+            ["light", "mid", "heavy", "mid", "heavy", "heavy"]
+
+
 class TestFcfsPolicy:
     def test_order_of_first_request_wins(self):
         policy = FcfsPolicy()
@@ -179,24 +209,6 @@ class TestFcfsPolicy:
         policy = FcfsPolicy()
         assert not policy.allows_preemption
         assert policy.choose_preemption_victim("a", [("h", "b")]) is None
-
-
-class TestRandomPolicy:
-    def test_needs_stream(self):
-        with pytest.raises(SimulationError):
-            RandomPolicy(None)
-
-    def test_ranking_is_a_permutation(self):
-        policy = RandomPolicy(RandomStream(1))
-        names = ["a", "b", "c", "d"]
-        ranked = policy.rank_requesters(names)
-        assert sorted(ranked) == names
-
-    def test_orders_vary_across_calls(self):
-        policy = RandomPolicy(RandomStream(1))
-        names = [f"s{i}" for i in range(8)]
-        orders = {tuple(policy.rank_requesters(names)) for _ in range(20)}
-        assert len(orders) > 1
 
 
 class TestRoundRobinPolicy:

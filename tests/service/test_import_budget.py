@@ -121,7 +121,7 @@ PARENT_ALL = {
         "PoolCoordinator", "Matchmaker", "federation_pools", "JobDag",
         "GangJob", "LocalScheduler", "Job", "reset_job_ids",
         "BackgroundJobQueue", "UpDownPolicy", "AllocationPolicy",
-        "FcfsPolicy", "RandomPolicy", "RoundRobinPolicy",
+        "FcfsPolicy", "RoundRobinPolicy",
         "SchedulingError", "SubmissionRefused", "InvariantChecker",
         "InvariantViolation", "Reservation", "ReservationBook", "PENDING",
         "PLACING", "RUNNING", "SUSPENDED", "VACATING", "COMPLETED",
@@ -177,8 +177,7 @@ PARENT_ALL = {
         "Simulation", "Signal", "Process", "EventHandle", "SimulationError",
         "Interrupted", "StopProcess", "SignalAlreadyFired", "RandomStream",
         "Distribution", "Constant", "Uniform", "Exponential",
-        "Hyperexponential", "Erlang", "LogNormal", "Mixture",
-        "BoundedPareto", "Bernoulli", "DiscreteChoice", "Shifted",
+        "Hyperexponential", "LogNormal", "Mixture",
         "fit_hyperexponential", "SECOND", "MINUTE", "HOUR", "DAY", "WEEK",
     ],
     "telemetry": [

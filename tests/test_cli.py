@@ -225,8 +225,32 @@ def test_space_parallel_flags_are_rejected(argv, capsys):
     (["trace", "unused.json", "--days", "0"], "--days"),
     (["stations", "--days", "0"], "--days"),
     (["sweep", "--pools", "-1"], "--pools"),
+    (["serve", "--db", "d.sqlite", "--agent-timeout", "nan"],
+     "--agent-timeout"),
+    (["serve", "--db", "d.sqlite", "--agent-timeout", "0"],
+     "--agent-timeout"),
+    (["serve", "--db", "d.sqlite", "--poll", "-1"], "--poll"),
+    (["serve", "--db", "d.sqlite", "--standby-check", "inf"],
+     "--standby-check"),
+    (["serve", "--db", "d.sqlite", "--standby-misses", "0"],
+     "--standby-misses"),
+    (["agent", "a", "--ckpt", "c", "--heartbeat", "0"], "--heartbeat"),
+    (["submit", "m:f", "--count", "0"], "--count"),
+    (["submit", "m:f", "--timeout", "nan"], "--timeout"),
+    (["q", "--timeout", "-1"], "--timeout"),
+    (["q", "--timeout", "nan"], "--timeout"),
+    (["q", "--limit", "0"], "--limit"),
+    (["rm", "#1", "--timeout", "0"], "--timeout"),
+    (["drain", "--wait", "-5"], "--wait"),
+    (["drain", "--timeout", "inf"], "--timeout"),
 ], ids=["seeds-reversed", "seeds-malformed", "month-days-0",
-        "trace-days-0", "stations-days-0", "sweep-pools-negative"])
+        "trace-days-0", "stations-days-0", "sweep-pools-negative",
+        "serve-agent-timeout-nan", "serve-agent-timeout-0",
+        "serve-poll-negative", "serve-standby-check-inf",
+        "serve-standby-misses-0", "agent-heartbeat-0", "submit-count-0",
+        "submit-timeout-nan", "q-timeout-negative", "q-timeout-nan",
+        "q-limit-0", "rm-timeout-0", "drain-wait-negative",
+        "drain-timeout-inf"])
 def test_bad_numeric_input_is_a_usage_error(argv, flag, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
