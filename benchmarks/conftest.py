@@ -1,19 +1,17 @@
-"""Shared fixtures for the benchmark suite.
+"""Shared fixtures for the wall-clock benchmarks.
 
-``month_run`` is the paper's canonical experiment — 23 stations, 30 days,
-the full Table 1 workload — simulated once per benchmark session and
-shared by every exhibit benchmark.  ``show`` prints exhibit text straight
+The deterministic exhibits (Table 1, Figures 2-9, ablations, extensions,
+sensitivity) are not pytest benchmarks: ``benchmarks/exhibits.py``
+regenerates and checks them.  What is left here times things: the
+kernel micro-benchmarks, trace ingest, the service plane and the
+delta-protocol scaling sweep.  ``show`` prints a timing table straight
 to the terminal (bypassing capture) and archives it under
-``benchmarks/results/`` so the regenerated tables/figures persist next to
-the timing numbers.
+``benchmarks/results/``; ``quick`` is the CI-sized subset.
 """
 
 import pathlib
 
 import pytest
-
-from repro.analysis import cached_month_run
-from repro.analysis.ablation import baseline_trace
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -29,18 +27,6 @@ def pytest_addoption(parser):
 def quick(pytestconfig):
     """Whether the run asked for the CI-sized subset (``--quick``)."""
     return pytestconfig.getoption("--quick")
-
-
-@pytest.fixture(scope="session")
-def month_run():
-    """The full-scale simulated month (computed once, ~15 s)."""
-    return cached_month_run(seed=42)
-
-
-@pytest.fixture(scope="session")
-def ablation_trace():
-    """The fixed workload trace replayed by every ablation variant."""
-    return baseline_trace(seed=42)
 
 
 @pytest.fixture

@@ -2,41 +2,43 @@
 
 A single seeded month could match the paper by luck.  These utilities
 re-run the experiment across seeds and summarise each headline metric as
-mean ± a t-based confidence interval, and test distributional targets
-(Fig. 2's demand distribution) with a Kolmogorov-Smirnov statistic.
-
-scipy is optional: without it the CI falls back to a normal
-approximation and the KS p-value is omitted (the statistic itself is
-computed by hand).
+mean ± a 95% Student-t confidence interval, and test distributional
+targets (Fig. 2's demand distribution) with a Kolmogorov-Smirnov
+statistic.  Both are computed by hand, so the results are the same on
+every install.
 """
 
 import math
 
 from repro.metrics import jobs as job_metrics
-from repro.metrics import stats
 from repro.telemetry import kinds
 
-try:
-    from scipy import stats as scipy_stats
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    scipy_stats = None
+#: Two-sided 95% quantiles of Student's t for df = 1..30
+#: (``scipy.stats.t.ppf(0.975, df)`` to 10 significant digits).
+_T95 = (
+    12.70620474, 4.30265273, 3.182446305, 2.776445105, 2.570581836,
+    2.446911851, 2.364624252, 2.306004135, 2.262157163, 2.228138852,
+    2.20098516, 2.17881283, 2.160368656, 2.144786688, 2.131449546,
+    2.119905299, 2.109815578, 2.10092204, 2.093024054, 2.085963447,
+    2.079613845, 2.073873068, 2.06865761, 2.063898562, 2.059538553,
+    2.055529439, 2.051830516, 2.048407142, 2.045229642, 2.042272456,
+)
 
 
-def _t_critical(df, confidence):
-    if scipy_stats is not None:
-        return scipy_stats.t.ppf(0.5 + confidence / 2.0, df)
-    return 1.96  # normal approximation
+def _t_critical(df):
+    """Two-sided 95% t quantile; the normal 1.96 beyond df = 30."""
+    return _T95[df - 1] if df <= len(_T95) else 1.96
 
 
-def confidence_interval(values, confidence=0.95):
-    """(mean, half_width) of a t confidence interval for the mean."""
+def confidence_interval(values):
+    """(mean, half_width) of a 95% t confidence interval for the mean."""
     values = list(values)
     n = len(values)
     mean = sum(values) / n
     if n < 2:
         return mean, float("inf")
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
-    half = _t_critical(n - 1, confidence) * math.sqrt(variance / n)
+    half = _t_critical(n - 1) * math.sqrt(variance / n)
     return mean, half
 
 
@@ -63,7 +65,7 @@ def headline_metrics(run):
     return metrics
 
 
-def multi_seed_summary(seeds, confidence=0.95, jobs=None, **run_kwargs):
+def multi_seed_summary(seeds, jobs=None, **run_kwargs):
     """Run the experiment for every seed; summarise metric -> (mean, ±).
 
     ``run_kwargs`` are forwarded to
@@ -79,7 +81,7 @@ def multi_seed_summary(seeds, confidence=0.95, jobs=None, **run_kwargs):
     summary = {}
     for metric in per_seed[0]:
         values = [metrics[metric] for metrics in per_seed]
-        summary[metric] = confidence_interval(values, confidence)
+        summary[metric] = confidence_interval(values)
     return summary
 
 

@@ -102,11 +102,6 @@ class BackgroundJobQueue:
     def pending_jobs(self):
         return tuple(self._pending)
 
-    @property
-    def wants_capacity(self):
-        """Whether this station should request cycles from the coordinator."""
-        return bool(self._pending)
-
     def __len__(self):
         return self.total_in_system
 

@@ -138,10 +138,6 @@ class CpuLedger:
             categories = ALL_CATEGORIES
         return sum(self.totals[c] for c in categories)
 
-    def support_total(self):
-        """Local CPU spent supporting remote execution (leverage denominator)."""
-        return self.total(*SUPPORT_CATEGORIES)
-
     def _check(self, category):
         if category not in self.totals:
             raise SimulationError(f"unknown CPU category {category!r}")

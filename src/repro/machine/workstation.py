@@ -124,10 +124,6 @@ class Workstation:
         """Whether a foreign job currently occupies this station."""
         return self.running_job is not None
 
-    def can_host(self, image_mb):
-        """Idle, unoccupied, and with disk room for the job's image."""
-        return self.idle and not self.hosting and self.disk.fits(image_mb)
-
     def mean_idle_interval(self):
         """Average length of *closed* idle intervals seen so far.
 
@@ -137,12 +133,6 @@ class Workstation:
         if not self.idle_history:
             return None
         return self._idle_total / len(self.idle_history)
-
-    def current_idle_seconds(self):
-        """How long the station has been idle right now (0 if owner active)."""
-        if self.owner_active:
-            return 0.0
-        return self.sim.now - self._idle_since
 
     @property
     def idle_since(self):

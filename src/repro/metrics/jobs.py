@@ -123,11 +123,3 @@ def average_checkpoint_image_mb(jobs):
     """Mean image size over all placements/checkpoints (paper: 0.5 MB)."""
     sizes = [job.image_mb() for job in jobs]
     return stats.mean(sizes)
-
-
-def total_remote_cpu_hours(jobs):
-    return sum(job.remote_cpu_seconds for job in jobs) / HOUR
-
-
-def total_support_hours(jobs):
-    return sum(job.total_support_seconds for job in jobs) / HOUR

@@ -80,11 +80,3 @@ def bucket_by(items, key, edges):
                 members.append(item)
                 break
     return buckets
-
-
-def weighted_mean(pairs):
-    """Mean of ``(value, weight)`` pairs; ``None`` when weightless."""
-    total_weight = sum(w for _v, w in pairs)
-    if total_weight <= 0:
-        return None
-    return sum(v * w for v, w in pairs) / total_weight

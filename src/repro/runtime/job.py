@@ -58,11 +58,6 @@ class CheckpointContext:
         if self._vacate.is_set():
             raise VacateRequested(self._job.name)
 
-    @property
-    def vacate_requested(self):
-        """Poll the flag without saving (for jobs between safe points)."""
-        return self._vacate.is_set()
-
     def request_vacate(self):
         """Worker-side: ask the job to leave at its next safe point."""
         self._vacate.set()

@@ -106,13 +106,6 @@ class TelemetryHub:
         """Time events with ``clock()`` from now on (e.g. ``sim.now``)."""
         self.clock = clock
 
-    def register_kind(self, kind):
-        """Extend the vocabulary (applications adding custom events)."""
-        with self._lock:
-            self._kinds.add(kind)
-            self.counts.setdefault(kind, 0)
-            self._rebuild_dispatch()
-
     def _check(self, kind):
         if kind not in self._kinds:
             raise UnknownEventKind(f"unknown event kind {kind!r}")

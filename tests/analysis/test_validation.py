@@ -1,9 +1,12 @@
 """Tests for the statistical validation utilities."""
 
+import importlib
 import math
+import sys
 
 import pytest
 
+from repro.analysis import validation
 from repro.analysis.validation import (
     confidence_interval,
     demand_distribution_ks,
@@ -33,6 +36,24 @@ class TestConfidenceInterval:
         small = confidence_interval([1.0, 2.0, 3.0])[1]
         large = confidence_interval([1.0, 2.0, 3.0] * 10)[1]
         assert large < small
+
+    def test_student_t_without_scipy(self, monkeypatch):
+        # Five samples, df = 4: scipy.stats.t.ppf(0.975, 4) = 2.776445105,
+        # not the normal 1.96, whether or not scipy is installed.
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.stats", None)
+        module = importlib.reload(validation)
+        mean, half = module.confidence_interval([1.0, 2.0, 3.0, 4.0, 5.0])
+        assert mean == 3.0
+        assert half == pytest.approx(2.776445105 * math.sqrt(2.5 / 5),
+                                     rel=1e-9)
+
+    def test_t_table_matches_scipy(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        for df in range(1, 31):
+            assert validation._t_critical(df) == pytest.approx(
+                scipy_stats.t.ppf(0.975, df), rel=1e-9), df
+        assert validation._t_critical(31) == 1.96
 
 
 class TestKs:

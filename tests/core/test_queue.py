@@ -103,14 +103,3 @@ def test_double_mark_active_rejected():
     queue.mark_active(job)
     with pytest.raises(SimulationError):
         queue.mark_active(job)
-
-
-def test_wants_capacity_reflects_pending_only():
-    queue = BackgroundJobQueue("ws-1")
-    assert not queue.wants_capacity
-    job = make_job()
-    queue.enqueue(job)
-    assert queue.wants_capacity
-    queue.select_next()
-    queue.mark_active(job)
-    assert not queue.wants_capacity

@@ -89,14 +89,6 @@ def test_inverted_interval_rejected(ledger):
         ledger.add_load(SYSCALL, 5.0, 1.0, 0.5)
 
 
-def test_support_total_sums_support_categories(ledger):
-    ledger.charge(PLACEMENT, 1.0)
-    ledger.charge(CHECKPOINT, 2.0)
-    ledger.add_load(SYSCALL, 0.0, 10.0, 0.1)
-    ledger.charge(OWNER, 100.0)
-    assert ledger.support_total() == pytest.approx(4.0)
-
-
 def test_observers_see_every_entry(sim, ledger):
     seen = []
     ledger.subscribe(lambda *entry: seen.append(entry))

@@ -57,22 +57,6 @@ def test_start_is_idempotent():
     assert station.ledger.totals["owner"] == pytest.approx(5.0)
 
 
-def test_can_host_requires_idle_and_disk():
-    sim = Simulation()
-    station = Workstation(sim, "ws-1", disk_mb=1.0)
-    assert station.can_host(0.5)
-    assert not station.can_host(2.0)          # no disk room
-    station.owner_arrived()
-    assert not station.can_host(0.5)          # owner present
-
-
-def test_can_host_requires_free_slot():
-    sim = Simulation()
-    station = Workstation(sim, "ws-1")
-    station.running_job = object()
-    assert not station.can_host(0.5)
-
-
 def test_idle_history_records_closed_intervals():
     sim = Simulation()
     station = Workstation(
@@ -88,18 +72,6 @@ def test_mean_idle_interval_none_before_first_interval():
     sim = Simulation()
     station = Workstation(sim, "ws-1")
     assert station.mean_idle_interval() is None
-
-
-def test_current_idle_seconds():
-    sim = Simulation()
-    station = Workstation(
-        sim, "ws-1", owner_model=TraceOwner([(50.0, 60.0)])
-    )
-    station.start()
-    sim.run(until=55.0)
-    assert station.current_idle_seconds() == 0.0
-    sim.run(until=100.0)
-    assert station.current_idle_seconds() == pytest.approx(40.0)
 
 
 def test_owner_observers_fire_in_order():

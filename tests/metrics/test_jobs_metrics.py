@@ -107,12 +107,6 @@ class TestAggregates:
                 finished_job(demand_hours=1.0, wait_hours=2.0)]
         assert job_metrics.average_wait_ratio(jobs) == pytest.approx(1.0)
 
-    def test_totals(self):
-        jobs = [finished_job(demand_hours=2.0,
-                             support={"syscall": 1800.0})]
-        assert job_metrics.total_remote_cpu_hours(jobs) == pytest.approx(2.0)
-        assert job_metrics.total_support_hours(jobs) == pytest.approx(0.5)
-
     def test_average_image(self):
         jobs = [finished_job(), finished_job()]
         assert job_metrics.average_checkpoint_image_mb(jobs) == \

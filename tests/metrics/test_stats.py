@@ -40,12 +40,6 @@ class TestBasics:
     def test_quantile_empty_is_none(self):
         assert stats.quantile([], 0.5) is None
 
-    def test_weighted_mean(self):
-        assert stats.weighted_mean([(1.0, 1.0), (3.0, 3.0)]) == 2.5
-
-    def test_weighted_mean_no_weight(self):
-        assert stats.weighted_mean([]) is None
-
 
 class TestCdf:
     def test_simple_cdf(self):

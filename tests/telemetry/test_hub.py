@@ -64,12 +64,6 @@ class TestTelemetryHub:
         with pytest.raises(SimulationError):
             hub.subscribe("job_teleported", lambda e: None)
 
-    def test_register_kind_extends_vocabulary(self):
-        hub = TelemetryHub()
-        hub.register_kind("custom_kind")
-        hub.emit("custom_kind", answer=42)
-        assert hub.counts["custom_kind"] == 1
-
     def test_failing_subscriber_is_isolated(self):
         hub = TelemetryHub()
         seen = []
@@ -165,15 +159,6 @@ class TestDispatchFastPath:
     def test_wants_unknown_kind_false(self):
         hub = TelemetryHub()
         assert not hub.wants("never_registered")
-
-    def test_register_kind_updates_dispatch(self):
-        hub = TelemetryHub()
-        seen = []
-        hub.subscribe_all(seen.append)
-        hub.register_kind("custom_kind")
-        assert hub.wants("custom_kind")
-        hub.emit("custom_kind")
-        assert [event.kind for event in seen] == ["custom_kind"]
 
     def test_emit_with_no_subscribers_still_counts(self):
         # The zero-subscriber fast path must preserve the seq/counts
