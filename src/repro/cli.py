@@ -33,6 +33,7 @@ verbs load the service plane, not the simulator.
 import argparse
 import importlib
 import math
+import os
 import sys
 import time
 
@@ -304,6 +305,10 @@ def _cmd_query(args):
               "query sql 'SELECT kind, COUNT(*) FROM events GROUP BY 1'",
               file=sys.stderr)
         return 2
+    if not args.trace and not os.path.exists(db):
+        print(f"error: no ops store at {db} (ingest a trace with --trace)",
+              file=sys.stderr)
+        return 2
     try:
         store = TraceStore(db)
     except (OSError, sqlite3.Error, SimulationError) as exc:
@@ -347,7 +352,6 @@ def _cmd_query(args):
 
 def _cmd_sweep(args):
     import json as _json
-    import os
 
     from repro.analysis.sweep import sweep_seeds
     from repro.metrics.report import render_table
@@ -431,8 +435,6 @@ def _cmd_chaos(args):
         if identical is False:
             failures += 1
         if args.trace_dir:
-            import os
-
             os.makedirs(args.trace_dir, exist_ok=True)
             path = os.path.join(args.trace_dir,
                                 f"chaos-{name}-seed{args.seed}.jsonl")
@@ -724,7 +726,7 @@ def build_parser():
                        help="utilization: aggregation period (hours)")
     query.add_argument("--user", metavar="NAME",
                        help="jobs: only this user's jobs")
-    query.add_argument("--limit", type=int, default=None,
+    query.add_argument("--limit", type=_int_at_least(1), default=None,
                        help="jobs/timeline/checkpoints: cap rows shown")
     query.set_defaults(fn=_cmd_query)
 
@@ -735,7 +737,7 @@ def build_parser():
     sweep.add_argument("--seeds", type=_seeds, default="1..8",
                        metavar="A..B|A,B,C",
                        help="inclusive range '1..8' or list '1,5,9'")
-    sweep.add_argument("--jobs", type=int, default=None, metavar="N",
+    sweep.add_argument("--jobs", type=_int_at_least(1), metavar="N",
                        help="worker processes (default: serial)")
     sweep.add_argument("--days", type=_int_at_least(1), default=6)
     sweep.add_argument("--scale", type=_positive_float, default=0.2)

@@ -23,6 +23,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "SUSPENDED": "job", "VACATING": "job", "COMPLETED": "job",
     "REMOVED": "job", "QUEUED_STATES": "job",
     "FIFO": "queue", "SHORTEST_FIRST": "queue",
-    "REASON_OWNER_RETURNED": "local_scheduler",
-    "REASON_PRIORITY": "local_scheduler",
+    "REASON_OWNER_RETURNED": "owner_reaction",
+    "REASON_PRIORITY": "owner_reaction",
 })

@@ -100,11 +100,6 @@ class JobDag:
         """All DAG jobs completed."""
         return all(job.state == jobstate.COMPLETED for job in self._jobs)
 
-    def waiting_jobs(self):
-        """Jobs still blocked on unfinished parents."""
-        return [job for job in self._jobs
-                if job.id not in self._submitted]
-
     def critical_path_demand(self):
         """Sum of demands along the longest dependency chain (seconds).
 

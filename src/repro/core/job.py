@@ -8,12 +8,14 @@ and home-support CPU second is logged on the job itself, which is what
 makes per-job wait ratio (Fig. 4), checkpoint rate (Fig. 8) and leverage
 (Fig. 9) directly computable.
 
-State machine::
+State machine (the owner and preempt edges are decided in one place,
+:mod:`repro.core.owner_reaction`)::
 
     PENDING --grant--> PLACING --image arrived--> RUNNING
     RUNNING --owner returned--> SUSPENDED --grace expired--> VACATING
     SUSPENDED --owner left--> RUNNING
     RUNNING --coordinator preempt--> VACATING
+    SUSPENDED --coordinator preempt--> VACATING
     VACATING --checkpoint stored--> PENDING      (waits for a new grant)
     RUNNING --demand met--> COMPLETED
     any --user/system removal--> REMOVED

@@ -5,10 +5,11 @@ Each workstation runs one of these (§2.1).  It plays two roles at once:
 * **submit side** — owns the station's background job queue, answers the
   coordinator's polls, reacts to capacity grants by placing its own jobs
   at granted machines, and receives checkpoints/completions back;
-* **host side** — supervises the one foreign job executing locally,
-  stops it the instant the owner returns, waits the 5-minute grace
-  period, and checkpoints it away if the owner stays (§4), or vacates it
-  immediately when the coordinator orders a priority preemption.
+* **host side** — supervises the one foreign job executing locally and
+  carries out :mod:`repro.core.owner_reaction`'s rule: stop it the
+  instant the owner returns, wait the 5-minute grace period, and
+  checkpoint it away if the owner stays (§4), or vacate it immediately
+  when the coordinator orders a priority preemption.
 
 All costs the paper measures are charged here: placement and checkpoint
 CPU at 5 s/MB on the *home* station, remote-syscall shadow load on the
@@ -18,6 +19,7 @@ load.
 
 from repro.core import job as jobstate
 from repro.core.errors import SchedulingError, SubmissionRefused
+from repro.core.owner_reaction import REASON_PRIORITY, OwnerReaction
 from repro.core.queue import BackgroundJobQueue
 from repro.machine.accounting import CHECKPOINT, PLACEMENT, REMOTE_JOB, SCHEDULER
 from repro.machine.disk import DiskFullError
@@ -31,10 +33,6 @@ from repro.remote_unix import (
 )
 from repro.sim import HOUR
 from repro.telemetry import kinds as ev
-
-#: Vacate reasons recorded on JOB_VACATED events.
-REASON_OWNER_RETURNED = "owner_returned"
-REASON_PRIORITY = "priority_preemption"
 
 #: Attempts for a pushed ``state_update`` before giving up (a newer push
 #: or the anti-entropy poll supersedes it; giving up merely forces the
@@ -90,6 +88,8 @@ class LocalScheduler(Node):
         self.station = station
         self.hub = hub
         self.config = config
+        self.reaction = OwnerReaction(config.grace_period,
+                                      config.kill_on_owner_return)
         self.queue = BackgroundJobQueue(station.name, config.queue_discipline)
         self.store = CheckpointStore(
             station.disk, generations=config.checkpoint_generations
@@ -389,7 +389,7 @@ class LocalScheduler(Node):
         """The coordinator granted us a machine — place our next job on it."""
         host_name = payload["host"]
         host_free_mb = payload["free_mb"]
-        host_arch = payload.get("arch", self.station.arch)
+        host_arch = payload["arch"]
         job = self._pick_job_that_fits(host_free_mb, host_arch)
         if job is None:
             return
@@ -556,8 +556,7 @@ class LocalScheduler(Node):
         host = payload["host"]
         image_mb = payload["image_mb"]
         if (job.state != jobstate.VACATING
-                or payload.get("incarnation", job.incarnation)
-                != job.incarnation):
+                or payload["incarnation"] != job.incarnation):
             return
         self._record_slices(job, payload["slices"])
         cost = checkpoint_cpu_cost(image_mb)
@@ -609,8 +608,7 @@ class LocalScheduler(Node):
         job = payload["job"]
         host = payload["host"]
         if (job.state != jobstate.RUNNING
-                or payload.get("incarnation", job.incarnation)
-                != job.incarnation):
+                or payload["incarnation"] != job.incarnation):
             return
         self._record_slices(job, payload["slices"])
         job.transition(jobstate.COMPLETED)
@@ -629,8 +627,7 @@ class LocalScheduler(Node):
         job = payload["job"]
         host = payload["host"]
         if (job.state != jobstate.RUNNING
-                or payload.get("incarnation", job.incarnation)
-                != job.incarnation):
+                or payload["incarnation"] != job.incarnation):
             return  # duplicate or stale-lease notice
         self._record_slices(job, payload["slices"])
         job.roll_back_to_checkpoint()
@@ -721,7 +718,7 @@ class LocalScheduler(Node):
         """
         job = payload["job"]
         home = payload["home"]
-        incarnation = payload.get("incarnation", job.incarnation)
+        incarnation = payload["incarnation"]
         if self.crashed:
             return ("refused", "crashed")
         if (self.hosted is not None and self.hosted.job is job
@@ -787,100 +784,127 @@ class LocalScheduler(Node):
         hosted.job.remote_cpu_seconds += cpu
         hosted.slices.append((t0, t1))
 
-    def _lease_valid(self, hosted):
-        """Whether the home still honours this placement (see
-        :class:`HostedExecution.incarnation`)."""
-        return hosted.incarnation == hosted.job.incarnation
+    def _leased(self, hosted):
+        """Whether ``hosted`` is still the execution here, under a lease
+        its home honours (see :class:`HostedExecution.incarnation`).
+
+        A revoked lease means we were declared lost (typically behind a
+        partition) and the job rolled back and possibly re-placed
+        elsewhere: the execution is reaped on the spot.
+        """
+        if hosted is None or self.crashed or self.hosted is not hosted:
+            return False
+        if hosted.incarnation != hosted.job.incarnation:
+            self._reap_stale_execution()
+            return False
+        return True
 
     def _reap_stale_execution(self):
         """Discard a foreign execution whose lease the home revoked.
 
-        We were declared lost (typically behind a partition) and the job
-        rolled back and possibly re-placed elsewhere.  The cycles burned
-        here are booked as wasted; the job's progress/state are *never*
-        touched — another host may legitimately own them now.
+        The job's progress/state are *never* touched — another host may
+        legitimately own them now.
+        """
+        hosted = self._drop_execution()
+        self.hub.emit(ev.STALE_EXECUTION_REAPED, job=hosted.job,
+                      host=self.name)
+        self._mark_dirty()
+
+    def _drop_execution(self):
+        """Abandon the hosted execution without telling its home.
+
+        The partial slice dies with it: the cycles were consumed but
+        produce no durable progress, so they are booked as wasted.
         """
         hosted = self.hosted
         hosted.cancel_timers()
         if hosted.run_started_at is not None:
-            elapsed_cpu = (
+            hosted.job.book_dead_slice(
                 (self.sim.now - hosted.run_started_at)
-                * self.station.cpu_speed
-            )
-            hosted.job.book_dead_slice(elapsed_cpu)
+                * self.station.cpu_speed)
             self.station.ledger.stop(REMOTE_JOB)
             hosted.run_started_at = None
+        return self._free_slot()
+
+    def _free_slot(self):
+        # Disk is held until the job leaves (§4).
+        hosted = self.hosted
         hosted.allocation.release()
         self.station.running_job = None
         self.hosted = None
-        self.hub.emit(ev.STALE_EXECUTION_REAPED, job=hosted.job,
-                      host=self.name)
+        return hosted
+
+    def _leave(self, op, **fields):
+        """The hosted job left (completed/vacated/killed): free the slot
+        and send its home the must-deliver notice ``op``.
+
+        Retried without cap: the paper's "guarantee job completion"
+        rests on these.  The home-side handlers are idempotent, and a
+        notice that went stale (the home revoked the lease meanwhile) is
+        discarded there by the incarnation guard, so over-delivery is
+        always safe.
+        """
+        hosted = self._free_slot()
+        self._retry.send(hosted.home_name, op, {
+            "job": hosted.job, "host": self.name, "slices": hosted.slices,
+            **fields, "incarnation": hosted.incarnation,
+        }, max_attempts=None)
         self._mark_dirty()
 
     def _owner_changed(self, station, active):
         # The idle flag flipped whether or not we host anyone — the
         # coordinator's view must hear about it.
         self._mark_dirty()
-        if self.hosted is None:
-            return
-        if not self._lease_valid(self.hosted):
-            self._reap_stale_execution()
-            return
-        job = self.hosted.job
-        if active and job.state == jobstate.RUNNING:
-            self._close_run_slice()
-            if self.config.kill_on_owner_return:
-                self._kill_hosted()
-                return
-            job.transition(jobstate.SUSPENDED)
-            self.hosted.grace_handle = self.sim.schedule(
-                self.config.grace_period, self._grace_expired
-            )
-            self.hub.emit(ev.JOB_SUSPENDED, job=job, host=self.name)
-        elif not active and job.state == jobstate.SUSPENDED:
-            self.hosted.grace_handle.cancel()
-            self.hosted.grace_handle = None
-            job.transition(jobstate.RUNNING)
-            self._begin_run_slice()
-            self.hub.emit(ev.JOB_RESUMED, job=job, host=self.name)
+        hosted = self.hosted
+        if self._leased(hosted):
+            self._react(hosted, self.reaction.on_owner(
+                hosted.job.state, active, self.sim.now))
 
-    def _grace_expired(self):
+    def _grace_expired(self, hosted):
         """Owner stayed past the grace period: checkpoint the job away."""
-        if self.hosted is None:
-            return
-        if not self._lease_valid(self.hosted):
-            self._reap_stale_execution()
-            return
-        if self.hosted.job.state != jobstate.SUSPENDED:
-            return
-        self._vacate(REASON_OWNER_RETURNED)
+        if self._leased(hosted):
+            self._react(hosted, self.reaction.on_timer(hosted.job.state))
 
     def _handle_preempt(self, payload):
         """Coordinator preemption order: vacate immediately, no grace."""
-        if self.hosted is None:
-            return
-        if not self._lease_valid(self.hosted):
-            self._reap_stale_execution()
-            return
-        job = self.hosted.job
-        if job.state == jobstate.RUNNING:
-            self._close_run_slice()
-        elif job.state == jobstate.SUSPENDED:
-            self.hosted.grace_handle.cancel()
-            self.hosted.grace_handle = None
-        else:
-            return  # already vacating
-        job.priority_preemptions += 1
-        self.hub.emit(ev.JOB_PREEMPTED, job=job, host=self.name)
-        self._vacate(REASON_PRIORITY)
-
-    def _vacate(self, reason):
-        """Checkpoint the hosted job and ship the image home."""
         hosted = self.hosted
+        if self._leased(hosted):
+            self._react(hosted, self.reaction.on_preempt(hosted.job.state))
+
+    def _react(self, hosted, actions):
+        """Carry out :class:`OwnerReaction`'s actions, in order."""
         job = hosted.job
-        job.transition(jobstate.VACATING)
-        image_mb = job.layout.image_mb(job.progress)
-        self._send_vacate_image(hosted, image_mb, reason, attempt=1)
+        for action in actions:
+            verb = action[0]
+            if verb == "suspend":
+                self._close_run_slice()
+                job.transition(jobstate.SUSPENDED)
+                self.hub.emit(ev.JOB_SUSPENDED, job=job, host=self.name)
+            elif verb == "arm":
+                hosted.grace_handle = self.sim.schedule_at(
+                    action[1], self._grace_expired, hosted)
+            elif verb == "cancel":
+                hosted.grace_handle.cancel()
+                hosted.grace_handle = None
+            elif verb == "resume":
+                job.transition(jobstate.RUNNING)
+                self._begin_run_slice()
+                self.hub.emit(ev.JOB_RESUMED, job=job, host=self.name)
+            else:
+                # "vacate" or "kill": the job leaves this station.
+                if hosted.run_started_at is not None:
+                    self._close_run_slice()
+                if verb == "kill":
+                    # Butler mode: terminate without saving state (§1).
+                    self._leave("job_killed")
+                    return
+                reason = action[1]
+                if reason == REASON_PRIORITY:
+                    job.priority_preemptions += 1
+                    self.hub.emit(ev.JOB_PREEMPTED, job=job, host=self.name)
+                job.transition(jobstate.VACATING)
+                self._send_vacate_image(
+                    hosted, job.layout.image_mb(job.progress), reason, 1)
 
     def _send_vacate_image(self, hosted, image_mb, reason, attempt):
         transfer = self.net.transfer(self.name, hosted.home_name, image_mb)
@@ -891,12 +915,9 @@ class LocalScheduler(Node):
 
     def _vacate_transfer_settled(self, hosted, image_mb, reason, attempt,
                                  outcome):
-        if self.crashed or self.hosted is not hosted:
-            return  # the machine died mid-transfer; home learns via host_lost
-        if not self._lease_valid(hosted):
-            # The home gave up on us while we were checkpointing back
-            # (declared lost behind a partition): drop the execution.
-            self._reap_stale_execution()
+        # A crash mid-transfer leaves the home to learn via host_lost; a
+        # lease revoked while we were checkpointing back reaps the job.
+        if not self._leased(hosted):
             return
         status, detail = outcome
         if status != "ok":
@@ -911,76 +932,29 @@ class LocalScheduler(Node):
                               self._retry_vacate_transfer,
                               hosted, image_mb, reason, attempt + 1)
             return
-        # Disk is held until the checkpoint leaves (§4) — release now.
-        hosted.allocation.release()
-        self.station.running_job = None
-        self.hosted = None
-        self._notify_home(hosted.home_name, "job_vacated", {
-            "job": hosted.job, "host": self.name, "slices": hosted.slices,
-            "image_mb": image_mb, "reason": reason,
-            "incarnation": hosted.incarnation,
-        })
-        self._mark_dirty()
+        self._leave("job_vacated", image_mb=image_mb, reason=reason)
 
     def _retry_vacate_transfer(self, hosted, image_mb, reason, attempt):
-        if self.crashed or self.hosted is not hosted:
-            return
-        if not self._lease_valid(hosted):
-            self._reap_stale_execution()
+        if not self._leased(hosted):
             return
         self.hub.emit(ev.MESSAGE_RETRY, station=self.name,
                       dst=hosted.home_name, op="vacate_transfer",
                       attempt=attempt)
         self._send_vacate_image(hosted, image_mb, reason, attempt)
 
-    def _notify_home(self, home_name, op, payload):
-        """Must-deliver host→home job notice (completed/vacated/killed).
-
-        Retried without cap: the paper's "guarantee job completion"
-        rests on these.  The home-side handlers are idempotent, and a
-        notice that went stale (the home revoked the lease meanwhile) is
-        discarded there by the incarnation guard, so over-delivery is
-        always safe.
-        """
-        self._retry.send(home_name, op, payload, max_attempts=None)
-
-    def _kill_hosted(self):
-        """Butler-mode removal: terminate without saving state (§1)."""
-        hosted = self.hosted
-        hosted.cancel_timers()
-        hosted.allocation.release()
-        self.station.running_job = None
-        self.hosted = None
-        self._notify_home(hosted.home_name, "job_killed", {
-            "job": hosted.job, "host": self.name, "slices": hosted.slices,
-            "incarnation": hosted.incarnation,
-        })
-        self._mark_dirty()
-
     def _hosted_job_finished(self):
         """The hosted job's demand is met."""
         hosted = self.hosted
-        if not self._lease_valid(hosted):
-            self._reap_stale_execution()
+        if not self._leased(hosted):
             return
         self._close_run_slice()
         hosted.job.progress = hosted.job.demand_seconds  # shed float dust
-        hosted.allocation.release()
-        self.station.running_job = None
-        self.hosted = None
-        self._notify_home(hosted.home_name, "job_completed", {
-            "job": hosted.job, "host": self.name, "slices": hosted.slices,
-            "incarnation": hosted.incarnation,
-        })
-        self._mark_dirty()
+        self._leave("job_completed")
 
     def _take_periodic_checkpoint(self):
         """Ship a checkpoint home while the job keeps running (§4 plan)."""
         hosted = self.hosted
-        if hosted is None or hosted.run_started_at is None:
-            return
-        if not self._lease_valid(hosted):
-            self._reap_stale_execution()
+        if not self._leased(hosted) or hosted.run_started_at is None:
             return
         job = hosted.job
         progress_now = job.progress + (
@@ -1030,21 +1004,7 @@ class LocalScheduler(Node):
             return
         self.crashed = True
         if self.hosted is not None:
-            hosted = self.hosted
-            hosted.cancel_timers()
-            if hosted.run_started_at is not None:
-                # The partial slice dies with the machine: the cycles were
-                # consumed but produce no durable progress.
-                elapsed_cpu = (
-                    (self.sim.now - hosted.run_started_at)
-                    * self.station.cpu_speed
-                )
-                hosted.job.book_dead_slice(elapsed_cpu)
-                self.station.ledger.stop(REMOTE_JOB)
-                hosted.run_started_at = None
-            hosted.allocation.release()
-            self.station.running_job = None
-            self.hosted = None
+            self._drop_execution()
         # Abort every in-flight bulk transfer we are party to and free
         # the NIC reservations (the other endpoint's waiter sees the
         # failure and recovers; ours are gated on ``self.crashed``).

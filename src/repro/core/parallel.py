@@ -76,9 +76,6 @@ class GangJob:
             return None
         return self.launched_at - self.submitted_at
 
-    def total_remote_cpu(self):
-        return sum(member.remote_cpu_seconds for member in self.members)
-
     def __repr__(self):
         state = ("finished" if self.finished
                  else "launched" if self.launched else "waiting")

@@ -35,11 +35,6 @@ class SegmentLayout:
         self.stack_kb = float(stack_kb)
         self.data_growth_kb_per_cpu_hour = float(data_growth_kb_per_cpu_hour)
 
-    @property
-    def initial_kb(self):
-        """Image size at submit time, before any heap growth."""
-        return self.text_kb + self.data_kb + self.bss_kb + self.stack_kb
-
     def image_mb(self, cpu_progress_seconds=0.0, include_text=True):
         """Checkpoint image size in MB after the given CPU progress.
 

@@ -138,4 +138,5 @@ def test_completed_at_is_last_member():
     system.submit_gang(gang)
     sim.run(until=DAY)
     assert gang.completed_at == max(m.completed_at for m in gang.members)
-    assert gang.total_remote_cpu() == pytest.approx(2 * HOUR, abs=2.0)
+    assert sum(m.remote_cpu_seconds for m in gang.members) == pytest.approx(
+        2 * HOUR, abs=2.0)

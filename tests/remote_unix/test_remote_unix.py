@@ -24,12 +24,12 @@ from repro.sim import RandomStream, Simulation, SimulationError
 class TestSegments:
     def test_initial_size_is_segment_sum(self):
         layout = SegmentLayout(100, 200, 50, 30)
-        assert layout.initial_kb == 380
+        assert layout.image_mb(0.0) * 1024 == pytest.approx(380)
 
     def test_image_grows_with_progress(self):
         layout = SegmentLayout(100, 200, 50, 30, data_growth_kb_per_cpu_hour=60)
         assert layout.image_mb(3600.0) > layout.image_mb(0.0)
-        grown_kb = layout.image_mb(3600.0) * 1024 - layout.initial_kb
+        grown_kb = (layout.image_mb(3600.0) - layout.image_mb(0.0)) * 1024
         assert grown_kb == pytest.approx(60.0)
 
     def test_text_exclusion_models_shared_text(self):

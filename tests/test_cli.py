@@ -139,6 +139,14 @@ def test_query_requires_db_or_trace(capsys):
     assert "--db" in capsys.readouterr().err
 
 
+def test_query_missing_store_is_not_created(tmp_path, capsys):
+    db = tmp_path / "typo.sqlite"
+    rc = main(["query", "fair-share", "--db", str(db)])
+    assert rc == 2
+    assert f"error: no ops store at {db}" in capsys.readouterr().err
+    assert not db.exists()
+
+
 def test_query_missing_trace_errors(tmp_path, capsys):
     rc = main(["query", "summary", "--trace",
                str(tmp_path / "nope.jsonl")])
@@ -225,6 +233,8 @@ def test_space_parallel_flags_are_rejected(argv, capsys):
     (["trace", "unused.json", "--days", "0"], "--days"),
     (["stations", "--days", "0"], "--days"),
     (["sweep", "--pools", "-1"], "--pools"),
+    (["sweep", "--jobs", "-1"], "--jobs"),
+    (["query", "jobs", "--db", "d.sqlite", "--limit", "-3"], "--limit"),
     (["serve", "--db", "d.sqlite", "--agent-timeout", "nan"],
      "--agent-timeout"),
     (["serve", "--db", "d.sqlite", "--agent-timeout", "0"],
@@ -245,6 +255,7 @@ def test_space_parallel_flags_are_rejected(argv, capsys):
     (["drain", "--timeout", "inf"], "--timeout"),
 ], ids=["seeds-reversed", "seeds-malformed", "month-days-0",
         "trace-days-0", "stations-days-0", "sweep-pools-negative",
+        "sweep-jobs-negative", "query-limit-negative",
         "serve-agent-timeout-nan", "serve-agent-timeout-0",
         "serve-poll-negative", "serve-standby-check-inf",
         "serve-standby-misses-0", "agent-heartbeat-0", "submit-count-0",
