@@ -554,9 +554,10 @@ def _cmd_q(args):
           + ("  [draining]" if snapshot["draining"] else ""))
     if snapshot["agents"]:
         print(render_table(
-            ["agent", "job", "beat age (s)", "parked"],
+            ["agent", "job", "beat age (s)", "parked", "owner"],
             [(a["agent"], a["job"] or "-", a["beat_age"],
-              "yes" if a.get("parked") else "-")
+              "yes" if a.get("parked") else "-",
+              "active" if a.get("owner_active") else "-")
              for a in snapshot["agents"]],
             title="Registered agents"))
     if snapshot["jobs"]:

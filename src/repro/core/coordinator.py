@@ -7,8 +7,8 @@ orders a priority preemption of a running job whose home hoards capacity
 (§2.4, the Up-Down algorithm).
 
 A cycle observes the cluster, then allocates — in
-:func:`~repro.core.updown.grant_order`, as the service daemon and the
-live runtime do.  :class:`Coordinator` observes through the delta
+:func:`~repro.core.updown.grant_order`, as the service daemon does.
+:class:`Coordinator` observes through the delta
 protocol: local schedulers push ``state_update`` messages only when
 their observable state changes into a materialized
 :class:`~repro.core.cluster_view.ClusterView`.  Each cycle it probes

@@ -10,8 +10,6 @@ import pickle
 import tempfile
 import threading
 
-from repro.runtime.errors import LiveRuntimeError
-
 
 class LiveCheckpointStore:
     """Pickle-file checkpoint store rooted at a directory."""
@@ -88,36 +86,3 @@ class LiveCheckpointStore:
     def __repr__(self):
         return f"<LiveCheckpointStore root={self.root!r}>"
 
-
-class InMemoryCheckpointStore:
-    """Dict-backed store for tests and ephemeral runs."""
-
-    def __init__(self):
-        self._states = {}
-        self._lock = threading.Lock()
-
-    def save(self, job, state):
-        # Pickle round-trip even in memory: catches unpicklable state
-        # early and guarantees save/restore value isolation.
-        try:
-            blob = pickle.dumps(state)
-        except Exception as exc:
-            raise LiveRuntimeError(
-                f"{job.name}: checkpoint state is not picklable: {exc}"
-            ) from exc
-        with self._lock:
-            self._states[job.id] = blob
-
-    def load(self, job):
-        with self._lock:
-            blob = self._states.get(job.id)
-        return pickle.loads(blob) if blob is not None else None
-
-    def discard(self, job):
-        with self._lock:
-            self._states.pop(job.id, None)
-
-    def size_bytes(self, job):
-        with self._lock:
-            blob = self._states.get(job.id)
-        return len(blob) if blob else 0

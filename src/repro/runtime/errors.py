@@ -7,10 +7,7 @@ class LiveRuntimeError(Exception):
 
 class VacateRequested(LiveRuntimeError):
     """Raised inside a job function (by ``ctx.checkpoint``) when the
-    worker wants the job gone.  Job code should not catch this — the
-    worker catches it, preserves the freshly saved state, and requeues
-    the job to resume elsewhere."""
+    agent wants the job gone.  Job code should not catch this — the
+    agent catches it, preserves the freshly saved state, and reports the
+    job vacated so it resumes elsewhere."""
 
-
-class JobFailed(LiveRuntimeError):
-    """A job function raised an exception; it is recorded on the job."""

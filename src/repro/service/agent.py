@@ -14,6 +14,12 @@ idle agent's beat carries ``park``: the coordinator may hold the reply
 for that long and answers the moment it has a command, so the interval
 bounds the silence between the two, not the wait for a job.
 
+The agent honours its station's owner through
+:mod:`repro.core.owner_reaction`'s table: the owner's return arms the
+grace, and a job still there when it runs out is vacated at its next
+checkpoint.  Every frame carries ``owner_active``, so the coordinator
+places nothing here meanwhile.
+
 Failure discipline — :class:`~repro.net.reliable.ReliableSender` ported
 to real sockets:
 
@@ -42,6 +48,7 @@ import socket
 import threading
 import time
 
+from repro.core.owner_reaction import RUNNING, SUSPENDED, OwnerReaction
 from repro.runtime.checkpoint import LiveCheckpointStore
 from repro.runtime.errors import VacateRequested
 from repro.runtime.job import CheckpointContext
@@ -50,8 +57,12 @@ from repro.service.errors import (
     CheckpointUnreadable,
     ProtocolError,
     ServiceError,
+    join_thread,
 )
 from repro.service.samples import resolve_entry
+
+#: A job asked to leave: neither running nor suspended to the table.
+_VACATING = "vacating"
 
 
 class _JobHandle:
@@ -62,6 +73,8 @@ class _JobHandle:
         self.name = name
         self.incarnation = incarnation
         self.checkpoint_count = 0
+        #: The job's state as :class:`OwnerReaction` reads it.
+        self.state = RUNNING
         #: Store filename component: fenced per incarnation.
         self.id = f"{key.lstrip('#')}.i{incarnation}"
 
@@ -129,12 +142,19 @@ class FencedCheckpointStore:
 
 
 class StationAgent:
-    """One station's daemon: connect, register, heartbeat, execute."""
+    """One station's daemon: connect, register, heartbeat, execute.
+
+    ``grace_period`` is the seconds a foreign job may stay after the
+    station's owner returns (the paper's 5 minutes).
+    """
+
+    #: Seconds :meth:`stop` waits for the agent thread.
+    stop_timeout = 5.0
 
     def __init__(self, name, endpoints, ckpt_root,
                  heartbeat_interval=0.1, rpc_timeout=5.0,
                  reconnect_base=0.05, reconnect_cap=2.0,
-                 jitter_frac=0.5, seed=1):
+                 jitter_frac=0.5, seed=1, grace_period=300.0):
         if not endpoints:
             raise ServiceError("agent needs at least one endpoint")
         self.name = name
@@ -146,6 +166,9 @@ class StationAgent:
         self.reconnect_cap = reconnect_cap
         self.jitter_frac = jitter_frac
         self._rng = random.Random(seed)
+        self.reaction = OwnerReaction(grace_period, False)
+        self._owner_active = False
+        self._grace_until = None        # the armed grace's deadline
         self._epoch = 0
         self._lock = threading.Lock()
         self._current = None            # (handle, context, thread)
@@ -177,7 +200,7 @@ class StationAgent:
         if current is not None:
             current[1].request_vacate()
         if self._thread is not None:
-            self._thread.join(timeout=5.0)
+            join_thread(self._thread, self.stop_timeout)
             self._thread = None
 
     def __enter__(self):
@@ -192,6 +215,60 @@ class StationAgent:
     def busy(self):
         with self._lock:
             return self._current is not None
+
+    # ------------------------------------------------------------------
+    # the station's owner
+
+    def owner_arrived(self):
+        """The owner is back: the hosted job is suspended and the grace
+        armed.  Safe from any thread."""
+        self._owner(True)
+
+    def owner_departed(self):
+        """The owner left: a job still in its grace resumes.  Safe from
+        any thread."""
+        self._owner(False)
+
+    def _owner(self, active):
+        with self._lock:
+            self._owner_active = active
+            if self._current is not None:
+                self._react(self.reaction.on_owner(
+                    self._current[0].state, active, time.monotonic()))
+        self._wake.set()
+
+    def _grace_due(self):
+        """Fire the grace timer once its deadline has passed."""
+        if self._grace_until is None:
+            return
+        with self._lock:
+            if (self._grace_until is None
+                    or time.monotonic() < self._grace_until):
+                return
+            self._grace_until = None
+            if self._current is not None:
+                self._react(self.reaction.on_timer(self._current[0].state))
+
+    def _react(self, actions):
+        """Carry out the table's actions on the hosted job (lock held).
+
+        A thread cannot be stopped, so ``suspend`` and ``resume`` only
+        change the job's state: it runs on through the grace.
+        """
+        handle, context, _thread = self._current
+        for action in actions:
+            kind = action[0]
+            if kind == "suspend":
+                handle.state = SUSPENDED
+            elif kind == "resume":
+                handle.state = RUNNING
+            elif kind == "arm":
+                self._grace_until = action[1]
+            elif kind == "cancel":
+                self._grace_until = None
+            elif kind == "vacate":
+                handle.state = _VACATING
+                context.request_vacate()
 
     # ------------------------------------------------------------------
     # connection management (ReliableSender discipline on real sockets)
@@ -246,6 +323,7 @@ class StationAgent:
         reply = self._rpc(sock, {
             "op": "register", "agent": self.name,
             "running": running, "exiting": exiting,
+            "owner_active": self._owner_active,
         })
         if not reply.get("ok"):
             raise ProtocolError(f"registration rejected: {reply}")
@@ -274,6 +352,7 @@ class StationAgent:
     def _session(self, sock):
         next_beat = 0.0
         while not self._halt.is_set():
+            self._grace_due()
             # An exit report wakes the loop to be flushed at once.  An
             # ack that brought the next job leaves the heartbeat to its
             # schedule; one that left the slot empty is followed by a
@@ -284,7 +363,8 @@ class StationAgent:
                 sent = time.monotonic()
                 running = self._running_report()
                 msg = {"op": "heartbeat", "agent": self.name,
-                       "epoch": self._epoch, "running": running}
+                       "epoch": self._epoch, "running": running,
+                       "owner_active": self._owner_active}
                 with self._lock:
                     # Only with nothing to report: a held reply would
                     # keep a busy agent's exit report waiting behind it.
@@ -302,7 +382,9 @@ class StationAgent:
                 # From the send: a coordinator that answers at once is
                 # beaten once an interval, one that parks, back to back.
                 next_beat = sent + self.heartbeat_interval
-            self._wake.wait(max(0.0, next_beat - time.monotonic()))
+            grace = self._grace_until
+            wake_at = next_beat if grace is None else min(next_beat, grace)
+            self._wake.wait(max(0.0, wake_at - time.monotonic()))
             self._wake.clear()
 
     def _flush_outbox(self, sock):
@@ -314,6 +396,7 @@ class StationAgent:
                     return flushed
                 msg = dict(self._outbox[0])
             msg["epoch"] = self._epoch
+            msg["owner_active"] = self._owner_active
             reply = self._rpc(sock, msg)
             if not reply.get("ok"):
                 if reply.get("error") == "stale_epoch":
@@ -346,15 +429,6 @@ class StationAgent:
 
     def _start_job(self, spec):
         key = spec["key"]
-        with self._lock:
-            busy = self._current is not None
-        if busy:
-            # A placement raced a still-running (likely zombie) job.
-            # Bounce it explicitly — a vacated exit sends it back to the
-            # queue head — rather than dropping it on the floor, which
-            # would wedge the placement until a human noticed.
-            self._report_exit(key, spec["incarnation"], "vacated")
-            return
         try:
             fn = resolve_entry(spec["entry"], spec.get("payload") or {})
         except ServiceError as exc:
@@ -368,7 +442,17 @@ class StationAgent:
             target=self._run_job, args=(handle, context, fn),
             name=f"{self.name}:{key}", daemon=True)
         with self._lock:
-            self._current = (handle, context, thread)
+            refused = self._current is not None or self._owner_active
+            if not refused:
+                self._current = (handle, context, thread)
+        if refused:
+            # A placement raced a still-running (likely zombie) job or
+            # the owner's return.  Bounce it explicitly — a vacated exit
+            # sends it back to the queue head — rather than dropping it
+            # on the floor, which would wedge the placement until a
+            # human noticed.
+            self._report_exit(key, spec["incarnation"], "vacated")
+            return
         thread.start()
 
     def _save_checkpoint(self, handle, state):
@@ -378,6 +462,9 @@ class StationAgent:
         with self._lock:
             previous = self._progress.get(handle.key, 0)
             self._progress[handle.key] = max(previous, progress)
+        # The vacate lands at the first checkpoint past the grace,
+        # however late the session loop wakes.
+        self._grace_due()
 
     def _run_job(self, handle, context, fn):
         try:
@@ -416,15 +503,17 @@ class StationAgent:
                 # One acquisition: a registration between the two would
                 # list the job under neither ``running`` nor ``exiting``.
                 self._current = None
+                self._grace_until = None
                 msg["progress"] = self._progress.get(key, 0)
             self._outbox.append(msg)
         self._wake.set()
 
     def _request_vacate(self, key):
+        """The coordinator's vacate: at the next checkpoint, skipping
+        any grace."""
         with self._lock:
-            current = self._current
-        if current is not None and current[0].key == key:
-            current[1].request_vacate()
+            if self._current is not None and self._current[0].key == key:
+                self._react(self.reaction.on_preempt(self._current[0].state))
 
     def __repr__(self):
         return (f"<StationAgent {self.name} epoch={self._epoch} "

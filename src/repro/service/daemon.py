@@ -70,7 +70,12 @@ import time
 from repro.core.updown import UpDownPolicy, grant_order
 from repro.service import jobdb as db_states
 from repro.service import protocol
-from repro.service.errors import ProtocolError, ServiceError, StaleEpochError
+from repro.service.errors import (
+    ProtocolError,
+    ServiceError,
+    StaleEpochError,
+    join_thread,
+)
 from repro.service.jobdb import JobDatabase
 
 #: Bytes asked of a readable socket at once.
@@ -129,6 +134,7 @@ class _AgentState:
         self.incarnation = None     # ...and which placement of it
         self.commands = []          # queued for the agent's next reply
         self.hold = None            # its held heartbeat, if any
+        self.owner_active = False   # per its last frame; place nothing then
 
 
 class Hold:
@@ -172,6 +178,9 @@ class _Conn:
 
 class CoordinatorDaemon:
     """The central coordinator: one loop serving TCP and placing jobs."""
+
+    #: Seconds :meth:`stop` waits for the loop thread.
+    stop_timeout = 5.0
 
     def __init__(self, db_path, host="127.0.0.1", port=0,
                  poll_interval=0.05, agent_timeout=1.0,
@@ -254,14 +263,17 @@ class CoordinatorDaemon:
             self._reconcile[key] = deadline
 
     def stop(self):
+        """Stop the loop, then close the database.  A loop that outlives
+        ``stop_timeout`` raises :class:`ServiceError` and leaves open the
+        database it still uses; a later ``stop()`` joins it again."""
         self._halt.set()
-        thread, self._thread = self._thread, None
-        if thread is not None:
+        if self._thread is not None:
             try:
                 self._waker[1].send(b"\0")
             except OSError:
                 pass
-            thread.join(timeout=5.0)
+            join_thread(self._thread, self.stop_timeout)
+            self._thread = None
         if self.db is not None:
             self.db.close()
             self.db = None
@@ -551,7 +563,8 @@ class CoordinatorDaemon:
         agents = [
             {"agent": state.name, "job": state.job,
              "beat_age": round(now - state.last_beat, 3),
-             "parked": state.hold is not None}
+             "parked": state.hold is not None,
+             "owner_active": state.owner_active}
             for _name, state in sorted(self._agents.items())
         ]
         jobs = [
@@ -607,6 +620,7 @@ class CoordinatorDaemon:
         exiting = _field(msg, "exiting", list, ())
         if not all(isinstance(key, str) for key in exiting):
             raise ServiceError("bad field 'exiting': expected job keys")
+        owner_active = _field(msg, "owner_active", bool, False)
         known = {key for key, _inc, _progress in reports}.union(exiting)
         self.db.register_agent(agent, self.epoch)
         drop = []
@@ -635,6 +649,7 @@ class CoordinatorDaemon:
                                incarnation=incarnation)
                 self._reconcile.pop(key, None)
         state = _AgentState(agent, now)
+        state.owner_active = owner_active
         # A dropped-but-still-running zombie keeps the slot marked busy;
         # its vacated exit report (or a heartbeat expiry) frees it.
         # Placing into the slot earlier would race the zombie and bounce.
@@ -654,6 +669,7 @@ class CoordinatorDaemon:
             # Expired (or unknown) between beats: force a re-register so
             # adoption logic runs before any new placement.
             return self._stale_epoch()
+        owner_active = _field(msg, "owner_active", bool, False)
         reported = {key: (incarnation, progress)
                     for key, incarnation, progress in _running_reports(msg)}
         commands = []
@@ -672,6 +688,7 @@ class CoordinatorDaemon:
                 self.db.checkpoint(key, agent, record["incarnation"],
                                    progress)
         state.last_beat = now
+        state.owner_active = owner_active
         # Held until there is something to say, for at most half the
         # timeout of real time; a park of zero, below or NaN is no wait.
         hold = min(park, self.agent_timeout / 2.0)
@@ -708,6 +725,7 @@ class CoordinatorDaemon:
         incarnation = _field(msg, "incarnation", int, -1)
         outcome = msg.get("outcome")
         progress = _field(msg, "progress", int, 0)
+        owner_active = _field(msg, "owner_active", bool, False)
         if outcome == "completed":
             transition = functools.partial(
                 self.db.complete, key, agent, incarnation,
@@ -729,7 +747,7 @@ class CoordinatorDaemon:
                 if not accepted and not self._stopped_here(
                         key, agent, incarnation):
                     self.db.count_stale_result()
-            state = self._exit_heard(agent, key, incarnation)
+            state = self._exit_heard(agent, key, incarnation, owner_active)
             # Possibly a bounce off a still-busy agent: refilling the
             # slot on this ack would spin; the tick re-places and the
             # next heartbeat delivers, paced by the beat.
@@ -737,7 +755,7 @@ class CoordinatorDaemon:
         else:
             # The agent is done with the job whether or not its report is
             # accepted, so the slot is free for the cycle that commits it.
-            state = self._exit_heard(agent, key, incarnation)
+            state = self._exit_heard(agent, key, incarnation, owner_active)
             accepted = self._place_cycle(transition)
         self._reconcile.pop(key, None)
         return {"ok": True, "accepted": bool(accepted),
@@ -754,9 +772,10 @@ class CoordinatorDaemon:
                 and (record["agent"], record["incarnation"])
                 == (agent, incarnation))
 
-    def _exit_heard(self, agent, key, incarnation):
-        """Note an exit report of ``(key, incarnation)``; returns the
-        reporter's state, or None when it is not registered.
+    def _exit_heard(self, agent, key, incarnation, owner_active):
+        """Note an exit report of ``(key, incarnation)`` and the owner
+        flag it carries; returns the reporter's state, or None when it
+        is not registered.
 
         A report is a sign of life: an agent fed job after job on its acks
         may not heartbeat for a while.  It frees the slot only if that is
@@ -766,6 +785,7 @@ class CoordinatorDaemon:
         state = self._agents.get(agent)
         if state is not None:
             state.last_beat = self.clock()
+            state.owner_active = owner_active
             if (state.job, state.incarnation) == (key, incarnation):
                 state.job = None
         return state
@@ -825,9 +845,11 @@ class CoordinatorDaemon:
 
     def _idle_agents(self, now):
         """The agents a placement cycle may fill, in name order: no job,
-        nothing queued for them, heard from within the timeout."""
+        nothing queued for them, no owner at the console, heard from
+        within the timeout."""
         return [name for name, state in sorted(self._agents.items())
                 if state.job is None and not state.commands
+                and not state.owner_active
                 and now - state.last_beat <= self.agent_timeout]
 
     def _place_cycle(self, transition=None):
@@ -920,6 +942,9 @@ class StandbyCoordinator:
     simply skip it.
     """
 
+    #: Seconds :meth:`stop` waits for the watch thread.
+    stop_timeout = 5.0
+
     def __init__(self, db_path, primary, host="127.0.0.1", port=0,
                  check_interval=0.1, misses=5, **daemon_kwargs):
         self.db_path = str(db_path)
@@ -969,7 +994,7 @@ class StandbyCoordinator:
     def stop(self):
         self._halt.set()
         if self._thread is not None:
-            self._thread.join(timeout=5.0)
+            join_thread(self._thread, self.stop_timeout)
             self._thread = None
         if self.daemon is not None:
             self.daemon.stop()

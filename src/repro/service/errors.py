@@ -19,3 +19,12 @@ class CheckpointUnreadable(ServiceError):
 class StaleEpochError(ServiceError):
     """Something acted under an epoch a newer coordinator has
     superseded (a deposed coordinator placing, a stale message)."""
+
+
+def join_thread(thread, timeout):
+    """Join ``thread``; one still running after ``timeout`` seconds is a
+    zombie holding real resources, raised rather than left behind."""
+    thread.join(timeout)
+    if thread.is_alive():
+        raise ServiceError(f"thread {thread.name!r} still running "
+                           f"{timeout}s after stop (zombie)")

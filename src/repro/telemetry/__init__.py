@@ -2,8 +2,7 @@
 
 Every layer of the reproduction reports through this package:
 
-* :mod:`repro.telemetry.kinds` — the one event vocabulary shared by the
-  simulator and the live runtime;
+* :mod:`repro.telemetry.kinds` — the one event vocabulary;
 * :class:`TelemetryHub` — typed pub/sub with subscriber isolation;
 * :class:`MetricsRegistry` — counters/gauges/histograms by name;
 * :class:`TraceRecorder` / :func:`replay_trace` — byte-deterministic

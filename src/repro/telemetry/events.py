@@ -1,7 +1,7 @@
 """Typed telemetry events and the hub that carries them.
 
 The hub is the system's single observability spine: every layer —
-local schedulers, the coordinator, CPU ledgers, the live runtime — emits
+local schedulers, the coordinator, CPU ledgers, the fault injector — emits
 :class:`TelemetryEvent` records through one :class:`TelemetryHub`, and
 every consumer — metrics collectors, trace recorders, dashboards, tests —
 subscribes to it.  Properties the rest of the repo relies on:
@@ -15,7 +15,7 @@ subscribes to it.  Properties the rest of the repo relies on:
 * **isolated** — a subscriber that raises does not abort the emitter;
   the failure is recorded in :attr:`TelemetryHub.errors` and re-emitted
   as a :data:`~repro.telemetry.kinds.TELEMETRY_ERROR` event;
-* **thread-safe** — the live runtime emits from worker threads.
+* **thread-safe** — any thread may emit.
 """
 
 import threading
@@ -37,7 +37,7 @@ class TelemetryEvent:
     #: Emission sequence number, contiguous from 0 per hub.
     seq: int
     #: Clock reading at emission (simulation seconds, or wall seconds
-    #: for the live runtime).
+    #: under a wall clock).
     sim_time: float
     #: Emitting component, usually a station/worker name.
     source: str

@@ -9,7 +9,7 @@ The string values are part of the trace format: recorded traces carry
 them verbatim, so renaming a constant's value invalidates old traces.
 """
 
-# -- job lifecycle (simulator local schedulers AND live runtime) --------
+# -- job lifecycle (simulator local schedulers) -------------------------
 JOB_SUBMITTED = "job_submitted"
 JOB_REFUSED = "job_refused"                  # submit rejected (disk full)
 JOB_PLACED = "job_placed"                    # image arrived, execution began
@@ -22,7 +22,7 @@ JOB_PREEMPTED = "job_preempted"              # coordinator priority preemption
 JOB_PERIODIC_CHECKPOINT = "job_periodic_checkpoint"
 JOB_COMPLETED = "job_completed"
 JOB_REMOVED = "job_removed"
-JOB_FAILED = "job_failed"                    # live runtime: job fn raised
+JOB_FAILED = "job_failed"                    # the job's own code raised
 HOST_LOST = "host_lost"                      # hosting station went down
 
 # -- daemons ------------------------------------------------------------

@@ -149,8 +149,8 @@ class MetricsRegistry:
     def snapshot(self):
         """All instruments as plain dicts, sorted by name.
 
-        The live runtime's worker threads create instruments on first
-        use, so the registry dict is copied under the lock and only then
+        Any thread may create an instrument on first use, so the
+        registry dict is copied under the lock and only then
         serialized — iterating ``_instruments`` unlocked would race a
         concurrent first-use insert (RuntimeError: dictionary changed
         size during iteration).

@@ -33,8 +33,7 @@ from repro.telemetry import kinds
 _HOUR = 3600.0
 
 #: Attributes used to summarise job-like payload objects.  Duck-typed so
-#: the simulator's Job and the live runtime's LiveJob both serialise
-#: without this module importing either.
+#: the simulator's Job serialises without this module importing it.
 _JOB_ATTRS = ("id", "name", "user", "owner", "home", "demand_seconds")
 
 #: The canonical encoding (see module docs): ``_encode(value) -> str``.

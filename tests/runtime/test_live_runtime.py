@@ -1,257 +1,70 @@
-"""Tests for the live runtime: real threads, real checkpoints."""
+"""The checkpoint store and contract the station agent runs jobs under."""
 
 import os
 import threading
-import time
+import types
 
 import pytest
 
-from repro.runtime import (
-    COMPLETED,
-    FAILED,
-    InMemoryCheckpointStore,
-    LiveCheckpointStore,
-    LiveCluster,
-    LiveJob,
-    LiveRuntimeError,
-    LiveWorker,
-    SyntheticOwner,
-)
+from repro.runtime import LiveCheckpointStore
 
 
-def counting_job(target, step_sleep=0.0, checkpoint_every=10):
-    """A restartable job counting to ``target`` with periodic checkpoints."""
-
-    def fn(ctx, state):
-        i = state or 0
-        while i < target:
-            i += 1
-            if step_sleep:
-                time.sleep(step_sleep)
-            if i % checkpoint_every == 0:
-                ctx.checkpoint(i)
-        return i
-
-    return fn
+def job_handle(job_id=1):
+    """What a store keys an image by: the job's ``id``."""
+    return types.SimpleNamespace(id=job_id)
 
 
 class TestCheckpointStores:
     @pytest.mark.parametrize("store_factory", [
-        InMemoryCheckpointStore,
         lambda: LiveCheckpointStore(),
     ])
     def test_save_load_roundtrip(self, store_factory):
         store = store_factory()
-        job = LiveJob(lambda ctx, s: None)
+        job = job_handle()
         store.save(job, {"step": 41, "data": [1, 2, 3]})
         assert store.load(job) == {"step": 41, "data": [1, 2, 3]}
 
-    def test_load_missing_is_none(self):
-        store = InMemoryCheckpointStore()
-        assert store.load(LiveJob(lambda ctx, s: None)) is None
+    def test_load_missing_is_none(self, tmp_path):
+        store = LiveCheckpointStore(root=tmp_path)
+        assert store.load(job_handle()) is None
 
-    def test_discard(self):
-        store = InMemoryCheckpointStore()
-        job = LiveJob(lambda ctx, s: None)
+    def test_discard(self, tmp_path):
+        store = LiveCheckpointStore(root=tmp_path)
+        job = job_handle()
         store.save(job, 7)
         store.discard(job)
         assert store.load(job) is None
 
-    def test_new_save_supersedes(self):
-        store = InMemoryCheckpointStore()
-        job = LiveJob(lambda ctx, s: None)
+    def test_new_save_supersedes(self, tmp_path):
+        store = LiveCheckpointStore(root=tmp_path)
+        job = job_handle()
         store.save(job, 1)
         store.save(job, 2)
         assert store.load(job) == 2
 
-    def test_unpicklable_state_rejected(self):
-        store = InMemoryCheckpointStore()
-        job = LiveJob(lambda ctx, s: None)
-        with pytest.raises(LiveRuntimeError):
+    def test_unpicklable_state_rejected(self, tmp_path):
+        store = LiveCheckpointStore(root=tmp_path)
+        job = job_handle()
+        with pytest.raises(TypeError):
             store.save(job, threading.Lock())
+        assert store.load(job) is None
 
     def test_file_store_atomic_and_sized(self, tmp_path):
         store = LiveCheckpointStore(root=tmp_path)
-        job = LiveJob(lambda ctx, s: None)
+        job = job_handle()
         store.save(job, list(range(100)))
         assert store.size_bytes(job) > 0
         store.discard(job)
         assert store.size_bytes(job) == 0
 
-    def test_state_isolation(self):
+    def test_state_isolation(self, tmp_path):
         # Mutating the loaded state must not affect the stored copy.
-        store = InMemoryCheckpointStore()
-        job = LiveJob(lambda ctx, s: None)
+        store = LiveCheckpointStore(root=tmp_path)
+        job = job_handle()
         store.save(job, [1, 2])
         loaded = store.load(job)
         loaded.append(3)
         assert store.load(job) == [1, 2]
-
-
-class TestLiveWorker:
-    def test_runs_job_to_completion(self):
-        worker = LiveWorker("w1", InMemoryCheckpointStore())
-        job = LiveJob(counting_job(100), name="count")
-        exits = []
-        assert worker.start_job(job, lambda j, o: exits.append(o))
-        assert job.wait(timeout=5.0)
-        assert job.status == COMPLETED
-        assert job.result == 100
-        assert exits == ["completed"]
-
-    def test_refuses_second_job(self):
-        worker = LiveWorker("w1", InMemoryCheckpointStore())
-        slow = LiveJob(counting_job(10_000, step_sleep=0.001))
-        assert worker.start_job(slow, lambda j, o: None)
-        другой = LiveJob(counting_job(10))
-        assert not worker.start_job(другой, lambda j, o: None)
-        worker.owner_arrived()  # unwind the slow job
-        slow_done = slow.wait(timeout=5.0)
-        assert not slow_done or slow.finished
-
-    def test_refuses_when_owner_active(self):
-        worker = LiveWorker("w1", InMemoryCheckpointStore())
-        worker.owner_arrived()
-        assert not worker.start_job(LiveJob(counting_job(1)),
-                                    lambda j, o: None)
-
-    def test_owner_arrival_vacates_at_next_checkpoint(self):
-        store = InMemoryCheckpointStore()
-        worker = LiveWorker("w1", store)
-        job = LiveJob(counting_job(1_000_000, step_sleep=0.0005,
-                                   checkpoint_every=5))
-        exits = []
-        done = threading.Event()
-
-        def on_exit(j, outcome):
-            exits.append(outcome)
-            done.set()
-
-        worker.start_job(job, on_exit)
-        time.sleep(0.05)
-        worker.owner_arrived()
-        assert done.wait(timeout=5.0)
-        assert exits == ["vacated"]
-        assert job.status == "pending"
-        saved = store.load(job)
-        assert saved is not None and saved > 0
-
-    def test_failing_job_recorded(self):
-        worker = LiveWorker("w1", InMemoryCheckpointStore())
-
-        def boom(ctx, state):
-            raise ValueError("job bug")
-
-        job = LiveJob(boom)
-        worker.start_job(job, lambda j, o: None)
-        assert job.wait(timeout=5.0)
-        assert job.status == FAILED
-        assert isinstance(job.error, ValueError)
-
-    def test_job_fn_must_be_callable(self):
-        with pytest.raises(LiveRuntimeError):
-            LiveJob("not-callable")
-
-
-class TestLiveCluster:
-    def test_single_job_completes(self):
-        with LiveCluster(["w1"]) as cluster:
-            job = cluster.submit(counting_job(500), owner="alice")
-            assert cluster.wait_all(timeout=10.0)
-        assert job.status == COMPLETED
-        assert job.result == 500
-
-    def test_many_jobs_across_workers(self):
-        with LiveCluster(["w1", "w2", "w3"],
-                         placements_per_cycle=3) as cluster:
-            jobs = [cluster.submit(counting_job(300, step_sleep=0.0003),
-                                   owner="alice")
-                    for _ in range(9)]
-            assert cluster.wait_all(timeout=20.0)
-        assert all(job.result == 300 for job in jobs)
-        used_workers = {name for job in jobs for name in job.placements}
-        assert len(used_workers) >= 2
-
-    def test_vacated_job_migrates_and_resumes(self):
-        store = InMemoryCheckpointStore()
-        with LiveCluster(["w1", "w2"], store=store,
-                         poll_interval=0.01) as cluster:
-            job = cluster.submit(
-                counting_job(4000, step_sleep=0.0005, checkpoint_every=20),
-                owner="alice",
-            )
-            # Wait until it runs on some worker, then reclaim that worker.
-            deadline = time.monotonic() + 5.0
-            first = None
-            while time.monotonic() < deadline and first is None:
-                for worker in cluster.workers.values():
-                    if worker.current_job() is job:
-                        first = worker
-                time.sleep(0.005)
-            assert first is not None
-            first.owner_arrived()
-            assert cluster.wait_all(timeout=30.0)
-        assert job.result == 4000
-        assert job.vacated_count >= 1
-        assert len(job.placements) >= 2
-        assert job.placements[0] == first.name
-        assert job.placements[-1] != first.name  # resumed elsewhere
-
-    def test_no_work_lost_on_migration(self):
-        # The job records every step it executes; after a migration the
-        # total re-executed steps are bounded by the checkpoint interval.
-        executed = []
-        lock = threading.Lock()
-
-        def tracked(ctx, state):
-            i = state or 0
-            while i < 2000:
-                i += 1
-                with lock:
-                    executed.append(i)
-                if i % 50 == 0:
-                    time.sleep(0.001)
-                    ctx.checkpoint(i)
-            return i
-
-        store = InMemoryCheckpointStore()
-        with LiveCluster(["w1", "w2"], store=store,
-                         poll_interval=0.01) as cluster:
-            job = cluster.submit(tracked, owner="alice")
-            time.sleep(0.1)
-            for worker in cluster.workers.values():
-                if worker.current_job() is job:
-                    worker.owner_arrived()
-            assert cluster.wait_all(timeout=30.0)
-        assert job.result == 2000
-        duplicates = len(executed) - len(set(executed))
-        assert duplicates <= 50   # at most one checkpoint interval redone
-
-    def test_fairness_across_owners(self):
-        # A heavy owner floods the queue; a light owner's single job must
-        # not wait behind all of it (Up-Down at work in real threads).
-        with LiveCluster(["w1"], poll_interval=0.005) as cluster:
-            heavy = [cluster.submit(counting_job(150, step_sleep=0.0004),
-                                    owner="heavy")
-                     for _ in range(12)]
-            time.sleep(0.15)
-            light = cluster.submit(counting_job(150, step_sleep=0.0004),
-                                   owner="light")
-            assert cluster.wait_all(timeout=60.0)
-        light_pos = sorted(j.completed_at for j in heavy + [light]).index(
-            light.completed_at
-        )
-        assert light_pos < len(heavy)   # finished before the heavy tail
-
-    def test_needs_workers(self):
-        with pytest.raises(LiveRuntimeError):
-            LiveCluster([])
-
-    def test_queue_length(self):
-        cluster = LiveCluster(["w1"])   # not started: nothing drains
-        cluster.submit(counting_job(10), owner="a")
-        cluster.submit(counting_job(10), owner="a")
-        assert cluster.queue_length() == 2
 
 
 class TestDurableCheckpointWrites:
@@ -260,7 +73,7 @@ class TestDurableCheckpointWrites:
         # Any other order can surface a zero-length or missing file
         # after power loss even though save() returned.
         store = LiveCheckpointStore(root=tmp_path)
-        job = LiveJob(lambda ctx, s: None)
+        job = job_handle()
         calls = []
         real_fsync, real_replace = os.fsync, os.replace
 
@@ -284,7 +97,7 @@ class TestDurableCheckpointWrites:
         # A pickle that dies partway through the tmp file must neither
         # replace nor corrupt the previous good image.
         store = LiveCheckpointStore(root=tmp_path)
-        job = LiveJob(lambda ctx, s: None)
+        job = job_handle()
         store.save(job, {"step": 41})
 
         class TearsMidPickle:
@@ -303,7 +116,7 @@ class TestDurableCheckpointWrites:
         # Even if the crash happens *after* pickling but before the
         # rename (simulated by a failing fsync), the old image survives.
         store = LiveCheckpointStore(root=tmp_path)
-        job = LiveJob(lambda ctx, s: None)
+        job = job_handle()
         store.save(job, {"step": 7})
         real_fsync = os.fsync
 
@@ -315,98 +128,3 @@ class TestDurableCheckpointWrites:
             store.save(job, {"step": 8})
         monkeypatch.setattr(os, "fsync", real_fsync)
         assert store.load(job) == {"step": 7}
-
-
-class TestClusterShutdownDiscipline:
-    def test_shutdown_raises_on_zombie_coordinator(self):
-        class StuckCluster(LiveCluster):
-            def _coordinate(self):
-                # A coordinator that ignores the stop signal.
-                while True:
-                    time.sleep(0.05)
-
-        cluster = StuckCluster(["w1"], shutdown_timeout=0.2)
-        cluster.start()
-        with pytest.raises(LiveRuntimeError, match="zombie"):
-            cluster.shutdown()
-
-    def test_submit_after_shutdown_raises(self):
-        cluster = LiveCluster(["w1"])
-        cluster.start()
-        cluster.shutdown()
-        with pytest.raises(LiveRuntimeError, match="shut down"):
-            cluster.submit(counting_job(1), owner="a")
-
-    def test_start_reopens_submission(self):
-        cluster = LiveCluster(["w1"])
-        cluster.start()
-        cluster.shutdown()
-        cluster.start()
-        try:
-            job = cluster.submit(counting_job(50), owner="a")
-            assert cluster.wait_all(timeout=10.0)
-            assert job.result == 50
-        finally:
-            cluster.shutdown()
-
-
-class TestVacatedRequeuePosition:
-    def test_vacated_job_requeued_at_head(self):
-        # Regression: a vacated job must resume before younger
-        # submissions, not queue behind them (resume-not-restart).
-        cluster = LiveCluster(["w1"])     # never started: queue is inert
-        old = cluster.submit(counting_job(10), owner="a")
-        young1 = cluster.submit(counting_job(10), owner="a")
-        young2 = cluster.submit(counting_job(10), owner="a")
-        popped = cluster._pop_job_of("a")
-        assert popped is old
-        cluster._job_exited(old, "vacated")
-        with cluster._lock:
-            queue = list(cluster._queue)
-        assert queue == [old, young1, young2]
-
-
-class TestSyntheticOwner:
-    def test_schedule_toggles_worker(self):
-        worker = LiveWorker("w1", InMemoryCheckpointStore())
-        owner = SyntheticOwner(worker, [(0.02, 0.05)])
-        owner.start()
-        time.sleep(0.04)
-        assert worker.owner_active
-        owner.join(timeout=2.0)
-        assert not worker.owner_active
-
-    def test_stop_releases_worker(self):
-        worker = LiveWorker("w1", InMemoryCheckpointStore())
-        owner = SyntheticOwner(worker, [(0.0, 60.0)])
-        owner.start()
-        time.sleep(0.05)
-        assert worker.owner_active
-        owner.stop()
-        owner.join(timeout=2.0)
-        assert not worker.owner_active
-
-    def test_negative_schedule_rejected(self):
-        worker = LiveWorker("w1", InMemoryCheckpointStore())
-        with pytest.raises(LiveRuntimeError):
-            SyntheticOwner(worker, [(-1.0, 1.0)])
-
-
-class TestFileBackedCluster:
-    def test_cluster_with_disk_checkpoints(self, tmp_path):
-        store = LiveCheckpointStore(root=tmp_path)
-        with LiveCluster(["w1", "w2"], store=store,
-                         poll_interval=0.01) as cluster:
-            job = cluster.submit(
-                counting_job(3000, step_sleep=0.0005, checkpoint_every=25),
-                owner="ada",
-            )
-            time.sleep(0.1)
-            for worker in cluster.workers.values():
-                if worker.current_job() is job:
-                    worker.owner_arrived()
-            assert cluster.wait_all(timeout=30.0)
-        assert job.result == 3000
-        # The checkpoint file existed on disk during the run and was
-        # cleaned up at completion.
-        assert store.size_bytes(job) == 0

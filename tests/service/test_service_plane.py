@@ -6,24 +6,33 @@ subprocess + real-``kill -9`` coverage lives in the live chaos suite
 (``repro-condor chaos --suite service``).
 """
 
+import contextlib
+import json
+import os
 import random
+import re
 import socket
 import sqlite3
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from repro.cli import main
 from repro.service import protocol
 from repro.service.agent import StationAgent
 from repro.service.client import ServiceClient
 from repro.service.daemon import CoordinatorDaemon, StandbyCoordinator
 from repro.service.errors import ServiceError
 from repro.service.jobdb import JobDatabase
+from repro.service.samples import count_steps, resolve_entry
 
 COUNT = "repro.service.samples:count_steps"
 INSTANT = "repro.service.samples:instant"
 FAILS = "repro.service.samples:always_fails"
+#: The ``plane`` agents' grace: seconds a job stays past its owner's return.
+GRACE = 0.5
 
 
 def wait_for(predicate, timeout=10.0, poll=0.01, what="condition"):
@@ -47,22 +56,30 @@ def db_path(tmp_path):
     return str(tmp_path / "svc.sqlite")
 
 
-@pytest.fixture
-def plane(tmp_path, db_path):
+@contextlib.contextmanager
+def running_plane(db_path, ckpt_root):
     """Daemon + two agents + client, torn down in order."""
     daemon = CoordinatorDaemon(db_path, agent_timeout=1.0,
                                poll_interval=0.01)
     daemon.start()
-    agents = [StationAgent(f"s{i}", [daemon.endpoint],
-                           tmp_path / "ckpt", heartbeat_interval=0.02)
+    agents = [StationAgent(f"s{i}", [daemon.endpoint], ckpt_root,
+                           heartbeat_interval=0.02, grace_period=GRACE)
               for i in range(2)]
     for agent in agents:
         agent.start()
     client = ServiceClient([daemon.endpoint])
-    yield daemon, agents, client
-    for agent in agents:
-        agent.stop()
-    daemon.stop()
+    try:
+        yield daemon, agents, client
+    finally:
+        for agent in agents:
+            agent.stop()
+        daemon.stop()
+
+
+@pytest.fixture
+def plane(tmp_path, db_path):
+    with running_plane(db_path, tmp_path / "ckpt") as trio:
+        yield trio
 
 
 class FakeAgent:
@@ -137,6 +154,79 @@ def parked_agents(client):
 def placements_of(daemon, key):
     return daemon.db._db.execute(
         "SELECT placements FROM jobs WHERE key = ?", (key,)).fetchone()[0]
+
+
+def ledger_row(daemon, key):
+    """``(status, placements, vacates)`` of the job's ``jobs`` row."""
+    return daemon.db._db.execute(
+        "SELECT status, placements, vacates FROM jobs WHERE key = ?",
+        (key,)).fetchone()
+
+
+def exits_heard(daemon):
+    """Record every exit report the daemon serves, as ``(agent,
+    outcome, progress, seconds)``, ``seconds`` on the monotonic clock."""
+    exits = []
+    serve_exit = daemon._op_job_exit
+
+    def heard(agent, msg):
+        exits.append((agent, msg["outcome"], msg["progress"],
+                      time.monotonic()))
+        return serve_exit(agent, msg)
+
+    daemon._op_job_exit = heard
+    return exits
+
+
+def counts_from_checkpoint(**kwargs):
+    """``count_steps`` whose result names the checkpoint it resumed
+    from."""
+    count = count_steps(**kwargs)
+
+    def fn(ctx, state):
+        return {"resumed_from": state, "count": count(ctx, state)}
+
+    return fn
+
+
+def hosting(daemon, key):
+    """The agent running ``key`` once it has checkpointed there."""
+    return wait_for(lambda: daemon.db.job(key)["progress"]
+                    and daemon.db.job(key)["agent"],
+                    what=f"{key} to checkpoint")
+
+
+def owner_flags(client):
+    return {a["agent"]: a["owner_active"] for a in client.q()["agents"]}
+
+
+@pytest.fixture(scope="class")
+def owner_stays(tmp_path_factory):
+    """One run on a fresh plane in which the owner of a checkpointing
+    job's station returns and stays past the grace until the job is
+    done elsewhere; yields the plane (still up) and what was seen."""
+    root = tmp_path_factory.mktemp("owner_stays")
+    with running_plane(str(root / "svc.sqlite"), root / "ckpt") as (
+            daemon, agents, client):
+        exits = exits_heard(daemon)
+        key = client.submit(f"{__name__}:counts_from_checkpoint",
+                            payload={"steps": 300, "step_sleep": 0.005,
+                                     "checkpoint_every": 5})
+        first = hosting(daemon, key)
+        images = os.listdir(agents[0].store.root)
+        owner = next(a for a in agents if a.name == first)
+        arrived = time.monotonic()
+        owner.owner_arrived()
+        try:
+            wait_for(lambda: daemon.db.job(key)["state"] == "done",
+                     timeout=30.0, what=f"{key} done")
+            flags = owner_flags(client)
+        finally:
+            owner.owner_departed()
+        yield SimpleNamespace(daemon=daemon, agents=agents, client=client,
+                              key=key, first=first, arrived=arrived,
+                              exits=list(exits), images=images,
+                              flags=flags)
 
 
 def submit_to_done(daemon, client, entry, **kwargs):
@@ -218,6 +308,125 @@ class TestHappyPath:
         handle_v3 = type("H", (), {"key": "#9", "id": "9.i3",
                                    "incarnation": 3})()
         assert store.load(handle_v3) == 30
+
+
+class TestOwners:
+    """The owner-return rule (core/owner_reaction.py) on the agents:
+    the job runs through the grace (a thread cannot be suspended), then
+    vacates at its next checkpoint and resumes on another station."""
+
+    def test_owner_leaving_within_the_grace_keeps_the_job(self, plane):
+        daemon, agents, client = plane
+        exits = exits_heard(daemon)
+        key = client.submit(COUNT, payload={"steps": 200,
+                                            "step_sleep": 0.005,
+                                            "checkpoint_every": 5})
+        first = hosting(daemon, key)
+        owner = next(a for a in agents if a.name == first)
+        owner.owner_arrived()
+        time.sleep(GRACE / 10)
+        owner.owner_departed()
+        wait_for(lambda: daemon.db.job(key)["state"] == "done",
+                 timeout=30.0, what=f"{key} done")
+        assert [exit[:3] for exit in exits] == [(first, "completed", 200)]
+        assert ledger_row(daemon, key) == ("completed", 1, 0)
+
+    def test_a_job_waits_beside_an_agent_whose_owner_is_active(
+            self, plane, capsys):
+        daemon, agents, client = plane
+        for agent in agents:
+            agent.owner_arrived()
+        wait_for(lambda: all(a["owner_active"]
+                             for a in client.q()["agents"]),
+                 what="every owner flag to reach the daemon")
+        key = client.submit(INSTANT)
+        time.sleep(0.2)     # ten beats of each agent
+        snapshot = client.q()
+        assert daemon.db.job(key)["state"] == "submitted"
+        assert [(a["agent"], a["job"], a["owner_active"])
+                for a in snapshot["agents"]] == [
+            ("s0", None, True), ("s1", None, True)]
+        host, port = daemon.endpoint
+        assert main(["q", "--endpoints", f"{host}:{port}"]) == 0
+        table = capsys.readouterr().out
+        assert "owner" in table and table.count("active") == 2
+        agents[1].owner_departed()
+        wait_for(lambda: daemon.db.job(key)["state"] == "done",
+                 what=f"{key} done once an owner leaves")
+        assert daemon.db.job(key)["agent"] == "s1"
+
+    def test_a_start_is_bounced_while_owned(self, tmp_path):
+        # Never started: the test drives the agent's start path itself.
+        agent = StationAgent("s0", [("127.0.0.1", free_port())],
+                             tmp_path / "ckpt")
+        agent.owner_arrived()
+        agent._start_job({"key": "#1", "incarnation": 1, "entry": COUNT,
+                          "payload": {"steps": 1}})
+        assert not agent.busy
+        assert [(m["key"], m["outcome"]) for m in agent._outbox] == [
+            ("#1", "vacated")]
+        agent.stop()
+
+    def test_a_start_is_bounced_while_busy(self, tmp_path):
+        agent = StationAgent("s0", [("127.0.0.1", free_port())],
+                             tmp_path / "ckpt")
+        spec = {"key": "#1", "incarnation": 1, "entry": COUNT,
+                "payload": {"steps": 10_000, "step_sleep": 0.001}}
+        agent._start_job(spec)
+        assert agent.busy
+        agent._start_job({**spec, "key": "#2", "payload": {"steps": 10}})
+        assert [(m["key"], m["outcome"]) for m in agent._outbox] == [
+            ("#2", "vacated")]
+        agent.stop()
+        wait_for(lambda: not agent.busy, what="the job to vacate")
+
+
+class TestOwnerStays:
+    """The owner of a checkpointing job's station returns and stays past
+    the grace (the ``owner_stays`` run): each test asserts one
+    consequence of that one run."""
+
+    def test_vacates_at_a_checkpoint_past_the_grace(self, owner_stays):
+        run = owner_stays
+        agent, outcome, progress, seconds = run.exits[0]
+        assert (agent, outcome) == (run.first, "vacated")
+        assert seconds - run.arrived >= GRACE
+        # At a checkpoint of the job, short of its end.
+        assert 0 < progress < 300 and progress % 5 == 0
+
+    def test_migrates_and_resumes_on_the_other_station(self, owner_stays):
+        run = owner_stays
+        assert len(run.exits) == 2
+        agent, outcome, progress, _seconds = run.exits[1]
+        # Never placed under its owner again.
+        assert agent != run.first
+        assert (outcome, progress) == ("completed", 300)
+        assert ledger_row(run.daemon, run.key) == ("completed", 2, 1)
+
+    def test_no_work_lost_on_migration(self, owner_stays):
+        run = owner_stays
+        # Resumed from exactly the checkpoint the vacate reported.
+        vacated_at = run.exits[0][2]
+        assert json.loads(run.daemon.db.job(run.key)["result"]) == {
+            "resumed_from": vacated_at, "count": 300}
+        assert run.daemon.db.counter("service_progress_regressions") == 0
+
+    def test_images_live_on_disk_until_completion(self, owner_stays):
+        run = owner_stays
+        assert run.images
+        wait_for(lambda: not os.listdir(run.agents[0].store.root),
+                 what="the images to be discarded")
+
+    def test_owner_presence_reaches_q_and_leaves_with_the_owner(
+            self, owner_stays):
+        run = owner_stays
+        other = next(a.name for a in run.agents if a.name != run.first)
+        assert run.flags == {run.first: True, other: False}
+        wait_for(lambda: not any(owner_flags(run.client).values()),
+                 what="the owner flag to clear")
+        # Owner -> vacate -> resume elsewhere -> complete.
+        assert [(e[0], e[1]) for e in run.exits] == [
+            (run.first, "vacated"), (other, "completed")]
 
 
 class TestPlacementPath:
@@ -963,6 +1172,86 @@ class TestCheckpointImages:
                  what="the failed job's images to be discarded")
 
 
+class TestResolveEntry:
+    def test_resolves_a_factory_with_its_payload(self):
+        fn = resolve_entry(COUNT, {"steps": 3, "checkpoint_every": 100})
+        assert fn(None, None) == 3
+
+    @pytest.mark.parametrize("entry, error", [
+        ("repro.service.samples", "is not 'module:factory'"),
+        (":count_steps", "is not 'module:factory'"),
+        ("repro.service.samples:", "is not 'module:factory'"),
+        ("repro.service.samples:no_such_factory", "cannot resolve"),
+        ("repro.no_such_module:count_steps", "cannot resolve"),
+        ("repro.service.samples:COUNT_OF_NOTHING", "cannot resolve"),
+        (f"{__name__}:not_a_job", "returned non-callable"),
+    ], ids=["no-factory", "no-module", "empty-factory", "missing-factory",
+            "missing-module", "missing-attribute", "non-callable"])
+    def test_a_bad_entry_is_a_service_error(self, entry, error):
+        with pytest.raises(ServiceError, match=re.escape(error)):
+            resolve_entry(entry, {})
+
+
+def not_a_job():
+    """A factory whose product is not a job function."""
+    return "not-callable"
+
+
+class TestStopDiscipline:
+    """A thread that outlives ``stop()``'s join is a zombie: ``stop``
+    raises naming it instead of carrying on as if it had stopped."""
+
+    @pytest.fixture
+    def release(self):
+        release = threading.Event()
+        yield release
+        release.set()
+
+    def test_stop_raises_on_a_zombie_agent(self, tmp_path, release):
+        class StuckAgent(StationAgent):
+            stop_timeout = 0.2
+
+            def run(self):
+                release.wait(10.0)      # ignores the halt
+
+        agent = StuckAgent("s0", [("127.0.0.1", free_port())],
+                           tmp_path / "ckpt")
+        agent.start()
+        with pytest.raises(ServiceError, match="'agent:s0'.*zombie"):
+            agent.stop()
+
+    def test_stop_raises_on_a_zombie_loop_and_keeps_its_db(
+            self, db_path, release):
+        class StuckDaemon(CoordinatorDaemon):
+            stop_timeout = 0.2
+
+            def _run(self):
+                release.wait(10.0)      # ignores the halt and the waker
+                super()._run()
+
+        daemon = StuckDaemon(db_path)
+        daemon.start()
+        with pytest.raises(ServiceError, match="'svc-loop'.*zombie"):
+            daemon.stop()
+        # Not closed under the loop that is still using it.
+        assert daemon.db.epoch == daemon.epoch
+        release.set()
+        daemon.stop()
+        assert daemon.db is None
+
+    def test_stop_raises_on_a_zombie_standby(self, db_path, release):
+        class StuckStandby(StandbyCoordinator):
+            stop_timeout = 0.2
+
+            def _watch(self):
+                release.wait(10.0)
+
+        standby = StuckStandby(db_path, ("127.0.0.1", free_port()))
+        standby.start()
+        with pytest.raises(ServiceError, match="'svc-standby'.*zombie"):
+            standby.stop()
+
+
 class TestFailover:
     def test_standby_promotes_and_finishes_work(self, tmp_path, db_path):
         primary_port, standby_port = free_port(), free_port()
@@ -1043,6 +1332,8 @@ class TestMalformedRequests:
           "park": "a while"}, "park"),
         ({"op": "heartbeat", "agent": "fake", "epoch": None,
           "park": [0.25]}, "park"),
+        ({"op": "heartbeat", "agent": "fake", "epoch": None,
+          "owner_active": "yes"}, "owner_active"),
         ({"op": "job_exit", "agent": "fake", "epoch": None, "key": "#1",
           "incarnation": "first", "outcome": "completed"}, "incarnation"),
         ({"op": "job_exit", "agent": "fake", "epoch": None, "key": "#1",
