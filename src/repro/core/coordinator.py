@@ -573,7 +573,7 @@ class Coordinator(Node):
         ]
         if not candidates:
             return None
-        index = getattr(self.policy, "index", lambda name: 0.0)
+        index = self.policy.index
         return max(candidates, key=lambda pair: (index(pair[1]), pair[0]))[0]
 
     def _issue_grants(self, snapshot, ranked, removed, allocated_counts):
@@ -642,8 +642,6 @@ class Coordinator(Node):
                            allocated_counts):
         """When the pool is exhausted, evict for one deprived requester
         (the paper's one preemption per cycle)."""
-        if not self.policy.allows_preemption:
-            return []
         cap = self.config.max_machines_per_station
         granted = {requester for requester, _host in grants}
         used_hosts = {host for _requester, host in grants}

@@ -11,6 +11,13 @@ Each workstation runs one of these (§2.1).  It plays two roles at once:
   checkpoint it away if the owner stays (§4), or vacate it immediately
   when the coordinator orders a priority preemption.
 
+The submit side has one path for each home-side move: :meth:`_spool`
+stores a submitted job's executable (for a gang, every member's, all or
+none — a refusal leaves no image behind); :meth:`_requeue` is the only
+way a job returns to PENDING (placement failed, vacated, killed, host
+lost, home rebooted); :meth:`_bank_image` is the only way a returned
+vacate or periodic image enters the checkpoint store.
+
 All costs the paper measures are charged here: placement and checkpoint
 CPU at 5 s/MB on the *home* station, remote-syscall shadow load on the
 home station while the job runs, and the daemon's own <1 % background
@@ -281,28 +288,9 @@ class LocalScheduler(Node):
         checkpoint files; raises :class:`SubmissionRefused` when the disk
         cannot hold it (§4's disk-pressure failure mode).
         """
-        if job.home != self.station.name:
-            raise SchedulingError(
-                f"{job.name} submitted at {self.station.name} but its home "
-                f"is {job.home}"
-            )
+        self._check_home(job)
         job.submitted_at = self.sim.now
-        image_mb = job.image_mb()
-        if not self.store.can_store(job.id, image_mb):
-            self.hub.emit(ev.JOB_REFUSED, job=job, station=self.name)
-            raise SubmissionRefused(
-                f"{self.name}: no disk for {job.name}'s {image_mb:.2f} MB image"
-            )
-        try:
-            self.store.store(CheckpointImage(
-                job.id, 0.0, image_mb, self.sim.now,
-                sequence=self.store.images_stored + 1,
-            ))
-        except (DiskFullError, CheckpointTornWrite) as exc:
-            self.hub.emit(ev.JOB_REFUSED, job=job, station=self.name)
-            raise SubmissionRefused(
-                f"{self.name}: could not spool {job.name}'s image ({exc})"
-            ) from None
+        self._spool(job, (job,))
         self.queue.enqueue(job)
         self.hub.emit(ev.JOB_SUBMITTED, job=job, station=self.name)
         self._mark_dirty()
@@ -339,32 +327,50 @@ class LocalScheduler(Node):
     def submit_gang(self, gang):
         """Accept a parallel program for a coordinated launch (§5(2)).
 
-        All member images must fit on the local disk together, or the
-        whole gang is refused — half a parallel program is useless.
+        All member images must be spooled together, or the whole gang is
+        refused exactly as :meth:`submit` refuses one job — half a
+        parallel program is useless.
         """
-        if gang.home != self.station.name:
-            raise SchedulingError(
-                f"{gang.name} submitted at {self.station.name} but its "
-                f"home is {gang.home}"
-            )
-        total_mb = sum(member.image_mb() for member in gang.members)
-        if total_mb > self.station.disk.free_mb + 1e-9:
-            self.hub.emit(ev.JOB_REFUSED, job=gang, station=self.name)
-            raise SubmissionRefused(
-                f"{self.name}: no disk for {gang.name}'s "
-                f"{total_mb:.2f} MB of member images"
-            )
+        self._check_home(gang)
+        self._spool(gang, gang.members)
         gang.submitted_at = self.sim.now
         for member in gang.members:
             member.submitted_at = self.sim.now
-            self.store.store(CheckpointImage(
-                member.id, 0.0, member.image_mb(), self.sim.now,
-                sequence=self.store.images_stored + 1,
-            ))
             self.hub.emit(ev.JOB_SUBMITTED, job=member,
                           station=self.name)
         self.pending_gangs.append(gang)
         self._mark_dirty()
+
+    def _check_home(self, unit):
+        if unit.home != self.station.name:
+            raise SchedulingError(
+                f"{unit.name} submitted at {self.station.name} but its "
+                f"home is {unit.home}"
+            )
+
+    def _spool(self, unit, jobs):
+        """Store each of ``jobs``' executable as its first image — all or
+        none: a disk that cannot hold them together, a failed disk or a
+        torn write leaves no image behind, refuses ``unit`` (a job or a
+        gang) with ``job_refused`` and raises :class:`SubmissionRefused`.
+        """
+        total_mb = sum(job.image_mb() for job in jobs)
+        if not self.store.can_store(unit.id, total_mb):
+            problem = f"no disk for {total_mb:.2f} MB of images"
+        else:
+            try:
+                for job in jobs:
+                    self.store.store(CheckpointImage(
+                        job.id, 0.0, job.image_mb(), self.sim.now,
+                        sequence=self.store.images_stored + 1,
+                    ))
+                return
+            except (DiskFullError, CheckpointTornWrite) as exc:
+                for job in jobs:
+                    self.store.discard(job.id)
+                problem = f"could not spool its images ({exc})"
+        self.hub.emit(ev.JOB_REFUSED, job=unit, station=self.name)
+        raise SubmissionRefused(f"{self.name}: {unit.name}: {problem}")
 
     def _handle_gang_grant(self, payload):
         """The coordinator co-allocated machines: launch a whole gang."""
@@ -521,19 +527,33 @@ class LocalScheduler(Node):
             # the mapping — the completion/vacate notices or a host_lost
             # from the coordinator will resolve it.
             return
-        self.active_by_host.pop(host_name, None)
-        if job.state == jobstate.PLACING:
-            job.incarnation += 1   # revoke: a late accept must self-reap
-            job.transition(jobstate.PENDING)
-            self.queue.return_to_pending(job)
         if status == "ok":
             reason = detail[1]
         elif status == "transfer_failed":
             reason = f"transfer_{detail}"
         else:
             reason = "host_unreachable"
+        if job.state == jobstate.PLACING:
+            job.incarnation += 1   # revoke: a late accept must self-reap
+            self._requeue(job, host_name, ev.JOB_PLACEMENT_FAILED,
+                          reason=reason)
+            return
+        # The host accepted, every ack was lost, and the job has since
+        # been suspended or is vacating: the mapping goes, the job stays
+        # where it is until its vacate or completion notice lands.
+        self.active_by_host.pop(host_name, None)
         self.hub.emit(ev.JOB_PLACEMENT_FAILED, job=job, host=host_name,
                       reason=reason)
+        self._mark_dirty()
+
+    def _requeue(self, job, host, kind, **fields):
+        """The one way a job returns to PENDING on its home: drop its host
+        mapping and placement timer, queue it again and emit ``kind``."""
+        self.active_by_host.pop(host, None)
+        self._placement_started.pop(job.id, None)
+        job.transition(jobstate.PENDING)
+        self.queue.return_to_pending(job)
+        self.hub.emit(kind, job=job, host=host, **fields)
         self._mark_dirty()
 
     def _record_slices(self, job, slices):
@@ -553,48 +573,19 @@ class LocalScheduler(Node):
         no longer VACATING, or the incarnation moved on.
         """
         job = payload["job"]
-        host = payload["host"]
-        image_mb = payload["image_mb"]
         if (job.state != jobstate.VACATING
                 or payload["incarnation"] != job.incarnation):
             return
         self._record_slices(job, payload["slices"])
-        cost = checkpoint_cpu_cost(image_mb)
-        self.station.ledger.charge(CHECKPOINT, cost)
-        job.add_support("checkpoint", cost)
-        self.hub.metrics.histogram("checkpoint.image_mb").observe(image_mb)
-        self.hub.metrics.counter("checkpoint.vacate").inc()
-        try:
-            self.store.store(CheckpointImage(
-                job.id, job.progress, image_mb, self.sim.now,
-                sequence=self.store.images_stored + 1,
-            ))
-            job.checkpointed_progress = job.progress
+        if self._bank_image(job, job.progress, payload["image_mb"],
+                            "vacate"):
             job.checkpoint_count += 1
-        except CheckpointTornWrite:
-            # The write tore mid-copy; the two-phase store kept every
-            # previous generation, so only this image's progress is lost.
+        else:
+            # The job restarts from its previous stored image: the
+            # progress this image carried is re-run.
             job.roll_back_to_checkpoint()
-            job.checkpoint_lost_count += 1
-            self.hub.metrics.counter("checkpoint.dropped_torn_write").inc()
-            self.hub.emit(ev.CHECKPOINT_WRITE_TORN, job=job,
-                          station=self.name, purpose="vacate")
-        except DiskFullError:
-            # The checkpoint came home to a full (or failed) disk: the
-            # image is lost and the job will restart from its previous
-            # stored image.  Loud, not silent — the loss re-runs work.
-            job.roll_back_to_checkpoint()
-            job.checkpoint_lost_count += 1
-            self.hub.metrics.counter("checkpoint.dropped_disk_full").inc()
-            self.hub.emit(ev.CHECKPOINT_IMAGE_LOST, job=job,
-                          station=self.name, purpose="vacate",
-                          reason="disk_full")
-        self.active_by_host.pop(host, None)
-        job.transition(jobstate.PENDING)
-        self.queue.return_to_pending(job)
-        self.hub.emit(ev.JOB_VACATED, job=job, host=host,
+        self._requeue(job, payload["host"], ev.JOB_VACATED,
                       reason=payload["reason"])
-        self._mark_dirty()
 
     def _handle_job_completed(self, payload):
         """The host reports our job's demand is met (at-least-once).
@@ -625,18 +616,13 @@ class LocalScheduler(Node):
     def _handle_job_killed(self, payload):
         """Butler-mode: our job was killed without a checkpoint."""
         job = payload["job"]
-        host = payload["host"]
         if (job.state != jobstate.RUNNING
                 or payload["incarnation"] != job.incarnation):
             return  # duplicate or stale-lease notice
         self._record_slices(job, payload["slices"])
         job.roll_back_to_checkpoint()
         job.kill_count += 1
-        self.active_by_host.pop(host, None)
-        job.transition(jobstate.PENDING)
-        self.queue.return_to_pending(job)
-        self.hub.emit(ev.JOB_KILLED, job=job, host=host)
-        self._mark_dirty()
+        self._requeue(job, payload["host"], ev.JOB_KILLED)
 
     def _handle_host_lost(self, payload):
         """Coordinator says a machine hosting our job went down.
@@ -650,51 +636,21 @@ class LocalScheduler(Node):
         job = self.active_by_host.pop(host, None)
         if job is None or not job.in_system or job.state == jobstate.PENDING:
             return
-        self._placement_started.pop(job.id, None)
         job.roll_back_to_checkpoint()
         job.incarnation += 1
-        job.transition(jobstate.PENDING)
-        self.queue.return_to_pending(job)
-        self.hub.emit(ev.HOST_LOST, job=job, host=host)
-        self._mark_dirty()
+        self._requeue(job, host, ev.HOST_LOST)
 
     def _handle_periodic_checkpoint(self, payload):
         """A periodic (in-place) checkpoint image arrived from the host."""
         job = payload["job"]
-        image_mb = payload["image_mb"]
         progress = payload["progress"]
         if payload["incarnation"] != job.incarnation:
             return  # stale: the job was killed/moved while this was in flight
         if progress <= job.checkpointed_progress:
             return  # a newer (vacate) checkpoint already superseded this one
-        cost = checkpoint_cpu_cost(image_mb)
-        self.station.ledger.charge(CHECKPOINT, cost)
-        job.add_support("checkpoint", cost)
-        self.hub.metrics.histogram("checkpoint.image_mb").observe(image_mb)
-        self.hub.metrics.counter("checkpoint.periodic").inc()
-        try:
-            self.store.store(CheckpointImage(
-                job.id, progress, image_mb, self.sim.now,
-                sequence=self.store.images_stored + 1,
-            ))
-        except CheckpointTornWrite:
-            # The older generations survive the torn write; the job
-            # merely loses this interval's durability.
-            job.checkpoint_lost_count += 1
-            self.hub.metrics.counter("checkpoint.dropped_torn_write").inc()
-            self.hub.emit(ev.CHECKPOINT_WRITE_TORN, job=job,
-                          station=self.name, purpose="periodic")
-            return
-        except DiskFullError:
-            # Keep the older image; strictly worse but safe — and loud,
-            # so disk pressure eating durability shows up in traces.
-            job.checkpoint_lost_count += 1
-            self.hub.metrics.counter("checkpoint.dropped_disk_full").inc()
-            self.hub.emit(ev.CHECKPOINT_IMAGE_LOST, job=job,
-                          station=self.name, purpose="periodic",
-                          reason="disk_full")
-            return
-        job.checkpointed_progress = progress
+        if not self._bank_image(job, progress, payload["image_mb"],
+                                "periodic"):
+            return  # the older image stands; only this interval is lost
         if job.state == jobstate.PENDING and progress > job.progress:
             # The job was killed after this image was cut: the image
             # recovers work the rollback had written off.
@@ -703,6 +659,40 @@ class LocalScheduler(Node):
         self.hub.emit(ev.JOB_PERIODIC_CHECKPOINT, job=job,
                       station=self.name)
         self._mark_dirty()
+
+    def _bank_image(self, job, progress, image_mb, purpose):
+        """Charge, record and store a returned (``vacate`` or ``periodic``)
+        checkpoint image; return whether it landed.
+
+        A torn write or a full (or failed) disk loses the image, loudly:
+        the two-phase store keeps every older generation, so only the
+        progress this image carried is at risk — the caller decides
+        whether that is re-run (vacate) or merely less durable (periodic).
+        """
+        cost = checkpoint_cpu_cost(image_mb)
+        self.station.ledger.charge(CHECKPOINT, cost)
+        job.add_support("checkpoint", cost)
+        self.hub.metrics.histogram("checkpoint.image_mb").observe(image_mb)
+        self.hub.metrics.counter(f"checkpoint.{purpose}").inc()
+        try:
+            self.store.store(CheckpointImage(
+                job.id, progress, image_mb, self.sim.now,
+                sequence=self.store.images_stored + 1,
+            ))
+        except CheckpointTornWrite:
+            self.hub.metrics.counter("checkpoint.dropped_torn_write").inc()
+            self.hub.emit(ev.CHECKPOINT_WRITE_TORN, job=job,
+                          station=self.name, purpose=purpose)
+        except DiskFullError:
+            self.hub.metrics.counter("checkpoint.dropped_disk_full").inc()
+            self.hub.emit(ev.CHECKPOINT_IMAGE_LOST, job=job,
+                          station=self.name, purpose=purpose,
+                          reason="disk_full")
+        else:
+            job.checkpointed_progress = progress
+            return True
+        job.checkpoint_lost_count += 1
+        return False
 
     # ==================================================================
     # host side
@@ -1020,13 +1010,9 @@ class LocalScheduler(Node):
         # their transfer/RPC retry loops: revoke the leases and requeue.
         for host_name, job in list(self.active_by_host.items()):
             if job.state == jobstate.PLACING:
-                self.active_by_host.pop(host_name, None)
-                self._placement_started.pop(job.id, None)
                 job.incarnation += 1
-                job.transition(jobstate.PENDING)
-                self.queue.return_to_pending(job)
-                self.hub.emit(ev.JOB_PLACEMENT_FAILED, job=job,
-                              host=host_name, reason="home_rebooted")
+                self._requeue(job, host_name, ev.JOB_PLACEMENT_FAILED,
+                              reason="home_rebooted")
         # The bumped epoch is itself the readmission ticket: a push with
         # a newer boot epoch lifts the coordinator's quarantine.
         self._mark_dirty()

@@ -10,8 +10,9 @@ there are machines.  These baselines expose what happens without it:
 * :class:`RoundRobinPolicy` — priority rotated among requesters; fair in
   grants per cycle but blind to what each station already holds.
 
-Both are preemption-free (a granted machine is held until the owner
-returns or the job finishes), isolating Up-Down's preemption as well.
+Both are preemption-free (the base class never chooses a victim, so a
+granted machine is held until the owner returns or the job finishes),
+isolating Up-Down's preemption as well.
 """
 
 
@@ -19,10 +20,14 @@ class AllocationPolicy:
     """Interface the coordinator drives each scheduling cycle."""
 
     name = "base"
-    allows_preemption = False
 
     def register_station(self, name):
         """Called once per station at system construction."""
+
+    def index(self, name):
+        """Schedule index of ``name`` (higher = richer, evicted first for
+        a reservation); a policy that keeps none ranks every station 0."""
+        return 0.0
 
     def update(self, wanting, allocated_counts, dt_seconds):
         """Per-cycle bookkeeping before ranking."""

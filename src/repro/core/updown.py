@@ -33,6 +33,7 @@ per-cycle cost O(changed) amortised, and a daemon cycling a hundred
 times a second for weeks holds a few thousand floats, not millions.
 """
 
+from repro.core.policies import AllocationPolicy
 from repro.sim.errors import SimulationError
 
 #: Cycles of decay history kept before lagging stations are folded up to
@@ -40,7 +41,7 @@ from repro.sim.errors import SimulationError
 HISTORY_LIMIT = 4096
 
 
-class UpDownPolicy:
+class UpDownPolicy(AllocationPolicy):
     """Schedule-index bookkeeping plus ranking and preemption choice.
 
     Parameters
@@ -57,7 +58,6 @@ class UpDownPolicy:
     """
 
     name = "up-down"
-    allows_preemption = True
 
     def __init__(self, up_rate=1.0, down_rate=1.0, decay_rate=0.25,
                  preemption_margin=2.0):

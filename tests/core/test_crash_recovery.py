@@ -134,6 +134,24 @@ def test_home_crash_mid_checkpoint_back_retries_until_delivered():
     assert useful == pytest.approx(job.demand_seconds, abs=1.0)
 
 
+def test_home_crash_mid_placement_transfer_requeues_on_reboot():
+    sim = Simulation()
+    system = build(sim, {"h0": NeverActiveOwner()})
+    job = Job(user="u", home="home", demand_seconds=2 * HOUR)
+    system.submit(job)
+    failures = collect(system.telemetry, kinds.JOB_PLACEMENT_FAILED)
+    # Home dies halfway through shipping the image out; the placement's
+    # transfer and start RPC die with it, so the reboot itself must
+    # revoke the lease and requeue the job.
+    crash_at_transfer_midpoint(sim, system, victim="home",
+                               downtime=10 * MINUTE, src="home", dst="h0")
+    run_checked(sim, system, 12 * HOUR)
+
+    assert job.finished
+    assert system.telemetry.counts[kinds.JOB_COMPLETED] == 1
+    assert [e.payload["reason"] for e in failures] == ["home_rebooted"]
+
+
 def test_coordinator_crash_and_failover_under_delta_mode():
     sim = Simulation()
     config = CondorConfig(coordinator_mode="delta")

@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.machine import AlwaysActiveOwner, NeverActiveOwner, TraceOwner
 from repro.sim import DAY, HOUR, Simulation, SimulationError
+from repro.telemetry import kinds
 
 FOREVER = 10_000_000.0
 
@@ -110,6 +111,33 @@ def test_gang_refused_when_disk_cannot_hold_all_members():
     with pytest.raises(SubmissionRefused):
         system.submit_gang(gang)
     assert system.gangs == []
+
+
+def _assert_refused_whole(system, gang):
+    """A refused gang leaves nothing behind, exactly like a refused job."""
+    with pytest.raises(SubmissionRefused):
+        system.submit_gang(gang)
+    counts = system.telemetry.counts
+    assert counts[kinds.JOB_REFUSED] == 1
+    assert counts[kinds.JOB_SUBMITTED] == 0
+    assert system.gangs == []
+    store = system.scheduler("home").store
+    assert all(store.generations_of(m.id) == [] for m in gang.members)
+    assert system.station("home").disk.used_mb == 0.0
+
+
+def test_gang_refused_when_a_member_image_tears():
+    sim, system = build(pool=4)
+    system.scheduler("home").store.arm_torn_writes(1)
+    gang = GangJob(user="u", home="home", demand_seconds=HOUR, width=3)
+    _assert_refused_whole(system, gang)
+
+
+def test_gang_refused_when_home_disk_failed():
+    sim, system = build(pool=4)
+    system.station("home").disk.fail()
+    gang = GangJob(user="u", home="home", demand_seconds=HOUR, width=3)
+    _assert_refused_whole(system, gang)
 
 
 def test_gang_members_tracked_in_system_jobs():

@@ -15,7 +15,7 @@ from repro.core import (
     SubmissionRefused,
 )
 from repro.machine import AlwaysActiveOwner, NeverActiveOwner, TraceOwner
-from repro.sim import HOUR, MINUTE, Simulation
+from repro.sim import HOUR, Simulation
 from repro.telemetry import kinds
 
 FOREVER = 10_000_000.0

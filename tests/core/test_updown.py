@@ -207,7 +207,6 @@ class TestFcfsPolicy:
 
     def test_no_preemption(self):
         policy = FcfsPolicy()
-        assert not policy.allows_preemption
         assert policy.choose_preemption_victim("a", [("h", "b")]) is None
 
 

@@ -1,7 +1,5 @@
 """Tests for the queue-length monitor."""
 
-import pytest
-
 from repro.core import CondorSystem, Job, StationSpec
 from repro.machine import AlwaysActiveOwner
 from repro.metrics import QueueLengthMonitor

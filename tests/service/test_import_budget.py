@@ -27,7 +27,8 @@ _SERVICE = {
 }
 SERVE = _SERVICE | {
     "repro.service.daemon", "repro.service.jobdb",
-    "repro.core", "repro.core.updown", "repro.sim", "repro.sim.errors",
+    "repro.core", "repro.core.policies", "repro.core.updown", "repro.sim",
+    "repro.sim.errors",
     "repro.telemetry", "repro.telemetry.schema",
 }
 AGENT = _SERVICE | {

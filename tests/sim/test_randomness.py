@@ -2,7 +2,6 @@
 
 import copy
 import hashlib
-import math
 import pickle
 import random
 

@@ -1,7 +1,5 @@
 """Tests for the workload generator against a live small system."""
 
-import pytest
-
 from repro.core import CondorSystem, StationSpec
 from repro.machine import AlwaysActiveOwner, NeverActiveOwner
 from repro.sim import DAY, HOUR, RandomStream, Simulation
