@@ -14,6 +14,9 @@ The invariants encode the paper's guarantees:
   checkpoint never runs ahead of actual progress (checkpointing
   correctness, §2.3);
 * disks never exceed capacity (§4);
+* a job placed out is accounted for: while its home is up, the home
+  maps it to its host, so a completion, vacate or host-lost notice can
+  still reach it — a job it has lost track of would wait forever;
 * a completed job executed exactly its demand beyond whatever work was
   explicitly accounted as wasted (the "very little, if any, work will be
   performed more than once" abstract claim, quantified).
@@ -21,6 +24,10 @@ The invariants encode the paper's guarantees:
 
 from repro.core import job as jobstate
 from repro.sim.errors import SimulationError
+
+#: States of a job that is out on a host (or on its way to one).
+_PLACED_STATES = frozenset((jobstate.PLACING, jobstate.RUNNING,
+                            jobstate.SUSPENDED, jobstate.VACATING))
 
 
 class InvariantViolation(SimulationError):
@@ -41,6 +48,7 @@ class InvariantChecker:
         self._check_job_states()
         self._check_disks()
         self._check_queues()
+        self._check_accounted()
         self.checks_passed += 1
 
     def _fail(self, message):
@@ -131,6 +139,17 @@ class InvariantChecker:
                 if id(job) in queued_elsewhere:
                     self._fail(f"{job.name} pending in two queues")
                 queued_elsewhere.add(id(job))
+
+    def _check_accounted(self):
+        for job in self.system.jobs:
+            if job.state not in _PLACED_STATES:
+                continue
+            home = self.system.schedulers.get(job.home)
+            if home is None or home.crashed:
+                continue
+            if not any(held is job for held in home.active_by_host.values()):
+                self._fail(f"{job.name} is {job.state} but its home "
+                           f"{job.home} holds it on no host")
 
     def check_final(self, require_all_complete=False):
         """End-of-run validation (after ``system.finalize()``)."""

@@ -522,9 +522,10 @@ class LocalScheduler(Node):
             return  # the host published JOB_PLACED and is executing it
         if self.active_by_host.get(host_name) is not job:
             return  # a host-lost notice already resolved this placement
-        if job.state == jobstate.RUNNING:
-            # The host accepted but every ack was lost (partition): keep
-            # the mapping — the completion/vacate notices or a host_lost
+        if job.state != jobstate.PLACING:
+            # The host accepted but every ack was lost (partition), and
+            # the job runs, is suspended or is vacating there: keep the
+            # mapping — the completion/vacate notices or a host_lost
             # from the coordinator will resolve it.
             return
         if status == "ok":
@@ -533,18 +534,9 @@ class LocalScheduler(Node):
             reason = f"transfer_{detail}"
         else:
             reason = "host_unreachable"
-        if job.state == jobstate.PLACING:
-            job.incarnation += 1   # revoke: a late accept must self-reap
-            self._requeue(job, host_name, ev.JOB_PLACEMENT_FAILED,
-                          reason=reason)
-            return
-        # The host accepted, every ack was lost, and the job has since
-        # been suspended or is vacating: the mapping goes, the job stays
-        # where it is until its vacate or completion notice lands.
-        self.active_by_host.pop(host_name, None)
-        self.hub.emit(ev.JOB_PLACEMENT_FAILED, job=job, host=host_name,
+        job.incarnation += 1   # revoke: a late accept must self-reap
+        self._requeue(job, host_name, ev.JOB_PLACEMENT_FAILED,
                       reason=reason)
-        self._mark_dirty()
 
     def _requeue(self, job, host, kind, **fields):
         """The one way a job returns to PENDING on its home: drop its host

@@ -40,6 +40,17 @@ newline is one its writer has not finished: it is left for the next
 call.  The file cursor is written inside ingest's transaction, so it
 can never name a position the rows do not match.
 
+Each trace byte once
+--------------------
+A line in the recorder's envelope comes out of the line reader with its
+payload's own text (see :mod:`repro.telemetry.trace`), and that text is
+what ``events.payload`` and ``faults.detail`` store: the payload is not
+encoded again after being decoded.  Only another line, or a record
+handed to :meth:`TraceStore.ingest` as a dict, is encoded here.  A
+``utilization`` bucket above the highest one its station has stored
+cannot have a row, so it starts at zero without a query; the highest
+one is read once per station and chunk, by the primary key.
+
 Faithfulness invariant
 ----------------------
 :meth:`TraceStore.summary` rebuilds a :class:`TraceSummary` from the
@@ -53,6 +64,8 @@ trace, not a lossy digest of it.
 
 import contextlib
 import hashlib
+import itertools
+import math
 import sqlite3
 
 from repro.sim.errors import SimulationError
@@ -219,12 +232,14 @@ class TraceStore:
         trace can be tailed while its recorder is writing it.
         """
         with contextlib.closing(self._tail(str(trace_path))) as tail:
-            return self.ingest(tail)
+            return self._fold(tail)
 
     def _tail(self, path):
-        """Yield the records of ``path`` past the stored file cursor.
+        """Yield ``(record, payload text)`` for each line of ``path``
+        past the stored file cursor (see :func:`~repro.telemetry.trace.
+        _parse_line`).
 
-        :meth:`ingest` drains this inside its transaction, so the cursor
+        :meth:`_fold` drains this inside its transaction, so the cursor
         this generator writes once the last line is taken — file name,
         byte offset, fingerprint of the last line read — commits or
         rolls back together with the rows and ``next_seq``.
@@ -287,12 +302,18 @@ class TraceStore:
         a sqlite REAL round-trips a double — so each one is folded in
         trace order whatever the chunk size.
         """
+        return self._fold(zip(records, itertools.repeat(None)))
+
+    def _fold(self, lines):
+        """:meth:`ingest` over ``(record, payload text)`` pairs: a text
+        is stored as it is, a None one is the payload encoded here."""
         start = cursor = self.next_seq
         end_time = self.end_time
         counts = {}
         event_rows, fault_rows, lease_ops = [], [], []
         ledger = _RowCache(self._ledger_load)
-        buckets = _RowCache(self._bucket_load)
+        tops = _RowCache(self._bucket_top)
+        buckets = _RowCache(lambda key: self._bucket_load(key, tops))
         users = _RowCache(self._user_load)
         jobs = _RowCache(self._job_load)
 
@@ -310,11 +331,11 @@ class TraceStore:
             for sql, params in lease_ops:
                 self._db.execute(sql, params)
             for pending in (event_rows, fault_rows, lease_ops,
-                            ledger, buckets, users, jobs):
+                            ledger, tops, buckets, users, jobs):
                 pending.clear()
 
         with self._db:
-            for record in records:
+            for record, text in lines:
                 seq = record["seq"]
                 if seq < cursor:
                     continue
@@ -329,12 +350,15 @@ class TraceStore:
                 t = record["t"]
                 src = record["src"]
                 kind = record["kind"]
-                payload = record.get("payload") or {}
-                event_rows.append((seq, t, src, kind, _canonical(payload)))
+                payload = record.get("payload")
+                if not payload:
+                    payload, text = {}, None
+                text = text or _canonical(payload)
+                event_rows.append((seq, t, src, kind, text))
                 counts[kind] = counts.get(kind, 0) + 1
                 if t > end_time:
                     end_time = t
-                self._ingest_one(seq, t, src, kind, payload,
+                self._ingest_one(seq, t, src, kind, payload, text,
                                  ledger, buckets, users, jobs,
                                  fault_rows, lease_ops)
                 if len(event_rows) >= CHUNK_EVENTS:
@@ -350,7 +374,7 @@ class TraceStore:
                 self._meta_set("end_time", repr(end_time))
         return cursor - start
 
-    def _ingest_one(self, seq, t, src, kind, payload,
+    def _ingest_one(self, seq, t, src, kind, payload, text,
                     ledger, buckets, users, jobs, fault_rows, lease_ops):
         if kind == kinds.LEDGER_ENTRY:
             row = ledger[(src, payload["category"])]
@@ -393,7 +417,7 @@ class TraceStore:
                  if isinstance(payload.get(key), str)),
                 _job_dict(payload).get("name"))
             fault_rows.append((seq, t, kind, payload.get("fault"),
-                               target, _canonical(payload)))
+                               target, text))
         elif kind == kinds.CROSS_POOL_LEASE_GRANTED:
             for station in payload.get("stations") or ():
                 lease_ops.append((
@@ -448,7 +472,16 @@ class TraceStore:
                 "seconds = excluded.seconds, entries = excluded.entries",
                 (station, category, row[0], row[1]))
 
-    def _bucket_load(self, key):
+    def _bucket_top(self, station):
+        """The highest utilization bucket stored for ``station``."""
+        top = self._db.execute(
+            "SELECT max(bucket) FROM utilization WHERE station = ?",
+            (station,)).fetchone()[0]
+        return -math.inf if top is None else top
+
+    def _bucket_load(self, key, tops):
+        if key[1] > tops[key[0]]:
+            return [0.0]            # above every stored bucket: no row
         row = self._db.execute(
             "SELECT seconds FROM utilization "
             "WHERE station = ? AND bucket = ? AND category = ?",
@@ -476,6 +509,12 @@ class TraceStore:
         span = t1 - t0
         first = int(t0 // BUCKET_SECONDS)
         last = int(t1 // BUCKET_SECONDS)
+        if first == last:
+            # Most bookings fall in one bucket: the loop below for that
+            # bucket alone, whose lo is t0 and hi is t1 — the same
+            # product and quotient, not ``booked``, whose bits may differ.
+            buckets[(station, first, category)][0] += booked * span / span
+            return
         for bucket in range(first, last + 1):
             lo = max(t0, bucket * BUCKET_SECONDS)
             hi = min(t1, (bucket + 1) * BUCKET_SECONDS)

@@ -11,17 +11,28 @@ counts, utilisation by category — *from the trace alone*, without
 re-running the simulation: the scheduler's behaviour is fully determined
 by its event record (cluster management as data management).
 
-One encoder, one reader
------------------------
+One encoder
+-----------
 Every canonical string in the repo — a trace line, the ordering key of
-a set's members, the ops store's ``payload`` column — comes out of the
-one module-level :class:`json.JSONEncoder` below, so "canonical" has a
-single definition and no call constructs an encoder of its own.
+a set's members, the ops store's ``payload`` column — comes out of
+:func:`_encode`, one C encoder built at import with the settings of
+``json.dumps(value, sort_keys=True, separators=(",", ":"))``, so
+"canonical" has a single definition and no call builds an encoder of
+its own.  A trace line is the envelope
+``{"kind":K,"payload":P,"seq":N,"src":S,"t":T}`` — its keys already in
+sorted order — joined from ``_encode`` of each value, not a five-key
+dict sorted and encoded per event.
+
+One reader
+----------
 Every trace line read back — by :func:`read_trace` for a finished
-trace, by the ops store's tail for a growing one — is decoded and
+trace, by the ops store's tail for a growing one — is decoded once and
 validated by :func:`_parse_line`, so a line that is not a JSON object
 or lacks ``seq``/``t``/``src``/``kind`` fails the same way everywhere:
-``SimulationError("<path>:<line>: ...")``.
+``SimulationError("<path>:<line>: ...")``.  A line in the recorder's
+envelope is scanned value by value, which hands back the payload's own
+text with the record: the ops store stores that text instead of
+encoding again what it has just decoded.
 """
 
 import json
@@ -36,12 +47,20 @@ _HOUR = 3600.0
 #: the simulator's Job serialises without this module importing it.
 _JOB_ATTRS = ("id", "name", "user", "owner", "home", "demand_seconds")
 
-#: The canonical encoding (see module docs): ``_encode(value) -> str``.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: ``_iterencode(value, 0)`` -> the canonical encoding's chunks: no
+#: cycle check (:func:`jsonify` output has no cycles), ``TypeError`` on
+#: what JSON cannot hold, ASCII-only strings, no indent, no whitespace,
+#: sorted keys, no skipped keys, NaN and infinities as JavaScript has them.
+_iterencode = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+    None, ":", ",", True, False, True)
 
-#: ``_decode(text) -> (value, end)``; the caller checks ``end``, which
-#: spares each line the two whitespace scans of ``JSONDecoder.decode``.
-_decode = json.JSONDecoder().raw_decode
+#: ``_scan(text, index) -> (value, end)``: the C scanner behind
+#: ``JSONDecoder.raw_decode``; ``StopIteration`` where no value starts.
+_scan = json.JSONDecoder().scan_once
+
+#: ``_raw_decode(text) -> (value, end)``: a whole-text decode.
+_raw_decode = json.JSONDecoder().raw_decode
 
 #: Exact types the encoder writes as they are.  Sets, so that
 #: ``_ATOMS.issuperset(map(type, items))`` checks a container in C.
@@ -50,6 +69,49 @@ _STR = frozenset((str,))
 
 #: Keys every trace record carries (``payload`` may be absent).
 _REQUIRED = frozenset(("seq", "t", "src", "kind"))
+
+
+def _encode(value):
+    """The canonical encoding of ``value`` (see module docs)."""
+    return "".join(_iterencode(value, 0))
+
+
+def _decode(text):
+    """Decode one trace line's text: ``(value, end, payload_text)``.
+
+    A line that opens as the recorder's envelope does,
+    ``{"kind":K,"payload":P,``, is scanned in three values — ``K``,
+    ``P`` and the object the rest makes — so ``P``, the payload's own
+    text, comes back with the record; any other text is decoded whole
+    and ``payload_text`` is None.  Either way the text is decoded once
+    and the record is the one a whole decode gives.  The caller checks
+    ``end``, which spares each line the two whitespace scans of
+    ``JSONDecoder.decode``.
+    """
+    if text.startswith('{"kind":'):
+        try:
+            kind, start = _scan(text, 8)
+            if text.startswith(',"payload":', start):
+                start += 11
+                payload, stop = _scan(text, start)
+                if text.startswith(",", stop):
+                    # The rest, its comma read as a brace: an object
+                    # with at least one key and no second payload.
+                    rest, end = _scan("{" + text[stop + 1:], 0)
+                    if rest and "payload" not in rest:
+                        record = {"kind": kind, "payload": payload}
+                        record.update(rest)
+                        return record, stop + end, text[start:stop]
+        except (StopIteration, ValueError):
+            pass                # decoded whole below, which says why
+    return _decode_whole(text)
+
+
+def _decode_whole(text):
+    """:func:`_decode` without the envelope scan: ``payload_text`` is
+    None.  For readers that have no use for the text."""
+    value, end = _raw_decode(text)
+    return value, end, None
 
 
 def jsonify(value):
@@ -100,14 +162,12 @@ def jsonify(value):
 
 
 def encode_event(event):
-    """One canonical JSONL line (no trailing newline) for an event."""
-    return _encode({
-        "seq": event.seq,
-        "t": event.sim_time,
-        "src": event.source,
-        "kind": event.kind,
-        "payload": jsonify(event.payload),
-    })
+    """One canonical JSONL line (no trailing newline) for an event: the
+    envelope's keys in sorted order, each value through :func:`_encode`."""
+    return (f'{{"kind":{_encode(event.kind)},'
+            f'"payload":{_encode(jsonify(event.payload))},'
+            f'"seq":{_encode(event.seq)},"src":{_encode(event.source)},'
+            f'"t":{_encode(event.sim_time)}}}')
 
 
 class TraceRecorder:
@@ -148,12 +208,16 @@ class TraceRecorder:
         return f"<TraceRecorder {self.path} events={self.events_written}>"
 
 
-def _parse_line(line, path, lineno):
+def _parse_line(line, path, lineno, decode=None):
     """Decode and validate one raw trace line (``bytes``): the one
-    reader behind :func:`read_trace` and the ops store's tail."""
+    reader behind :func:`read_trace` and the ops store's tail.
+
+    Returns ``(record, payload_text)`` as ``decode`` — by default
+    :func:`_decode` — gives them.
+    """
     try:
         text = line.decode("utf-8").strip()
-        record, end = _decode(text)
+        record, end, payload_text = (decode or _decode)(text)
         if end != len(text):
             raise json.JSONDecodeError("Extra data", text, end)
     except json.JSONDecodeError as exc:
@@ -170,7 +234,7 @@ def _parse_line(line, path, lineno):
         raise SimulationError(
             f"{path}:{lineno}: record lacks "
             + ", ".join(sorted(_REQUIRED - record.keys())))
-    return record
+    return record, payload_text
 
 
 def read_trace(path):
@@ -184,7 +248,7 @@ def read_trace(path):
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.isspace():
-                yield _parse_line(line, path, lineno)
+                yield _parse_line(line, path, lineno, _decode_whole)[0]
 
 
 class TraceSummary:

@@ -23,13 +23,14 @@ from repro.sim import HOUR, MINUTE, Simulation
 from repro.telemetry import kinds
 
 
-def build(sim, host_owners, config=None):
+def build(sim, host_owners, config=None, coordinator_host="home"):
     """A home plus one station per entry of ``host_owners``."""
     specs = [StationSpec("home", owner_model=AlwaysActiveOwner(),
                          disk_mb=500.0)]
     for name, owner in host_owners.items():
         specs.append(StationSpec(name, owner_model=owner))
-    return CondorSystem(sim, specs, config=config, coordinator_host="home")
+    return CondorSystem(sim, specs, config=config,
+                        coordinator_host=coordinator_host)
 
 
 def collect(hub, *event_kinds):
@@ -150,6 +151,50 @@ def test_home_crash_mid_placement_transfer_requeues_on_reboot():
     assert job.finished
     assert system.telemetry.counts[kinds.JOB_COMPLETED] == 1
     assert [e.payload["reason"] for e in failures] == ["home_rebooted"]
+
+
+def test_suspended_job_survives_lost_start_acks_and_host_crash():
+    sim = Simulation()
+    # The coordinator runs on ``c``, so cutting the home off leaves it
+    # polling h0.  h0's owner arrives ~30 s after the job lands there and
+    # has left before h0 comes back from its crash.
+    system = build(sim, {"c": AlwaysActiveOwner(),
+                         "h0": TraceOwner([(150.0, 30 * MINUTE)])},
+                   coordinator_host="c")
+    job = Job(user="u", home="home", demand_seconds=2 * HOUR)
+    system.submit(job)
+    seen = collect(system.telemetry, kinds.JOB_SUSPENDED,
+                   kinds.MESSAGE_GIVE_UP, kinds.JOB_PLACEMENT_FAILED,
+                   kinds.HOST_LOST)
+    landed = []
+
+    def observe(record):
+        if landed or (record.src, record.dst) != ("home", "h0"):
+            return
+        landed.append(record.finish)
+        # 3 ms after the image lands the home is cut off for 20 min: h0
+        # starts the job, but every ack of the start RPC is lost and the
+        # home gives the RPC up while the owner has the job suspended.
+        sim.schedule_at(record.finish + 0.003, system.network.partition,
+                        ["home"])
+        sim.schedule_at(record.finish + 20 * MINUTE, system.network.heal)
+        # Then h0 crashes, and reboots 30 min later.
+        h0 = system.scheduler("h0")
+        sim.schedule_at(record.finish + 4 * MINUTE, h0.crash)
+        sim.schedule_at(record.finish + 34 * MINUTE, h0.recover)
+
+    system.network.add_transfer_observer(observe)
+    run_checked(sim, system, 12 * HOUR)
+
+    assert landed
+    # The give-up left the suspended job mapped to h0, so the
+    # coordinator's host-lost notice reached it and it was re-placed.
+    assert [e.kind for e in seen] == [kinds.JOB_SUSPENDED,
+                                      kinds.MESSAGE_GIVE_UP,
+                                      kinds.HOST_LOST]
+    assert seen[1].payload["op"] == "start_job"
+    assert job.finished
+    assert system.telemetry.counts[kinds.JOB_COMPLETED] == 1
 
 
 def test_coordinator_crash_and_failover_under_delta_mode():

@@ -144,6 +144,23 @@ def test_encode_event_equals_the_specification(seq, t, src, payload):
 
 
 @settings(max_examples=300, deadline=None)
+@given(seq=st.integers(min_value=0),
+       t=st.one_of(st.integers(), st.floats(),
+                   st.sampled_from([float("nan"), -0.0, float("inf")])),
+       src=st.one_of(st.text(max_size=8),
+                     st.sampled_from(['"', 'ws-"01"', "\\", "żółć",
+                                      "日本", "\u2028", "\x7f"])),
+       payload=_payloads)
+def test_encode_event_equals_the_specification_at_any_t_and_src(
+        seq, t, src, payload):
+    """The envelope is joined from per-value encodings, so every ``t``
+    the encoder can meet (an int, NaN, -0.0) and a ``src`` that needs
+    escaping must come out as the specification's sorted dict does."""
+    event = TelemetryEvent(seq, t, src, "job_submitted", payload)
+    assert encode_event(event) == _spec_encode_event(event)
+
+
+@settings(max_examples=300, deadline=None)
 @given(value=_values)
 def test_jsonify_encodes_like_the_specification(value):
     def canonical(item):
