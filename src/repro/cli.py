@@ -158,18 +158,27 @@ def _seeds(text):
     return seeds
 
 
+def _month_options(parser):
+    """The month verbs' ``--seed``, ``--days`` and ``--scale``."""
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--days", type=_int_at_least(1), default=30)
+    parser.add_argument("--scale", type=_positive_float, default=1.0)
+
+
 def _month_run(args, **kwargs):
-    """The verb's month experiment, built but not yet run; ``None``
-    after printing ``error: ...`` when its arguments make no run."""
+    """The verb's month experiment, executed; ``None`` after printing
+    ``error: ...`` when its arguments make no run."""
     from repro.analysis.experiment import ExperimentRun
     from repro.sim import SimulationError
 
     try:
-        return ExperimentRun(seed=args.seed, days=args.days,
-                             job_scale=args.scale, **kwargs)
+        run = ExperimentRun(seed=args.seed, days=args.days,
+                            job_scale=args.scale, **kwargs)
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
+    run.execute()
+    return run
 
 
 def _cmd_month(args):
@@ -179,7 +188,6 @@ def _cmd_month(args):
     run = _month_run(args, trace_path=args.trace, pools=args.pools or None)
     if run is None:
         return 2
-    run.execute()
     if args.trace:
         print(f"# recorded {run.telemetry.events_emitted:,} telemetry "
               f"events to {args.trace}")
@@ -230,7 +238,6 @@ def _cmd_trace(args):
     run = _month_run(args)
     if run is None:
         return 2
-    run.execute()
     dump_trace(run.jobs, args.output)
     print(f"wrote {len(run.jobs)} job records to {args.output}")
     return 0
@@ -242,7 +249,6 @@ def _cmd_stations(args):
     run = _month_run(args)
     if run is None:
         return 2
-    run.execute()
     print(render_station_breakdown(
         run.system.stations.values(), run.horizon,
         title=f"Per-station accounting over {args.days} days",
@@ -462,12 +468,32 @@ def _cmd_chaos(args):
 _SERVICE_ENDPOINTS = "127.0.0.1:9618"
 
 
-def _service_client(args):
+def _client_verb(parser, verb):
+    """Give ``parser`` the client verbs' ``--endpoints`` and
+    ``--timeout``, and run ``verb(args, client)`` as its command (see
+    :func:`_cmd_client`)."""
+    parser.add_argument("--endpoints", default=_SERVICE_ENDPOINTS)
+    parser.add_argument("--timeout", type=_positive_float, default=5.0)
+    parser.set_defaults(fn=_cmd_client, verb=verb)
+
+
+def _cmd_client(args):
+    """Run a client verb on one kept-socket client; a ``ServiceError``,
+    or a ``--payload`` that is not JSON, prints ``error: ...`` and
+    exits 2."""
+    import json
+
     from repro.service import protocol
     from repro.service.client import ServiceClient
+    from repro.service.errors import ServiceError
 
-    return ServiceClient(protocol.parse_endpoints(args.endpoints),
-                         timeout=args.timeout)
+    try:
+        with ServiceClient(protocol.parse_endpoints(args.endpoints),
+                           timeout=args.timeout) as client:
+            return args.verb(args, client)
+    except (ServiceError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _cmd_serve(args):
@@ -519,36 +545,22 @@ def _cmd_agent(args):
     return 0
 
 
-def _cmd_submit(args):
+def _submit(args, client):
     import json
 
-    from repro.service.errors import ServiceError
-
-    try:
-        payload = json.loads(args.payload) if args.payload else {}
-        with _service_client(args) as client:
-            for i in range(args.count):
-                name = (args.name if args.count == 1 and args.name
-                        else (f"{args.name}-{i}" if args.name else None))
-                print(client.submit(args.entry, payload=payload, name=name,
-                                    owner=args.owner,
-                                    demand_seconds=args.demand))
-    except (ServiceError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    payload = json.loads(args.payload) if args.payload else {}
+    for i in range(args.count):
+        name = (args.name if args.count == 1 and args.name
+                else (f"{args.name}-{i}" if args.name else None))
+        print(client.submit(args.entry, payload=payload, name=name,
+                            owner=args.owner, demand_seconds=args.demand))
     return 0
 
 
-def _cmd_q(args):
+def _q(args, client):
     from repro.metrics.report import render_table
-    from repro.service.errors import ServiceError
 
-    try:
-        with _service_client(args) as client:
-            snapshot = client.q(limit=args.limit)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    snapshot = client.q(limit=args.limit)
     print(f"# epoch {snapshot['epoch']}  pending {snapshot['pending']}  "
           f"in-flight {snapshot['inflight']}  done {snapshot['done']}"
           + ("  [draining]" if snapshot["draining"] else ""))
@@ -569,36 +581,20 @@ def _cmd_q(args):
     return 0
 
 
-def _cmd_rm(args):
-    from repro.service.errors import ServiceError
-
-    try:
-        with _service_client(args) as client:
-            for key in args.keys:
-                stopped = client.remove(key)
-                print(f"{key}: "
-                      f"{'stopped' if stopped else 'already finished'}")
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _rm(args, client):
+    for key in args.keys:
+        stopped = client.remove(key)
+        print(f"{key}: {'stopped' if stopped else 'already finished'}")
     return 0
 
 
-def _cmd_drain(args):
-    from repro.service.errors import ServiceError
-
-    try:
-        with _service_client(args) as client:
-            snapshot = client.drain()
-            print(f"# draining: pending {snapshot['pending']}, "
-                  f"in-flight {snapshot['inflight']}, "
-                  f"done {snapshot['done']}")
-            if args.wait:
-                final = client.wait_idle(timeout=args.wait)
-                print(f"# drained: {final['done']} jobs done")
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _drain(args, client):
+    snapshot = client.drain()
+    print(f"# draining: pending {snapshot['pending']}, "
+          f"in-flight {snapshot['inflight']}, done {snapshot['done']}")
+    if args.wait:
+        final = client.wait_idle(timeout=args.wait)
+        print(f"# drained: {final['done']} jobs done")
     return 0
 
 
@@ -658,9 +654,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     month = sub.add_parser("month", help="run the one-month experiment")
-    month.add_argument("--seed", type=int, default=42)
-    month.add_argument("--days", type=_int_at_least(1), default=30)
-    month.add_argument("--scale", type=_positive_float, default=1.0)
+    _month_options(month)
     month.add_argument("--exhibit").choices = _Names(
         lambda: _registry("repro.analysis.exhibits", "ALL_EXHIBITS"))
     month.add_argument("--csv", metavar="DIR",
@@ -683,16 +677,12 @@ def build_parser():
 
     trace = sub.add_parser("trace", help="export the month's workload")
     trace.add_argument("output")
-    trace.add_argument("--seed", type=int, default=42)
-    trace.add_argument("--days", type=_int_at_least(1), default=30)
-    trace.add_argument("--scale", type=_positive_float, default=1.0)
+    _month_options(trace)
     trace.set_defaults(fn=_cmd_trace)
 
     stations = sub.add_parser("stations",
                               help="per-station capacity accounting")
-    stations.add_argument("--seed", type=int, default=42)
-    stations.add_argument("--days", type=_int_at_least(1), default=30)
-    stations.add_argument("--scale", type=_positive_float, default=1.0)
+    _month_options(stations)
     stations.set_defaults(fn=_cmd_stations)
 
     replay = sub.add_parser(
@@ -824,30 +814,22 @@ def build_parser():
                         help="declared demand (seconds), for accounting")
     submit.add_argument("--count", type=_int_at_least(1), default=1,
                         help="submit this many identical jobs")
-    submit.add_argument("--endpoints", default=_SERVICE_ENDPOINTS)
-    submit.add_argument("--timeout", type=_positive_float, default=5.0)
-    submit.set_defaults(fn=_cmd_submit)
+    _client_verb(submit, _submit)
 
     q = sub.add_parser("q", help="queue/agents snapshot (like condor_q)")
     q.add_argument("--limit", type=_int_at_least(1), default=None)
-    q.add_argument("--endpoints", default=_SERVICE_ENDPOINTS)
-    q.add_argument("--timeout", type=_positive_float, default=5.0)
-    q.set_defaults(fn=_cmd_q)
+    _client_verb(q, _q)
 
     rm = sub.add_parser("rm", help="stop jobs (like condor_rm)")
     rm.add_argument("keys", nargs="+", metavar="KEY")
-    rm.add_argument("--endpoints", default=_SERVICE_ENDPOINTS)
-    rm.add_argument("--timeout", type=_positive_float, default=5.0)
-    rm.set_defaults(fn=_cmd_rm)
+    _client_verb(rm, _rm)
 
     drain = sub.add_parser(
         "drain", help="refuse new submissions; optionally wait for idle")
     drain.add_argument("--wait", type=_positive_float, default=None,
                        metavar="S",
                        help="block until pending and in-flight hit zero")
-    drain.add_argument("--endpoints", default=_SERVICE_ENDPOINTS)
-    drain.add_argument("--timeout", type=_positive_float, default=5.0)
-    drain.set_defaults(fn=_cmd_drain)
+    _client_verb(drain, _drain)
 
     demo = sub.add_parser("demo", help="narrated five-station demo")
     demo.add_argument("--trace", metavar="FILE",

@@ -3,16 +3,17 @@
 One agent is the paper's per-workstation daemon pair (schedd/startd)
 collapsed into a single process: it keeps a persistent socket to the
 coordinator, heartbeats on a short interval, accepts at most one foreign
-job, runs it with the live runtime's cooperative-checkpoint contract,
-and reports exits at-least-once (an exit report stays in the outbox
-until the coordinator acknowledges it).  The acknowledgement carries a
-``commands`` list just as a heartbeat reply does — usually the ``start``
-of the job that takes the freed slot — and both go through
-:meth:`StationAgent._apply_commands`, so a busy agent moves from job to
-job on its acks and heartbeats only when it has nothing to report.  An
-idle agent's beat carries ``park``: the coordinator may hold the reply
-for that long and answers the moment it has a command, so the interval
-bounds the silence between the two, not the wait for a job.
+job, runs it under the cooperative-checkpoint contract of
+:mod:`repro.service.samples`, and reports exits at-least-once (an exit
+report stays in the outbox until the coordinator acknowledges it).  The
+acknowledgement carries a ``commands`` list just as a heartbeat reply
+does — usually the ``start`` of the job that takes the freed slot — and
+both go through :meth:`StationAgent._apply_commands`, so a busy agent
+moves from job to job on its acks and heartbeats only when it has
+nothing to report.  An idle agent's beat carries ``park``: the
+coordinator may hold the reply for that long and answers the moment it
+has a command, so the interval bounds the silence between the two, not
+the wait for a job.
 
 The agent honours its station's owner through
 :mod:`repro.core.owner_reaction`'s table: the owner's return arms the
@@ -45,18 +46,17 @@ import os
 import pickle
 import random
 import socket
+import tempfile
 import threading
 import time
 
 from repro.core.owner_reaction import RUNNING, SUSPENDED, OwnerReaction
-from repro.runtime.checkpoint import LiveCheckpointStore
-from repro.runtime.errors import VacateRequested
-from repro.runtime.job import CheckpointContext
 from repro.service import protocol
 from repro.service.errors import (
     CheckpointUnreadable,
     ProtocolError,
     ServiceError,
+    VacateRequested,
     join_thread,
 )
 from repro.service.samples import resolve_entry
@@ -65,39 +65,61 @@ from repro.service.samples import resolve_entry
 _VACATING = "vacating"
 
 
-class _JobHandle:
-    """Duck-typed job record for CheckpointContext + the store."""
-
-    def __init__(self, key, name, incarnation):
-        self.key = key
-        self.name = name
-        self.incarnation = incarnation
-        self.checkpoint_count = 0
-        #: The job's state as :class:`OwnerReaction` reads it.
-        self.state = RUNNING
-        #: Store filename component: fenced per incarnation.
-        self.id = f"{key.lstrip('#')}.i{incarnation}"
-
-
 class FencedCheckpointStore:
-    """Incarnation-fenced durable checkpoints on a shared directory.
+    """Incarnation-fenced durable pickle checkpoints on a shared directory.
 
-    Saves go through :class:`LiveCheckpointStore` (atomic tmp + fsync +
-    rename) under an incarnation-suffixed name; loads scan for the
-    newest incarnation at or below the caller's, which is where a
-    re-placed job finds its predecessor's last image.
+    Incarnation *i* of job ``#n`` saves ``job-<n>.i<i>.ckpt``; a load
+    takes the newest incarnation at or below the caller's, which is
+    where a re-placed job finds its predecessor's last image.
     """
 
     def __init__(self, root):
-        self.inner = LiveCheckpointStore(root=root)
-        self.root = self.inner.root
+        self.root = str(root)
+        os.makedirs(self.root, exist_ok=True)
+        self._lock = threading.Lock()
 
-    def save(self, handle, state):
-        self.inner.save(handle, state)
+    @staticmethod
+    def _prefix(key):
+        return f"job-{key.lstrip('#')}.i"
+
+    def save(self, key, incarnation, state):
+        """Atomically persist ``state`` as the incarnation's restart point.
+
+        The tmp file is flushed and fsync'd before the rename, and the
+        directory entry is fsync'd after it (POSIX), so the atomicity
+        holds across power loss — not just process crash.  A write that
+        fails partway (torn pickle, full disk) leaves the previous good
+        checkpoint untouched.
+        """
+        name = f"{self._prefix(key)}{incarnation}"
+        path = os.path.join(self.root, f"{name}.ckpt")
+        with self._lock:
+            fd, tmp = tempfile.mkstemp(dir=self.root, prefix=f"{name}.")
+            try:
+                with os.fdopen(fd, "wb") as f:
+                    pickle.dump(state, f)
+                    f.flush()
+                    os.fsync(f.fileno())
+                os.replace(tmp, path)
+                self._fsync_dir()
+            except Exception:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
+
+    def _fsync_dir(self):
+        """Flush the directory entry so the rename itself is durable."""
+        if not hasattr(os, "O_DIRECTORY"):   # non-POSIX: best effort
+            return
+        dfd = os.open(self.root, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            os.fsync(dfd)
+        finally:
+            os.close(dfd)
 
     def _images(self, key):
         """``[(incarnation, filename), ...]`` for one job, sorted."""
-        prefix = f"job-{key.lstrip('#')}.i"
+        prefix = self._prefix(key)
         found = []
         for fname in os.listdir(self.root):
             if not (fname.startswith(prefix) and fname.endswith(".ckpt")):
@@ -108,16 +130,16 @@ class FencedCheckpointStore:
                 continue
         return sorted(found)
 
-    def load(self, handle):
-        """Newest image with incarnation <= the handle's, or ``None``.
+    def load(self, key, incarnation):
+        """Newest image at or below ``incarnation``, or ``None``.
 
         An image that does not unpickle is renamed ``<name>.corrupt`` —
         kept as evidence, skipped by every later load — and reported as
         :class:`CheckpointUnreadable`.
         """
         best = None
-        for incarnation, fname in self._images(handle.key):
-            if incarnation <= handle.incarnation:
+        for found, fname in self._images(key):
+            if found <= incarnation:
                 best = fname
         if best is None:
             return None
@@ -133,12 +155,41 @@ class FencedCheckpointStore:
                 raise CheckpointUnreadable(
                     f"{best}: {type(exc).__name__}: {exc}") from exc
 
-    def discard(self, handle):
+    def discard(self, key):
         """Remove every incarnation's image (after an acked final exit)."""
-        for _incarnation, fname in self._images(handle.key):
+        for _incarnation, fname in self._images(key):
             path = os.path.join(self.root, fname)
             if os.path.exists(path):
                 os.unlink(path)
+
+
+class _Job:
+    """The job an agent hosts, and the ``ctx`` its function receives.
+
+    The function calls :meth:`checkpoint` at safe points (see
+    :mod:`repro.service.samples` for the contract).
+    """
+
+    def __init__(self, agent, key, incarnation):
+        self._agent = agent
+        self.key = key
+        self.incarnation = incarnation
+        #: The job's state as :class:`OwnerReaction` reads it; once it
+        #: is ``_VACATING`` (a vacate, or the agent stopping), the next
+        #: checkpoint unwinds the job.
+        self.state = RUNNING
+        #: Saves so far: the progress of a job whose state is no int.
+        self.checkpoints = 0
+
+    def checkpoint(self, state):
+        """Durably save ``state`` as the job's restart point.
+
+        If the hosting agent has asked the job to leave, the state is
+        saved and :class:`VacateRequested` is raised — do not catch it.
+        """
+        self._agent._save_checkpoint(self, state)
+        if self.state == _VACATING:
+            raise VacateRequested(self.key)
 
 
 class StationAgent:
@@ -171,7 +222,7 @@ class StationAgent:
         self._grace_until = None        # the armed grace's deadline
         self._epoch = 0
         self._lock = threading.Lock()
-        self._current = None            # (handle, context, thread)
+        self._current = None            # the hosted _Job
         self._progress = {}             # key -> watermark this agent saw
         self._outbox = []               # unacked job_exit frames
         self._halt = threading.Event()
@@ -196,9 +247,8 @@ class StationAgent:
         self._halt.set()
         self._wake.set()
         with self._lock:
-            current = self._current
-        if current is not None:
-            current[1].request_vacate()
+            if self._current is not None:
+                self._current.state = _VACATING
         if self._thread is not None:
             join_thread(self._thread, self.stop_timeout)
             self._thread = None
@@ -234,7 +284,7 @@ class StationAgent:
             self._owner_active = active
             if self._current is not None:
                 self._react(self.reaction.on_owner(
-                    self._current[0].state, active, time.monotonic()))
+                    self._current.state, active, time.monotonic()))
         self._wake.set()
 
     def _grace_due(self):
@@ -247,7 +297,7 @@ class StationAgent:
                 return
             self._grace_until = None
             if self._current is not None:
-                self._react(self.reaction.on_timer(self._current[0].state))
+                self._react(self.reaction.on_timer(self._current.state))
 
     def _react(self, actions):
         """Carry out the table's actions on the hosted job (lock held).
@@ -255,20 +305,19 @@ class StationAgent:
         A thread cannot be stopped, so ``suspend`` and ``resume`` only
         change the job's state: it runs on through the grace.
         """
-        handle, context, _thread = self._current
+        job = self._current
         for action in actions:
             kind = action[0]
             if kind == "suspend":
-                handle.state = SUSPENDED
+                job.state = SUSPENDED
             elif kind == "resume":
-                handle.state = RUNNING
+                job.state = RUNNING
             elif kind == "arm":
                 self._grace_until = action[1]
             elif kind == "cancel":
                 self._grace_until = None
             elif kind == "vacate":
-                handle.state = _VACATING
-                context.request_vacate()
+                job.state = _VACATING
 
     # ------------------------------------------------------------------
     # connection management (ReliableSender discipline on real sockets)
@@ -306,12 +355,11 @@ class StationAgent:
 
     def _running_report(self):
         with self._lock:
-            current = self._current
-            if current is None:
+            job = self._current
+            if job is None:
                 return []
-            handle = current[0]
-            progress = self._progress.get(handle.key, 0)
-        return [{"key": handle.key, "incarnation": handle.incarnation,
+            progress = self._progress.get(job.key, 0)
+        return [{"key": job.key, "incarnation": job.incarnation,
                  "progress": progress}]
 
     def _register(self, sock):
@@ -411,8 +459,7 @@ class StationAgent:
             # rejected one may belong to a zombie whose successor does.
             if (msg["outcome"] in ("completed", "failed")
                     and reply.get("accepted")):
-                self.store.discard(_JobHandle(msg["key"], msg["key"],
-                                              msg["incarnation"]))
+                self.store.discard(msg["key"])
             self._apply_commands(reply)
 
     def _apply_commands(self, reply):
@@ -435,59 +482,51 @@ class StationAgent:
             self._report_exit(key, spec["incarnation"], "failed",
                               error=str(exc))
             return
-        handle = _JobHandle(key, spec.get("name") or key,
-                            spec["incarnation"])
-        context = CheckpointContext(handle, self._save_checkpoint)
-        thread = threading.Thread(
-            target=self._run_job, args=(handle, context, fn),
-            name=f"{self.name}:{key}", daemon=True)
+        job = _Job(self, key, spec["incarnation"])
         with self._lock:
             refused = self._current is not None or self._owner_active
             if not refused:
-                self._current = (handle, context, thread)
+                self._current = job
         if refused:
             # A placement raced a still-running (likely zombie) job or
             # the owner's return.  Bounce it explicitly — a vacated exit
             # sends it back to the queue head — rather than dropping it
             # on the floor, which would wedge the placement until a
             # human noticed.
-            self._report_exit(key, spec["incarnation"], "vacated")
+            self._report_exit(key, job.incarnation, "vacated")
             return
-        thread.start()
+        threading.Thread(target=self._run_job, args=(job, fn),
+                         name=f"{self.name}:{key}", daemon=True).start()
 
-    def _save_checkpoint(self, handle, state):
-        self.store.save(handle, state)      # durable before reported
-        progress = (int(state) if isinstance(state, int)
-                    else handle.checkpoint_count + 1)
+    def _note_progress(self, key, progress):
         with self._lock:
-            previous = self._progress.get(handle.key, 0)
-            self._progress[handle.key] = max(previous, progress)
+            self._progress[key] = max(self._progress.get(key, 0), progress)
+
+    def _save_checkpoint(self, job, state):
+        self.store.save(job.key, job.incarnation, state)  # durable first
+        job.checkpoints += 1
+        self._note_progress(job.key, int(state) if isinstance(state, int)
+                            else job.checkpoints)
         # The vacate lands at the first checkpoint past the grace,
         # however late the session loop wakes.
         self._grace_due()
 
-    def _run_job(self, handle, context, fn):
+    def _run_job(self, job, fn):
+        result = error = None
         try:
-            state = self.store.load(handle)
+            state = self.store.load(job.key, job.incarnation)
             if isinstance(state, int):
-                with self._lock:
-                    self._progress[handle.key] = max(
-                        self._progress.get(handle.key, 0), int(state))
-            result = fn(context, state)
+                self._note_progress(job.key, int(state))
+            result = fn(job, state)
+            outcome = "completed"
         except (VacateRequested, CheckpointUnreadable):
             # A quarantined image is not the job's fault: the next
             # placement resumes from an older image or from scratch.
-            self._finish(handle, "vacated")
-            return
+            outcome = "vacated"
         except Exception as exc:    # the job's own bug
-            self._finish(handle, "failed",
-                         error=f"{type(exc).__name__}: {exc}")
-            return
-        self._finish(handle, "completed", result=result)
-
-    def _finish(self, handle, outcome, result=None, error=None):
-        self._report_exit(handle.key, handle.incarnation, outcome,
-                          result=result, error=error, frees_slot=True)
+            outcome, error = "failed", f"{type(exc).__name__}: {exc}"
+        self._report_exit(job.key, job.incarnation, outcome, result=result,
+                          error=error, frees_slot=True)
 
     def _report_exit(self, key, incarnation, outcome, result=None,
                      error=None, frees_slot=False):
@@ -512,8 +551,8 @@ class StationAgent:
         """The coordinator's vacate: at the next checkpoint, skipping
         any grace."""
         with self._lock:
-            if self._current is not None and self._current[0].key == key:
-                self._react(self.reaction.on_preempt(self._current[0].state))
+            if self._current is not None and self._current.key == key:
+                self._react(self.reaction.on_preempt(self._current.state))
 
     def __repr__(self):
         return (f"<StationAgent {self.name} epoch={self._epoch} "

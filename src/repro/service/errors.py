@@ -1,9 +1,7 @@
 """Error types of the live service plane."""
 
-from repro.runtime.errors import LiveRuntimeError
 
-
-class ServiceError(LiveRuntimeError):
+class ServiceError(Exception):
     """Base class for service-plane errors (daemon, agent, client)."""
 
 
@@ -14,6 +12,13 @@ class ProtocolError(ServiceError):
 class CheckpointUnreadable(ServiceError):
     """A checkpoint image would not restore; the store has set it aside
     so the job's next placement resumes from an older one."""
+
+
+class VacateRequested(ServiceError):
+    """Raised inside a job function (by ``ctx.checkpoint``) when the
+    agent wants the job gone.  Job code should not catch this — the
+    agent catches it, preserves the freshly saved state, and reports the
+    job vacated so it resumes elsewhere."""
 
 
 class StaleEpochError(ServiceError):

@@ -2,9 +2,22 @@
 
 A service job travels as an *entry point* (``"module:factory"``) plus a
 JSON payload of keyword arguments.  The agent imports the factory and
-calls it with the payload; the factory returns the actual job function
-``fn(ctx, state)`` with the live runtime's cooperative-checkpoint
-contract (see :mod:`repro.runtime.job`).
+calls it with the payload; the factory returns the actual job function.
+
+The 1988 system checkpointed arbitrary 4.3BSD processes transparently
+(text/data/bss/stack).  Transparent process checkpointing is not portable
+Python, so the live plane substitutes the closest cooperative
+equivalent with the same recovery contract — *at most the work since the
+last checkpoint is repeated*:
+
+* a job is a function ``fn(ctx, state)`` where ``state`` is the last
+  checkpointed state (``None`` on first start);
+* the function calls ``ctx.checkpoint(state)`` at safe points; the state
+  is pickled durably;
+* when the hosting agent wants the job gone, the next ``checkpoint()``
+  call persists the state and raises
+  :class:`~repro.service.errors.VacateRequested`, unwinding the
+  function; the job later resumes *elsewhere* from exactly that state.
 
 The factories here are the service plane's stock workloads — used by
 the chaos suite, the CI smoke job, and the benchmarks — and double as

@@ -348,6 +348,10 @@ class TraceStore:
                     )
                 cursor += 1
                 t = record["t"]
+                if t != t:
+                    # sqlite stores a NaN as NULL; events.t is NOT NULL.
+                    raise SimulationError(
+                        f"cannot ingest seq {seq}: its t is NaN")
                 src = record["src"]
                 kind = record["kind"]
                 payload = record.get("payload")

@@ -27,8 +27,9 @@ One reader
 ----------
 Every trace line read back — by :func:`read_trace` for a finished
 trace, by the ops store's tail for a growing one — is decoded once and
-validated by :func:`_parse_line`, so a line that is not a JSON object
-or lacks ``seq``/``t``/``src``/``kind`` fails the same way everywhere:
+validated by :func:`_parse_line`, so a line that is not a JSON object,
+lacks ``seq``/``t``/``src``/``kind`` or carries a ``payload`` that is
+neither an object nor null fails the same way everywhere:
 ``SimulationError("<path>:<line>: ...")``.  A line in the recorder's
 envelope is scanned value by value, which hands back the payload's own
 text with the record: the ops store stores that text instead of
@@ -234,6 +235,11 @@ def _parse_line(line, path, lineno, decode=None):
         raise SimulationError(
             f"{path}:{lineno}: record lacks "
             + ", ".join(sorted(_REQUIRED - record.keys())))
+    payload = record.get("payload")
+    if payload is not None and type(payload) is not dict:
+        raise SimulationError(
+            f"{path}:{lineno}: payload is not a JSON object: "
+            f"{type(payload).__name__}")
     return record, payload_text
 
 

@@ -22,8 +22,8 @@ from repro.service.client import ServiceClient
 from repro.service.harness import Proc, free_port
 
 _SERVICE = {
-    "repro", "repro.runtime", "repro.runtime.errors", "repro.service",
-    "repro.service.errors", "repro.service.protocol",
+    "repro", "repro.service", "repro.service.errors",
+    "repro.service.protocol",
 }
 SERVE = _SERVICE | {
     "repro.service.daemon", "repro.service.jobdb",
@@ -33,7 +33,6 @@ SERVE = _SERVICE | {
 }
 AGENT = _SERVICE | {
     "repro.service.agent", "repro.service.samples",
-    "repro.runtime.checkpoint", "repro.runtime.job",
     "repro.core", "repro.core.owner_reaction",
 }
 SUBMIT = _SERVICE | {"repro.service.client"}
@@ -110,7 +109,8 @@ def test_live_processes_load_only_the_live_plane(tmp_path):
 
 #: Every package's ``__all__`` as it was when the package inits imported
 #: their leaves eagerly, in order, less the names deleted since (the
-#: in-process live cluster that ``runtime`` exported).
+#: in-process live cluster, then the whole ``runtime`` package, whose
+#: checkpoint store and job context the service agent now holds).
 PARENT_ALL = {
     "analysis": [
         "ExperimentRun", "run_month", "cached_month_run", "clear_cache",
@@ -164,10 +164,6 @@ PARENT_ALL = {
         "CHECKPOINT_CPU_S_PER_MB", "ShadowProcess", "remote_syscall_load",
         "breakeven_syscall_rate", "REMOTE_SYSCALL_CPU_S",
         "LOCAL_SYSCALL_CPU_S",
-    ],
-    "runtime": [
-        "CheckpointContext", "LiveCheckpointStore", "LiveRuntimeError",
-        "VacateRequested",
     ],
     "service": [
         "CoordinatorDaemon", "FencedCheckpointStore", "JobDatabase",

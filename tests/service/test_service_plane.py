@@ -295,19 +295,13 @@ class TestHappyPath:
                                                       tmp_path):
         _daemon, agents, client = plane
         store = agents[0].store
-        handle_v1 = type("H", (), {"key": "#9", "id": "9.i1",
-                                   "incarnation": 1})()
-        handle_v2 = type("H", (), {"key": "#9", "id": "9.i2",
-                                   "incarnation": 2})()
-        store.save(handle_v1, 10)
-        store.save(handle_v2, 30)
-        store.save(handle_v1, 20)    # zombie writes after re-placement
+        store.save("#9", 1, 10)
+        store.save("#9", 2, 30)
+        store.save("#9", 1, 20)    # zombie writes after re-placement
         # The successor resumes from its own image, not the zombie's.
-        assert store.load(handle_v2) == 30
+        assert store.load("#9", 2) == 30
         # A fresh incarnation 3 picks the newest at-or-below image.
-        handle_v3 = type("H", (), {"key": "#9", "id": "9.i3",
-                                   "incarnation": 3})()
-        assert store.load(handle_v3) == 30
+        assert store.load("#9", 3) == 30
 
 
 class TestOwners:

@@ -11,6 +11,7 @@ The invariants under test:
 """
 
 import json
+import math
 
 import pytest
 
@@ -135,6 +136,18 @@ class TestIngestCursor:
         with pytest.raises(SimulationError, match="head-truncated"):
             fresh.ingest(iter(records[100:]))
         fresh.close()
+
+    def test_nan_time_rejected(self, tmp_path):
+        # sqlite stores a NaN as NULL, which ``events.t`` refuses: the
+        # store names the record instead of failing inside sqlite.
+        records = [_record(0, 0.0, "h1", kinds.COORDINATOR_CYCLE),
+                   _record(1, math.nan, "h1", kinds.COORDINATOR_CYCLE)]
+        with TraceStore(str(tmp_path / "nan.sqlite")) as store:
+            with pytest.raises(SimulationError,
+                               match="seq 1: its t is NaN"):
+                store.ingest(iter(records))
+            assert store.next_seq == 0
+            assert store.row_counts()["events"] == 0
 
     def test_schema_version_checked(self, tmp_path):
         db = str(tmp_path / "v0.sqlite")

@@ -179,6 +179,8 @@ def test_query_tails_a_trace_torn_mid_line(mini_trace, tmp_path, capsys):
     ("garbage", "not JSON"),
     ('{"t": 0.0, "src": "ws-01", "kind": "job_submitted"}',
      "record lacks seq"),
+    ('{"kind": "job_submitted", "payload": [1], "seq": 40, "src": "ws-01", '
+     '"t": 0.0}', "payload is not a JSON object: list"),
 ])
 def test_query_malformed_trace_names_the_line(mini_trace, tmp_path, capsys,
                                               line, complaint):

@@ -8,8 +8,8 @@ reads is a knob that turns nothing.
 
 A read is an attribute access on a name or attribute called ``config``
 (``config.poll_interval``, ``self.config.grace_period``), found by AST
-inspection of every module under ``src/repro`` except ``service/`` and
-``runtime/``, which do not use ``CondorConfig``.
+inspection of every module under ``src/repro`` except ``service/``,
+which does not use ``CondorConfig``.
 """
 
 import ast
@@ -20,7 +20,7 @@ from repro.core.config import CondorConfig
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
-_EXEMPT_PREFIXES = ("service/", "runtime/")
+_EXEMPT_PREFIXES = ("service/",)
 
 
 def _config_reads():

@@ -34,10 +34,8 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 _RNG_EXEMPT = {"sim/randomness.py"}
 
 #: Drivers that measure elapsed wall time for reporting only, and the
-#: live (non-simulated) runtime and service layers, which run in real
-#: time.
-_CLOCK_EXEMPT_PREFIXES = ("cli.py", "analysis/", "runtime/", "remote/",
-                          "service/")
+#: live (non-simulated) service layer, which runs in real time.
+_CLOCK_EXEMPT_PREFIXES = ("cli.py", "analysis/", "service/")
 
 _SET_CALLS = {"set", "frozenset"}
 
