@@ -18,6 +18,12 @@ stations — plus a rotating anti-entropy sweep that repairs any drift
 from lost pushes and catches silent crash+reboots.  A quiet cycle costs
 O(active placements), not O(N).
 
+A cycle is a chain of kernel callbacks on one slotted record: a tick
+picks the stations to probe, one :class:`ProbeRound` carries the
+fan-out and its shared deadline, and the finished round hands its
+replies back to be absorbed and allocated from, which arms the next
+tick (DESIGN §4, "one record per exchange").
+
 :class:`PollingCoordinator` (the ``"poll"`` mode) is the 1988 behaviour,
 kept as the reference the delta protocol is checked against: a full RPC
 fan-out to every station every cycle, O(N) messages even when nothing
@@ -36,7 +42,6 @@ from repro.core.cluster_view import ClusterView
 from repro.core.updown import grant_order
 from repro.machine.accounting import COORDINATOR
 from repro.net import Node, ReliableSender
-from repro.sim import Signal
 from repro.sim.errors import SimulationError
 from repro.telemetry import kinds as ev
 
@@ -47,14 +52,77 @@ CYCLE_BASE_COST = 0.05
 CYCLE_UNIT_COST = 0.01
 
 
-class PollResult:
-    """What one round of polling learned about the polled stations."""
+class ProbeRound:
+    """One cycle's probe round in flight: the fan-out, its shared
+    deadline, and what the replies said.
 
-    __slots__ = ("replies", "unreachable")
+    The round is the fan-out's callback target and its bound methods are
+    the kernel callbacks: :meth:`settle` per reply, :meth:`expire` when
+    the deadline passes or the last target answers, and :meth:`finish`
+    one zero-delay bounce later, which closes out the unanswered tickets
+    and hands the round back to its coordinator.  The tickets reference
+    the round through their callbacks; :meth:`finish` drops the round's
+    reference to them, so a finished round is freed by reference count.
+    """
 
-    def __init__(self, replies, unreachable):
-        self.replies = replies          # name -> poll reply dict
-        self.unreachable = unreachable  # set of names that timed out
+    __slots__ = ("coordinator", "targets", "replies", "unreachable",
+                 "pending", "fired", "tickets", "deadline")
+
+    def __init__(self, coordinator, targets):
+        self.coordinator = coordinator
+        self.targets = targets
+        self.replies = {}               # name -> poll reply, settle order
+        self.unreachable = None         # names that never answered
+        self.pending = len(targets)
+        self.fired = False
+        net = coordinator.net
+        src = coordinator.name
+        if net.latency_jitter:
+            # Per-target RPCs: jitter makes settle order latency-dependent.
+            rpc = net.rpc
+            settle = self.settle
+            self.tickets = [
+                rpc(name, "poll", None, timeout=None,
+                    callback=partial(settle, name), src=src)
+                for name in targets
+            ]
+        else:
+            self.tickets = [net.rpc_batch(targets, "poll", None,
+                                          callback=self.settle, src=src)]
+        # A station silent for one RPC timeout (the reliable sender's
+        # ack timeout) is considered down.  The timer is armed eagerly
+        # and cancelled by :meth:`finish` when every target answered.
+        self.deadline = coordinator.sim.schedule(
+            coordinator._retry.ack_timeout, self.expire)
+
+    def settle(self, name, outcome):
+        """One target's reply landed; after :meth:`finish` nothing reads
+        what a late one records."""
+        status, payload = outcome
+        if status == "ok":
+            self.replies[name] = payload
+        self.pending -= 1
+        if self.pending == 0 and not self.fired:
+            self.expire()
+
+    def expire(self):
+        """Every target answered or the deadline passed: finish after
+        whatever is already due at this instant."""
+        self.fired = True
+        self.coordinator.sim.schedule(0.0, self.finish)
+
+    def finish(self):
+        """Close the round out and hand it to the coordinator."""
+        self.deadline.cancel()
+        # The still-unsettled tickets are lost replies — close them out
+        # so they do not linger as outstanding forever.
+        for ticket in self.tickets:
+            ticket.abandon()
+        self.tickets = None
+        replies = self.replies
+        self.unreachable = {name for name in self.targets
+                            if name not in replies}
+        self.coordinator._round_done(self)
 
 
 class CycleSnapshot:
@@ -168,17 +236,25 @@ class Coordinator(Node):
         #: overhead charge — what a delta-mode cycle actually cost.
         self._work_units = 0
         self._last_update_at = None
-        self._process = None
+        self._started = False
         #: Cycle counters for reports.
         self.cycles = 0
         self.grants_issued = 0
         self.preemptions_ordered = 0
-        #: The two per-observation counters, resolved once — ``_absorb``
-        #: runs for every push and probe reply (millions per simulated
-        #: day at 50k stations), so the registry lookup is hoisted out.
+        #: Instruments resolved once — ``_absorb`` runs for every push
+        #: and probe reply (millions per simulated day at 50k stations)
+        #: and a cycle runs every two simulated minutes, so the locked
+        #: registry lookup is hoisted out of both.
         metrics = hub.metrics
         self._ctr_applied = metrics.counter("coordinator.updates_applied")
         self._ctr_stale = metrics.counter("coordinator.updates_stale")
+        self._ctr_probes = metrics.counter("coordinator.probes_sent")
+        self._ctr_cycles = metrics.counter("coordinator.cycles")
+        self._ctr_grants = metrics.counter("coordinator.grants")
+        self._ctr_preemptions = metrics.counter("coordinator.preemptions")
+        self._gauge_idle = metrics.gauge("coordinator.idle_stations")
+        self._gauge_wanting = metrics.gauge("coordinator.wanting_stations")
+        self._hist_cycle = metrics.histogram("coordinator.cycle_seconds")
         #: At-least-once delivery for host_lost notices: a home that
         #: never learns its host died would strand the job forever.
         self._retry = ReliableSender(net, self.name, hub=hub)
@@ -197,84 +273,64 @@ class Coordinator(Node):
                          abort=lambda: self.crashed)
 
     def start(self):
-        """Begin the polling/allocation loop.  Idempotent."""
-        if self._process is None:
-            self._process = self.sim.spawn(self._run(), name=self.name)
+        """Begin the observe/allocate cycle.  Idempotent.
 
-    def _run(self):
-        while True:
-            yield self.config.poll_interval
-            if self.crashed:
-                continue
-            snapshot = yield from self._observe()
-            if snapshot is None:
-                continue   # went down while waiting on the replies
+        The first tick is one poll interval after a zero-delay start
+        event, so the cycle keeps the agenda slots it had as a process.
+        """
+        if not self._started:
+            self._started = True
+            self.sim.schedule(0.0, self._arm)
+
+    # ------------------------------------------------------------------
+    # the cycle: tick -> observe -> (quiet: two latency hops | probe: one
+    # fan-out plus its deadline) -> one zero-delay bounce -> absorb ->
+    # allocate -> arm the next tick, each step a kernel callback
+
+    def _arm(self):
+        self.sim.schedule(self.config.poll_interval, self._tick)
+
+    def _tick(self):
+        if self.crashed:
+            self._arm()
+            return
+        targets = self._observe()
+        if targets:
+            ProbeRound(self, targets)
+        else:
+            # No probes needed; still wait the two message hops a poll
+            # round takes, so state changes already in flight settle and
+            # allocation sees exactly what polling mode would have.
+            self.sim.schedule(self.net.latency, self._quiet_hop, False)
+
+    def _quiet_hop(self, last):
+        if not last:
+            self.sim.schedule(self.net.latency, self._quiet_hop, True)
+            return
+        self._end_cycle(None if self.crashed else self._snapshot_from_view())
+
+    def _round_done(self, probe_round):
+        # Don't absorb observations made by a daemon that went down while
+        # waiting on the replies.
+        self._end_cycle(None if self.crashed
+                        else self._absorb_round(probe_round))
+
+    def _end_cycle(self, snapshot):
+        if snapshot is not None:
             self._allocate(snapshot)
             self._charge_overhead()
             self._post_cycle()
+        self._arm()
 
     def _post_cycle(self):
         """Hook after each allocation cycle (federation lease upkeep)."""
 
     # ------------------------------------------------------------------
-    # polling
-
-    def _poll_all(self, targets):
-        """Poll the target stations concurrently; collect replies/timeouts.
-
-        One batched fan-out: each poll RPC delivers straight into a
-        callback (no per-RPC Signal), and a single deadline timer covers
-        the whole round instead of one timeout event per station.  The
-        process resumes once, when every target answered or the deadline
-        passed.  Replies settle in target order (uniform LAN latency),
-        so the reply dict's iteration order — which downstream allocation
-        code relies on for determinism — is unchanged.
-        """
-        replies = {}
-        done = Signal(name="poll-cycle")
-        pending = [len(targets)]
-
-        def settle(name, outcome):
-            status, payload = outcome
-            if status == "ok":
-                replies[name] = payload
-            pending[0] -= 1
-            if pending[0] == 0 and not done.fired:
-                done.fire(None)
-
-        src = self.name
-        if self.net.latency_jitter:
-            # Per-target RPCs: jitter makes settle order latency-dependent.
-            rpc = self.net.rpc
-            tickets = [
-                rpc(name, "poll", None, timeout=None,
-                    callback=partial(settle, name), src=src)
-                for name in targets
-            ]
-        else:
-            tickets = [self.net.rpc_batch(targets, "poll", None,
-                                          callback=settle, src=src)]
-        # A station silent for one RPC timeout (the reliable sender's
-        # ack timeout) is considered down.
-        deadline = self.sim.schedule(self._retry.ack_timeout, done.fire,
-                                     None)
-        yield done
-        deadline.cancel()
-        # The shared deadline passed (or every station answered): the
-        # still-unsettled tickets are lost replies — close them out so
-        # they do not linger as outstanding forever.
-        for ticket in tickets:
-            ticket.abandon()
-        unreachable = {name for name in targets if name not in replies}
-        return PollResult(replies, unreachable)
-
-    # ------------------------------------------------------------------
     # delta protocol
 
     def _observe(self):
-        """The cycle's observation step: bring the materialized view
-        current enough to allocate from, then snapshot it (``None`` if
-        the coordinator crashed meanwhile).
+        """The cycle's observation step: the stations to probe this
+        cycle, in registration order (empty for a quiet cycle).
 
         Quiet cycles cost two latency hops (so allocation happens at the
         same instant a full poll's would) and zero messages.  Cycles with
@@ -311,25 +367,37 @@ class Coordinator(Node):
         self._ae_cursor = (cursor + chunk) % len(names)
         if self._ae_cursor < cursor:
             self.hub.metrics.counter("coordinator.anti_entropy_polls").inc()
-        if not targets:
-            # No probes needed; still wait the two message hops a poll
-            # round takes, so state changes already in flight settle and
-            # allocation sees exactly what polling mode would have.
-            yield self.net.latency
-            yield self.net.latency
-            return None if self.crashed else self._snapshot_from_view()
-        self._work_units += len(targets)
-        self.hub.metrics.counter("coordinator.probes_sent").inc(len(targets))
-        poll = yield from self._poll_all(targets)
-        if self.crashed:
-            return None   # don't absorb observations made by a dead daemon
-        for name, reply in poll.replies.items():
-            self._absorb(name, reply["state"], reply["seq"],
-                         from_reply=True)
+        if targets:
+            self._work_units += len(targets)
+            self._ctr_probes.inc(len(targets))
+        return targets
+
+    def _absorb_round(self, probe_round):
+        """Fold a finished round's replies into the view, quarantine the
+        silent, and snapshot the view for allocation."""
+        view = self.view
+        seqs = view.seqs
+        quarantined = view.quarantined
+        epochs = self._boot_epochs
+        stale = 0
+        for name, reply in probe_round.replies.items():
+            state = reply["state"]
+            seq = reply["seq"]
+            prev = seqs.get(name)
+            if (seq is not None and prev is not None and seq <= prev
+                    and name not in quarantined
+                    and state["boot_epoch"] == epochs.get(name)):
+                # _absorb's quiet-station fast path, counted once below.
+                stale += 1
+                continue
+            self._absorb(name, state, seq, from_reply=True)
+        if stale:
+            self._ctr_stale.inc(stale)
         # Registration order, not set order: _note_unreachable sends
         # host_lost notices, and their send order assigns loss draws —
         # set iteration would make that hash-seed dependent.
-        for name in sorted(poll.unreachable, key=order.__getitem__):
+        for name in sorted(probe_round.unreachable,
+                           key=view.order.__getitem__):
             self._note_unreachable(name)
         return self._snapshot_from_view()
 
@@ -453,17 +521,14 @@ class Coordinator(Node):
                 gang_grants=gang_grants,
                 unreachable=sorted(snapshot.unreachable),
             )
-        metrics = self.hub.metrics
-        metrics.counter("coordinator.cycles").inc()
-        metrics.counter("coordinator.grants").inc(len(grants))
-        metrics.counter("coordinator.preemptions").inc(len(preemptions))
-        metrics.gauge("coordinator.idle_stations").set(idle_count)
-        metrics.gauge("coordinator.wanting_stations").set(len(wanting))
+        self._ctr_cycles.inc()
+        self._ctr_grants.inc(len(grants))
+        self._ctr_preemptions.inc(len(preemptions))
+        self._gauge_idle.set(idle_count)
+        self._gauge_wanting.set(len(wanting))
         # Wall-clock cost of one allocation pass; lives in the registry,
         # never in the (deterministic) trace stream.
-        metrics.histogram("coordinator.cycle_seconds").observe(
-            _wallclock.perf_counter() - cycle_started
-        )
+        self._hist_cycle.observe(_wallclock.perf_counter() - cycle_started)
 
     def _serve_gangs(self, snapshot, ranked, removed):
         """Co-allocate machines for pending parallel programs (§5(2)).
@@ -746,12 +811,13 @@ class PollingCoordinator(Coordinator):
     auto_overhead_model = "per_station"
 
     def _observe(self):
-        poll = yield from self._poll_all(self.station_names)
-        if self.crashed:
-            return None
-        self._detect_lost_hosts(poll)
-        self._work_units += len(poll.replies)
-        return self._snapshot_from_poll(poll)
+        """Every station, every cycle."""
+        return self.station_names
+
+    def _absorb_round(self, probe_round):
+        self._detect_lost_hosts(probe_round)
+        self._work_units += len(probe_round.replies)
+        return self._snapshot_from_poll(probe_round)
 
     def _handle_state_update(self, payload):
         """Ignore pushes: a full poll alone informs this coordinator."""

@@ -30,8 +30,9 @@ Failure model (exercised by the chaos suite in :mod:`repro.faults`):
 
 Message path: **one record per exchange, no closures** (DESIGN §4).  A
 control message schedules the static ``Network._deliver``; an RPC is one
-slotted :class:`RpcTicket` whose bound methods are the callbacks the
-kernel runs.  Closures that reference each other are a cycle only the
+slotted :class:`RpcTicket` and a fan-out one slotted
+:class:`BatchTicket`, whose bound methods are the callbacks the kernel
+runs.  Closures that reference each other are a cycle only the
 collector can free — per message, that was 2 M dead objects and a fifth
 of a 5 000-station day.  A record is referenced by the agenda alone and
 dies by reference count; nothing it references may point back at it
@@ -176,28 +177,77 @@ class RpcTicket:
 
 
 class BatchTicket:
-    """Handle for an outstanding :meth:`Network.rpc_batch` fan-out.
+    """One deadline-less fan-out in flight — and the caller's handle.
 
-    Plays the role one :class:`RpcTicket` per target would: it sits in
-    the network's outstanding set until every reply settled, and
-    :meth:`abandon` closes out whichever targets never answered,
-    counting each in :attr:`Network.rpcs_abandoned`.
+    :meth:`Network.rpc_batch` creates one per call, the batch form of an
+    :class:`RpcTicket`: it holds the targets and which requests were
+    lost, and its bound methods are the round's two kernel callbacks —
+    :meth:`deliver_requests` at ``+latency``, :meth:`deliver_replies` at
+    ``+2*latency``.  It sits in the network's outstanding set until every
+    reply settled, and :meth:`abandon` closes out whichever targets never
+    answered, counting each in :attr:`Network.rpcs_abandoned`.
     """
 
-    __slots__ = ("net", "op", "unsettled", "abandoned")
+    __slots__ = ("net", "targets", "op", "payload", "src", "callback",
+                 "lost", "unsettled", "abandoned")
 
-    def __init__(self, net, op, targets):
+    def __init__(self, net, targets, op, payload, src, callback, lost):
         self.net = net
+        self.targets = targets
         self.op = op
-        self.unsettled = set(targets)
+        self.payload = payload
+        self.src = src
+        self.callback = callback
+        #: Per-target request-lost flags, or ``None`` when the network
+        #: was healthy at send time and no request was lost.
+        self.lost = lost
+        self.unsettled = len(targets)
         self.abandoned = False
-        if self.unsettled:
+        if targets:
             net._outstanding[self] = True
 
-    def _settle(self, name):
-        self.unsettled.discard(name)
-        if not self.unsettled:
-            self.net._outstanding.pop(self, None)
+    def deliver_requests(self):
+        """Every request reaches its destination (one latency after send).
+
+        On a healthy network — no partition, no loss — only a crashed
+        destination loses an exchange, so the per-target reachability
+        and loss checks are skipped.  The condition is read here, not at
+        send time: a partition or loss burst that landed mid-round takes
+        the per-target path (a handler never changes it, so one read
+        serves the whole loop).
+        """
+        net = self.net
+        nodes = net._nodes
+        src = self.src
+        op = self.op
+        payload = self.payload
+        lost = self.lost
+        checked = net._island is not None or net.loss_probability > 0.0
+        replies = []
+        for i, name in enumerate(self.targets):
+            if lost is not None and lost[i]:
+                continue
+            dst = nodes[name]
+            if dst.crashed:
+                continue
+            response = dst.handle(op, payload)
+            net.messages_sent += 1
+            if checked and (not net._reachable(name, src) or net._lost()):
+                net.messages_dropped += 1
+                continue
+            replies.append((name, response))
+        if replies:
+            net.sim.schedule(net.latency, self.deliver_replies, replies)
+
+    def deliver_replies(self, replies):
+        """The replies land; each settles its target with the caller."""
+        callback = self.callback
+        for name, response in replies:
+            if not self.abandoned:
+                self.unsettled -= 1
+                if not self.unsettled:
+                    self.net._outstanding.pop(self, None)
+            callback(name, ("ok", response))
 
     def abandon(self):
         """Give up on the targets still awaiting replies (no-op when all
@@ -206,14 +256,14 @@ class BatchTicket:
         if self.abandoned:
             return
         self.abandoned = True
-        self.net.rpcs_abandoned += len(self.unsettled)
-        self.unsettled.clear()
+        self.net.rpcs_abandoned += self.unsettled
+        self.unsettled = 0
         self.net._outstanding.pop(self, None)
 
     def __repr__(self):
         state = "abandoned" if self.abandoned else (
             "settled" if not self.unsettled
-            else f"{len(self.unsettled)} outstanding")
+            else f"{self.unsettled} outstanding")
         return f"<BatchTicket {self.op} {state}>"
 
 
@@ -471,52 +521,39 @@ class Network:
         Semantically equivalent to one ``rpc(timeout=None, callback=...)``
         per target — same per-target loss draws (in target order), same
         crash/partition checks at the same instants, same reply timing —
-        but the whole round rides on two agenda events (all requests
-        delivered at ``+latency``, all replies at ``+2*latency``) instead
-        of two per target, which is what keeps a 5000-station anti-entropy
-        sweep from dominating the agenda.  ``callback(name, outcome)``
-        fires per settled reply; unsettled targets are abandoned through
-        the returned :class:`BatchTicket` when the caller's own deadline
-        passes.  Requires a callback (there is no Signal form) and
-        jitter-free latency (with jitter, per-target delays differ and
-        the fan-out falls back to individual RPCs).
+        but the whole round is one :class:`BatchTicket` riding on two
+        agenda events (all requests delivered at ``+latency``, all
+        replies at ``+2*latency``) instead of two per target, which is
+        what keeps a 5000-station anti-entropy sweep from dominating the
+        agenda.  On a healthy network (no partition, no loss) the
+        per-target reachability and loss checks are skipped; they draw
+        nothing there, so no loss draw moves.  ``callback(name,
+        outcome)`` fires per settled reply; unsettled targets are
+        abandoned through the returned ticket when the caller's own
+        deadline passes.  Requires a callback (there is no Signal form)
+        and jitter-free latency (with jitter, per-target delays differ
+        and the fan-out falls back to individual RPCs).
         """
         if callback is None:
             raise SimulationError("rpc_batch needs a callback")
         if self.latency_jitter:
             raise SimulationError("rpc_batch needs jitter-free latency")
+        nodes = self._nodes
         for name in targets:
-            self.node(name)   # unknown destination raises before counters
-        ticket = BatchTicket(self, op, targets)
-        requests = []
-        for name in targets:
-            self.messages_sent += 1
-            lost = not self._reachable(src, name) or self._lost()
-            if lost:
-                self.messages_dropped += 1
-            requests.append((name, lost))
-
-        def deliver_replies(replies):
-            for name, response in replies:
-                ticket._settle(name)
-                callback(name, ("ok", response))
-
-        def deliver_requests():
-            replies = []
-            for name, lost in requests:
-                dst = self._nodes[name]
-                if lost or dst.crashed:
-                    continue
-                response = dst.handle(op, payload)
-                self.messages_sent += 1
-                if not self._reachable(name, src) or self._lost():
+            if name not in nodes:
+                self.node(name)   # unknown destination raises before counters
+        targets = tuple(targets)
+        self.messages_sent += len(targets)
+        lost = None
+        if self._island is not None or self.loss_probability > 0.0:
+            lost = []
+            for name in targets:
+                dropped = not self._reachable(src, name) or self._lost()
+                if dropped:
                     self.messages_dropped += 1
-                    continue
-                replies.append((name, response))
-            if replies:
-                self.sim.schedule(self.latency, deliver_replies, replies)
-
-        self.sim.schedule(self.latency, deliver_requests)
+                lost.append(dropped)
+        ticket = BatchTicket(self, targets, op, payload, src, callback, lost)
+        self.sim.schedule(self.latency, ticket.deliver_requests)
         return ticket
 
     def outstanding_rpcs(self):

@@ -64,7 +64,6 @@ trace, not a lossy digest of it.
 
 import contextlib
 import hashlib
-import itertools
 import math
 import sqlite3
 
@@ -232,14 +231,14 @@ class TraceStore:
         trace can be tailed while its recorder is writing it.
         """
         with contextlib.closing(self._tail(str(trace_path))) as tail:
-            return self._fold(tail)
+            return self.ingest(tail)
 
     def _tail(self, path):
         """Yield ``(record, payload text)`` for each line of ``path``
         past the stored file cursor (see :func:`~repro.telemetry.trace.
         _parse_line`).
 
-        :meth:`_fold` drains this inside its transaction, so the cursor
+        :meth:`ingest` drains this inside its transaction, so the cursor
         this generator writes once the last line is taken — file name,
         byte offset, fingerprint of the last line read — commits or
         rolls back together with the rows and ``next_seq``.
@@ -301,12 +300,11 @@ class TraceStore:
         are stored as absolute values and re-read on their next touch —
         a sqlite REAL round-trips a double — so each one is folded in
         trace order whatever the chunk size.
-        """
-        return self._fold(zip(records, itertools.repeat(None)))
 
-    def _fold(self, lines):
-        """:meth:`ingest` over ``(record, payload text)`` pairs: a text
-        is stored as it is, a None one is the payload encoded here."""
+        An item may also be a ``(record, payload text)`` pair, as
+        :meth:`ingest_file`'s tail yields them: the text is stored as it
+        is, where a bare record's payload is encoded here.
+        """
         start = cursor = self.next_seq
         end_time = self.end_time
         counts = {}
@@ -335,7 +333,11 @@ class TraceStore:
                 pending.clear()
 
         with self._db:
-            for record, text in lines:
+            for record in records:
+                if type(record) is tuple:
+                    record, text = record
+                else:
+                    text = None
                 seq = record["seq"]
                 if seq < cursor:
                     continue

@@ -28,8 +28,10 @@ One reader
 Every trace line read back — by :func:`read_trace` for a finished
 trace, by the ops store's tail for a growing one — is decoded once and
 validated by :func:`_parse_line`, so a line that is not a JSON object,
-lacks ``seq``/``t``/``src``/``kind`` or carries a ``payload`` that is
-neither an object nor null fails the same way everywhere:
+lacks ``seq``/``t``/``src``/``kind``, types one of them wrongly (``seq``
+an integer, ``t`` a number, ``src`` and ``kind`` strings; a boolean is
+neither) or carries a ``payload`` that is neither an object nor null
+fails the same way everywhere:
 ``SimulationError("<path>:<line>: ...")``.  A line in the recorder's
 envelope is scanned value by value, which hands back the payload's own
 text with the record: the ops store stores that text instead of
@@ -70,6 +72,9 @@ _STR = frozenset((str,))
 
 #: Keys every trace record carries (``payload`` may be absent).
 _REQUIRED = frozenset(("seq", "t", "src", "kind"))
+#: ``(key, exact types, what the error calls them)`` for each of them.
+_TYPED = (("seq", (int,), "an integer"), ("t", (int, float), "a number"),
+          ("src", (str,), "a string"), ("kind", (str,), "a string"))
 
 
 def _encode(value):
@@ -235,6 +240,16 @@ def _parse_line(line, path, lineno, decode=None):
         raise SimulationError(
             f"{path}:{lineno}: record lacks "
             + ", ".join(sorted(_REQUIRED - record.keys())))
+    t = type(record["t"])
+    if (type(record["seq"]) is not int or (t is not float and t is not int)
+            or type(record["src"]) is not str
+            or type(record["kind"]) is not str):
+        # Exact types, so a bool is neither a seq nor a time.
+        for key, types, what in _TYPED:
+            if type(record[key]) not in types:
+                raise SimulationError(
+                    f"{path}:{lineno}: {key} is not {what}: "
+                    f"{type(record[key]).__name__}")
     payload = record.get("payload")
     if payload is not None and type(payload) is not dict:
         raise SimulationError(

@@ -229,6 +229,64 @@ def test_coordinator_crash_and_failover_under_delta_mode():
     InvariantChecker(system).check_final()
 
 
+def test_coordinator_crashed_mid_round_absorbs_nothing():
+    """A coordinator that dies with probes in flight folds none of the
+    round into its view and sends no ``host_lost``; after
+    ``recover_at`` its first round probes every station back in."""
+    sim = Simulation()
+    system = build(sim, {"h0": NeverActiveOwner(),
+                         "h1": NeverActiveOwner()})
+    placed = collect(system.telemetry, kinds.JOB_PLACED)
+    job = Job(user="u", home="home", demand_seconds=2 * HOUR)
+    system.submit(job)
+    system.start()
+    sim.run(until=10 * MINUTE)
+    assert job.state == "running"
+    host = placed[0].payload["host"]
+
+    coordinator = system.coordinator
+    net = system.network
+    rounds = []
+    fan_out = net.rpc_batch
+
+    def spy(targets, *args, **kwargs):
+        rounds.append(list(targets))
+        return fan_out(targets, *args, **kwargs)
+
+    net.rpc_batch = spy
+    while not rounds:
+        sim.step()
+    # The tick just sent its probes (the job's host among them); none
+    # has been delivered yet.
+    assert host in rounds[0]
+    assert net.outstanding_rpcs()
+    applied = coordinator._ctr_applied.value
+    seqs = dict(coordinator.view.seqs)
+    system.scheduler(host).crash()
+    coordinator.crash()
+    sim.run(until=sim.now + 5 * MINUTE)   # well past the round's deadline
+
+    assert coordinator._ctr_applied.value == applied
+    assert coordinator.view.seqs == seqs
+    assert not coordinator.view.quarantined
+    assert system.telemetry.counts[kinds.HOST_LOST] == 0
+    assert net.outstanding_rpcs() == []   # the dead round closed its tickets
+    assert job.state == "running"         # its home has not been told
+
+    rounds.clear()
+    cycles = collect(system.telemetry, kinds.COORDINATOR_CYCLE)
+    coordinator.recover_at(system.stations["home"])
+    sim.run(until=sim.now + 5 * MINUTE)
+    assert rounds[0] == coordinator.station_names
+    assert cycles[0].payload["unreachable"] == [host]
+    assert system.telemetry.counts[kinds.HOST_LOST] == 1
+
+    sim.run(until=6 * HOUR)
+    system.finalize()
+    assert job.finished
+    InvariantChecker(system).check_final()
+
+
 def test_partition_zombie_is_reaped_and_books_balance():
     sim = Simulation()
     config = CondorConfig(periodic_checkpoint_interval=15 * MINUTE)

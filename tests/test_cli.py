@@ -181,6 +181,18 @@ def test_query_tails_a_trace_torn_mid_line(mini_trace, tmp_path, capsys):
      "record lacks seq"),
     ('{"kind": "job_submitted", "payload": [1], "seq": 40, "src": "ws-01", '
      '"t": 0.0}', "payload is not a JSON object: list"),
+    ('{"kind": "job_submitted", "seq": 40, "src": "ws-01", "t": "abc"}',
+     "t is not a number: str"),
+    ('{"kind": "job_submitted", "seq": 40, "src": "ws-01", "t": true}',
+     "t is not a number: bool"),
+    ('{"kind": "job_submitted", "seq": "0", "src": "ws-01", "t": 0.0}',
+     "seq is not an integer: str"),
+    ('{"kind": "job_submitted", "seq": false, "src": "ws-01", "t": 0.0}',
+     "seq is not an integer: bool"),
+    ('{"kind": 5, "seq": 40, "src": "ws-01", "t": 0.0}',
+     "kind is not a string: int"),
+    ('{"kind": "job_submitted", "seq": 40, "src": null, "t": 0.0}',
+     "src is not a string: NoneType"),
 ])
 def test_query_malformed_trace_names_the_line(mini_trace, tmp_path, capsys,
                                               line, complaint):
@@ -196,6 +208,27 @@ def test_query_malformed_trace_names_the_line(mini_trace, tmp_path, capsys,
     assert main(["query", "sql", "SELECT COUNT(*) FROM events",
                  "--db", f"{bad}.sqlite"]) == 0
     assert capsys.readouterr().out.split()[-1] == "0"
+
+
+@pytest.mark.parametrize("line, complaint", [
+    ('{"kind": "job_submitted", "seq": 40, "src": "ws-01", "t": "abc"}',
+     "t is not a number: str"),
+    ('{"kind": "job_submitted", "seq": "0", "src": "ws-01", "t": 0.0}',
+     "seq is not an integer: str"),
+    ('{"kind": 5, "seq": 40, "src": "ws-01", "t": 0.0}',
+     "kind is not a string: int"),
+])
+def test_replay_malformed_trace_names_the_line(mini_trace, tmp_path, capsys,
+                                               line, complaint):
+    lines = mini_trace.read_text().splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines[:40] + [line] + lines[41:]) + "\n")
+    rc = main(["replay", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(
+        f"error: cannot replay {bad}: {bad}:41: {complaint}")
+    assert "Traceback" not in err
 
 
 def test_sweep_pools_runs_in_process(capsys):

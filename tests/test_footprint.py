@@ -3,10 +3,11 @@
 Two properties of the simulator that are easy to lose without noticing
 (DESIGN §4, "Message path: one record per exchange"):
 
-* **no cyclic garbage** — every message exchange is one slotted record
-  freed by reference count, so a whole run hands the cycle collector
-  nothing.  A per-message closure web (25 objects per pushed delta) once
-  made the collector a fifth of a 5 000-station day.
+* **no cyclic garbage** — every message exchange (and every coordinator
+  probe round, batched or, under jitter, one RPC per target) is one
+  slotted record freed by reference count, so a whole run hands the
+  cycle collector nothing.  A per-message closure web (25 objects per
+  pushed delta) once made the collector a fifth of a 5 000-station day.
 * **draw-on-demand streams** — a station pays for a Mersenne Twister only
   for the streams it draws from; the retry-jitter stream of a station on
   a healthy network is never built.
@@ -54,6 +55,26 @@ def test_a_pool_day_with_a_loss_burst_leaves_no_cyclic_garbage():
     assert net.messages_dropped > 0
     assert exp.telemetry.counts[kinds.MESSAGE_RETRY] > 0
     assert exp.telemetry.counts[kinds.MESSAGE_GIVE_UP] > 0
+
+
+def test_a_jittered_day_leaves_no_cyclic_garbage():
+    """With jittered latency the coordinator's probe round fans out as
+    one RPC per target, each ticket calling back into the round; a
+    finished round must not stay reachable from its own tickets."""
+    exp = ExperimentRun(
+        seed=9, days=1, stations=60, job_scale=0.3,
+        config=CondorConfig(max_machines_per_station=6,
+                            coordinator_mode="delta"))
+    net = exp.system.network
+    net.latency_jitter = 0.004
+    net.jitter_stream = RandomStream(9, "net.jitter")
+
+    assert cyclic_garbage_of(exp) == 0
+
+    snapshot = exp.metrics.snapshot()
+    assert snapshot["coordinator.probes_sent"]["value"] > 0
+    assert snapshot["coordinator.grants"]["value"] > 0
+    assert exp.completed_jobs
 
 
 def test_four_days_of_the_paper_cluster_leave_no_cyclic_garbage():
