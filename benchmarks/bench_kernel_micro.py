@@ -54,7 +54,7 @@ def test_rpc_roundtrip_throughput(benchmark):
         net.attach(node)
         answers = []
         for _ in range(1000):
-            net.rpc("server", "poll").add_waiter(answers.append)
+            net.rpc("server", "poll", callback=answers.append)
         sim.run()
         return len(answers)
 

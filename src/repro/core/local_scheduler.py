@@ -24,6 +24,8 @@ home station while the job runs, and the daemon's own <1 % background
 load.
 """
 
+from functools import partial
+
 from repro.core import job as jobstate
 from repro.core.errors import SchedulingError, SubmissionRefused
 from repro.core.owner_reaction import REASON_PRIORITY, OwnerReaction
@@ -421,11 +423,8 @@ class LocalScheduler(Node):
             self.shadows[job.id] = ShadowProcess(
                 job.id, job.syscall_rate, self.station.ledger
             )
-        transfer = self.net.transfer(self.name, host_name, image_mb)
-        transfer.add_waiter(
-            lambda outcome: self._image_transfer_settled(
-                job, host_name, outcome)
-        )
+        self.net.transfer(self.name, host_name, image_mb, partial(
+            self._image_transfer_settled, job, host_name))
 
     def _restore_verified(self, job):
         """Verify-on-restore: never ship a corrupt or torn image.
@@ -889,11 +888,8 @@ class LocalScheduler(Node):
                     hosted, job.layout.image_mb(job.progress), reason, 1)
 
     def _send_vacate_image(self, hosted, image_mb, reason, attempt):
-        transfer = self.net.transfer(self.name, hosted.home_name, image_mb)
-        transfer.add_waiter(
-            lambda outcome: self._vacate_transfer_settled(
-                hosted, image_mb, reason, attempt, outcome)
-        )
+        self.net.transfer(self.name, hosted.home_name, image_mb, partial(
+            self._vacate_transfer_settled, hosted, image_mb, reason, attempt))
 
     def _vacate_transfer_settled(self, hosted, image_mb, reason, attempt,
                                  outcome):
@@ -943,33 +939,30 @@ class LocalScheduler(Node):
             (self.sim.now - hosted.run_started_at) * self.station.cpu_speed
         )
         image_mb = job.layout.image_mb(progress_now)
-        transfer = self.net.transfer(self.name, hosted.home_name, image_mb)
-        home = hosted.home_name
-
-        incarnation = hosted.incarnation
-
-        def deliver(outcome):
-            status, detail = outcome
-            if status != "ok":
-                # Best-effort by design: a lost periodic image costs at
-                # most one interval of re-execution; the next one (or the
-                # vacate checkpoint) supersedes it.
-                if not self.crashed:
-                    self.hub.emit(ev.TRANSFER_FAILED, station=self.name,
-                                  dst=home, job=job,
-                                  purpose="periodic_checkpoint",
-                                  reason=detail)
-                return
-            self.net.message(home, "periodic_checkpoint", {
-                "job": job, "image_mb": image_mb, "progress": progress_now,
-                "incarnation": incarnation,
-            }, src=self.name)
-
-        transfer.add_waiter(deliver)
+        self.net.transfer(self.name, hosted.home_name, image_mb, partial(
+            self._periodic_transfer_settled, hosted.home_name, job,
+            image_mb, progress_now, hosted.incarnation))
         hosted.periodic_handle = self.sim.schedule(
             self.config.periodic_checkpoint_interval,
             self._take_periodic_checkpoint,
         )
+
+    def _periodic_transfer_settled(self, home, job, image_mb, progress,
+                                   incarnation, outcome):
+        status, detail = outcome
+        if status != "ok":
+            # Best-effort by design: a lost periodic image costs at most
+            # one interval of re-execution; the next one (or the vacate
+            # checkpoint) supersedes it.
+            if not self.crashed:
+                self.hub.emit(ev.TRANSFER_FAILED, station=self.name,
+                              dst=home, job=job,
+                              purpose="periodic_checkpoint", reason=detail)
+            return
+        self.net.message(home, "periodic_checkpoint", {
+            "job": job, "image_mb": image_mb, "progress": progress,
+            "incarnation": incarnation,
+        }, src=self.name)
 
     # ==================================================================
     # failures

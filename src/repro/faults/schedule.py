@@ -208,7 +208,7 @@ class CrashMidTransfer(FaultAction):
     Arms a transfer observer at ``at`` and disarms it at
     ``at + duration``.  For each of the first ``count`` transfers issued
     in that window touching an eligible endpoint, the endpoint is crashed
-    halfway through the copy (so the abort path — Signal failure + NIC
+    halfway through the copy (so the abort path — failure callback + NIC
     release — is exercised, not the fail-fast path) and rebooted
     ``downtime`` seconds later.
 

@@ -3,8 +3,8 @@
 Public surface:
 
 * :class:`Simulation` — clock + agenda; ``schedule``, ``spawn``, ``run``.
-* :class:`Signal` — one-shot waitable condition.
-* :class:`Process` — generator-based process with ``interrupt``.
+  The simulator waits on two things only: time and callbacks.
+* :class:`Process` — a generator that yields delays in seconds.
 * :mod:`repro.sim.randomness` — seeded streams and distributions.
 * Time constants (:data:`MINUTE`, :data:`HOUR`, :data:`DAY`, :data:`WEEK`)
   so scheduler code reads like the paper ("every two minutes").
@@ -14,11 +14,9 @@ from repro import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "Simulation": "kernel",
-    "Signal": "events",
     "Process": "process",
     "EventHandle": "events",
-    "SimulationError": "errors", "Interrupted": "errors",
-    "StopProcess": "errors", "SignalAlreadyFired": "errors",
+    "SimulationError": "errors",
     "RandomStream": "randomness", "Distribution": "randomness",
     "Constant": "randomness", "Uniform": "randomness",
     "Exponential": "randomness", "Hyperexponential": "randomness",

@@ -3,28 +3,3 @@
 
 class SimulationError(Exception):
     """Base class for all simulation kernel errors."""
-
-
-class Interrupted(SimulationError):
-    """Raised inside a simulated process when another entity interrupts it.
-
-    The interrupting party supplies a ``cause`` object describing why the
-    process was interrupted (for Condor this is typically an owner-return
-    or a coordinator-preemption notice).
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(f"process interrupted (cause={cause!r})")
-        self.cause = cause
-
-
-class StopProcess(SimulationError):
-    """Raised by a process to terminate itself early with a return value."""
-
-    def __init__(self, value=None):
-        super().__init__("process stopped")
-        self.value = value
-
-
-class SignalAlreadyFired(SimulationError):
-    """Raised when a one-shot :class:`~repro.sim.events.Signal` is fired twice."""

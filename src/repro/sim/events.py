@@ -1,13 +1,8 @@
-"""Scheduled-event handles and waitable signals.
+"""Scheduled-event handles.
 
-Two primitives underpin the kernel:
-
-* :class:`EventHandle` — a cancellable callback scheduled at an absolute
-  simulation time.  Cancellation is O(1): the handle is flagged dead and the
-  kernel skips it when it surfaces in the heap.
-* :class:`Signal` — a one-shot waitable condition that simulated processes
-  can block on (``value = yield signal``).  Firing a signal wakes every
-  waiter at the current simulation time.
+An :class:`EventHandle` is a cancellable callback scheduled at an
+absolute simulation time.  Cancellation is O(1): the handle is flagged
+dead and the kernel skips it when it surfaces in the heap.
 
 ``EventHandle`` doubles as the heap entry itself: it subclasses ``list``
 with layout ``[time, seq, state, callback, args, sim]``, so heap ordering
@@ -16,8 +11,6 @@ simulation, so the comparison never reaches the payload fields.  This
 removes both the per-event wrapper allocation and the Python-level
 ``__lt__`` calls that dominated the old kernel's profile.
 """
-
-from repro.sim.errors import SignalAlreadyFired
 
 #: Event states.  PENDING is falsy on purpose: the kernel's hot loop tests
 #: liveness with a plain truthiness check on the state slot.
@@ -94,69 +87,3 @@ class EventHandle(list):
     def __repr__(self):
         state = ("pending", "fired", "cancelled")[self[_STATE]]
         return f"<EventHandle t={self[_TIME]:.3f} seq={self[_SEQ]} {state}>"
-
-
-class Signal:
-    """A one-shot waitable condition.
-
-    A process waits by yielding the signal; ``fire(value)`` wakes every
-    waiter with ``value``.  Waiting on an already-fired signal resumes the
-    waiter immediately (at the current simulation time) — this removes a
-    whole class of check-then-wait races from scheduler code.
-    """
-
-    __slots__ = ("name", "_fired", "_value", "_waiters")
-
-    def __init__(self, name=""):
-        self.name = name
-        self._fired = False
-        self._value = None
-        self._waiters = []
-
-    @property
-    def fired(self):
-        """Whether :meth:`fire` has been called."""
-        return self._fired
-
-    @property
-    def value(self):
-        """The value passed to :meth:`fire`, or ``None`` before firing."""
-        return self._value
-
-    def fire(self, value=None):
-        """Fire the signal, waking all current waiters with ``value``.
-
-        Raises :class:`SignalAlreadyFired` on a second call — one-shot
-        signals firing twice almost always indicate a scheduler bug.
-        """
-        if self._fired:
-            raise SignalAlreadyFired(self.name or repr(self))
-        self._fired = True
-        self._value = value
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            waiter(value)
-
-    def add_waiter(self, callback):
-        """Register ``callback(value)`` to run when the signal fires.
-
-        If the signal already fired the callback runs immediately.  Returns
-        a zero-argument function that deregisters the callback (used when a
-        waiting process is interrupted).
-        """
-        if self._fired:
-            callback(self._value)
-            return lambda: None
-        self._waiters.append(callback)
-
-        def remove():
-            try:
-                self._waiters.remove(callback)
-            except ValueError:
-                pass
-
-        return remove
-
-    def __repr__(self):
-        state = f"fired={self._fired}"
-        return f"<Signal {self.name!r} {state} waiters={len(self._waiters)}>"

@@ -5,14 +5,15 @@
 reproduction — owner arrivals, coordinator polls, checkpoint completions —
 is ultimately a callback on this agenda.
 
-The kernel is deliberately small: callbacks plus the generator-based
-process layer in :mod:`repro.sim.process`.  Performance notes (this is
-the hottest loop in the repo — a simulated month dispatches ~2M events):
+The kernel is deliberately small: it waits on time and callbacks only
+(a :mod:`repro.sim.process` generator is a callback that reschedules
+itself after each delay it yields).  Performance notes (this is the
+hottest loop in the repo — a simulated month dispatches ~2M events):
 
 * handles double as heap entries (see :mod:`repro.sim.events`), so heap
   ordering is C-level list comparison — no Python ``__lt__`` calls;
-* :meth:`run` drives a single pop-per-event inner loop
-  (:meth:`step_until`) instead of the ``peek()``/``step()`` pair;
+* :meth:`run` drives the one dispatch loop, :meth:`step_until`: a
+  single pop per event;
 * cancelled handles are skipped lazily, and when too many dead entries
   accumulate (long-dated completion/grace timers that were cancelled)
   the agenda is compacted in place — cancellation stays O(1) while the
@@ -71,11 +72,14 @@ class Simulation:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
         Returns a cancellable :class:`EventHandle`.  ``delay`` must be
-        non-negative; zero-delay events run after all events already
-        scheduled for the current instant (FIFO within a timestamp).
+        non-negative and not NaN; zero-delay events run after all events
+        already scheduled for the current instant (FIFO within a
+        timestamp).
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if not delay >= 0:                # NaN fails this too
+            raise SimulationError(
+                f"cannot schedule in the past or at NaN (delay={delay})"
+            )
         # condorbench's tracer still forwards this keyword as None; it
         # stays, accepting nothing else, until the tracer drops it.
         if locus is not None:
@@ -89,9 +93,10 @@ class Simulation:
 
     def schedule_at(self, time, callback, *args, locus=None):
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
-        if time < self._now:
+        if not time >= self._now:         # NaN fails this too
             raise SimulationError(
-                f"cannot schedule at {time} before current time {self._now}"
+                f"cannot schedule at {time}: before current time "
+                f"{self._now} or NaN"
             )
         if locus is not None:             # see schedule()
             raise SimulationError("locus labels are not supported")
@@ -128,35 +133,11 @@ class Simulation:
     # ------------------------------------------------------------------
     # dispatch
 
-    def step(self):
-        """Dispatch the single next pending event.
-
-        Returns ``True`` if an event ran, ``False`` if the agenda is empty.
-        Cancelled events are skipped silently.
-        """
-        heap = self._heap
-        while heap:
-            handle = _heappop(heap)
-            if handle[2]:                     # cancelled: skip lazily
-                self._ncancelled -= 1
-                continue
-            self._now = handle[0]
-            handle[2] = FIRED
-            callback = handle[3]
-            args = handle[4]
-            handle[3] = None
-            handle[4] = None
-            self.events_dispatched += 1
-            callback(*args)
-            return True
-        return False
-
     def step_until(self, until):
         """Dispatch every event with ``time <= until``; advance the clock.
 
         The single-pop inner loop behind :meth:`run`: each event costs one
-        ``heappop`` (the old ``peek()`` + ``step()`` pair cost a scan plus
-        a pop).  Returns the number of events dispatched.  The clock is
+        ``heappop``.  Returns the number of events dispatched.  The clock is
         left at the last dispatched event (use :meth:`run` to pin it to
         ``until`` exactly).
         """
@@ -185,14 +166,6 @@ class Simulation:
             self.events_dispatched += 1
             callback(*args)
         return dispatched
-
-    def peek(self):
-        """Time of the next pending event, or ``None`` if the agenda is empty."""
-        heap = self._heap
-        while heap and heap[0][2]:
-            _heappop(heap)
-            self._ncancelled -= 1
-        return heap[0][0] if heap else None
 
     def run(self, until=None):
         """Run until the agenda empties or the clock reaches ``until``.

@@ -1,40 +1,24 @@
-"""Generator-based simulated processes with interrupt support.
+"""Generator-based simulated processes.
 
-A *process* is a Python generator driven by the kernel.  At each ``yield``
-the process names what it is waiting for:
-
-* a number — sleep that many simulated seconds,
-* a :class:`~repro.sim.events.Signal` — block until the signal fires
-  (the ``yield`` expression evaluates to the fired value),
-* another :class:`Process` — block until it finishes (evaluates to its
-  return value).
-
-Any other entity may call :meth:`Process.interrupt`, which cancels the
-current wait and raises :class:`~repro.sim.errors.Interrupted` inside the
-generator at its ``yield`` point.  This is how Condor models an owner
-reclaiming a workstation out from under a running background job.
+A *process* is a Python generator driven by the kernel: each ``yield``
+names a number of simulated seconds to sleep.  That is all a process
+can wait on — everything else the simulator waits for (a reply, a
+finished transfer, an owner's return) is a callback on the agenda.
 """
 
-from repro.sim.errors import Interrupted, SimulationError, StopProcess
-from repro.sim.events import Signal
-
-NEW = "new"
-WAITING = "waiting"
-RUNNING = "running"
-DONE = "done"
+from repro.sim.errors import SimulationError
 
 
 class Process:
-    """A running simulated process wrapping a generator.
+    """A generator resumed by the kernel after each delay it yields.
 
     Created via :meth:`repro.sim.kernel.Simulation.spawn`.  The process
-    starts at the current simulation time (after events already queued for
-    this instant).
+    starts at the current simulation time (after events already queued
+    for this instant).  The generator is driven through ``send`` and
+    ``close`` alone, so a stand-in offering just those can be spawned.
     """
 
-    __slots__ = (
-        "sim", "name", "_gen", "_state", "_cancel_wait", "done", "_value",
-    )
+    __slots__ = ("sim", "name", "_gen")
 
     def __init__(self, sim, generator, name=None):
         if not hasattr(generator, "send"):
@@ -45,128 +29,25 @@ class Process:
         self.sim = sim
         self.name = name or getattr(generator, "__name__", "process")
         self._gen = generator
-        self._state = NEW
-        self._cancel_wait = None
-        #: Signal fired with the process's return value when it finishes.
-        self.done = Signal(name=f"{self.name}.done")
-        self._value = None
-        handle = sim.schedule(0.0, self._resume, None, None)
-        self._cancel_wait = handle.cancel
+        sim.schedule(0.0, self._resume)
 
-    @property
-    def alive(self):
-        """Whether the process has not yet finished."""
-        return self._state is not DONE
-
-    @property
-    def value(self):
-        """Return value of the generator once finished, else ``None``."""
-        return self._value
-
-    def interrupt(self, cause=None):
-        """Cancel the process's current wait and raise ``Interrupted`` in it.
-
-        The exception is delivered at the current simulation time (FIFO with
-        other events queued for this instant).  Interrupting a finished
-        process is an error; so is a process interrupting itself.
-        """
-        if self._state is DONE:
-            raise SimulationError(f"cannot interrupt finished process {self.name}")
-        if self._state is RUNNING:
-            raise SimulationError(f"process {self.name} cannot interrupt itself")
-        self._unwait()
-        handle = self.sim.schedule(0.0, self._resume, None, Interrupted(cause))
-        self._cancel_wait = handle.cancel
-
-    def kill(self, cause=None):
-        """Silently terminate the process without delivering an exception.
-
-        The ``done`` signal still fires (with ``None``).  Used for teardown,
-        not for modelling preemption — preemption should :meth:`interrupt`
-        so the process can clean up.
-        """
-        if self._state is DONE:
-            return
-        self._unwait()
-        self._finish(None)
-        self._gen.close()
-
-    # ------------------------------------------------------------------
-    # internal machinery
-
-    def _unwait(self):
-        if self._cancel_wait is not None:
-            self._cancel_wait()
-            self._cancel_wait = None
-
-    def _resume(self, value, exc):
-        """Advance the generator with a value or an exception."""
-        self._cancel_wait = None
-        self._state = RUNNING
+    def _resume(self):
+        """Advance the generator to its next yield and sleep that long."""
         try:
-            if exc is not None:
-                target = self._gen.throw(exc)
-            else:
-                target = self._gen.send(value)
-        except StopIteration as stop:
-            self._finish(stop.value)
+            delay = self._gen.send(None)
+        except StopIteration:
             return
-        except StopProcess as stop:
-            self._finish(stop.value)
-            return
-        self._wait_on(target)
-
-    def _wait_on(self, target):
-        """Arm the wait named by the value the generator yielded."""
-        self._state = WAITING
-        if type(target) is float or isinstance(target, (int, float)):
-            if target < 0:
-                self._crash(SimulationError(
-                    f"process {self.name} yielded a negative delay ({target})"
-                ))
+        if type(delay) is float or isinstance(delay, (int, float)):
+            if delay >= 0:                # False for NaN too
+                self.sim.schedule(delay, self._resume)
                 return
-            handle = self.sim.schedule(target, self._resume, None, None)
-            self._cancel_wait = handle.cancel
-        elif isinstance(target, Signal):
-            self._arm_signal(target)
-        elif isinstance(target, Process):
-            self._arm_signal(target.done)
+            problem = f"a negative or NaN delay ({delay})"
         else:
-            self._crash(SimulationError(
-                f"process {self.name} yielded unsupported "
-                f"{type(target).__name__!s}: {target!r}"
-            ))
-
-    def _arm_signal(self, signal):
-        # Resumption always bounces through the agenda so that a signal
-        # fired from inside another process's resume step cannot re-enter
-        # this generator synchronously.
-        handle = None
-
-        def on_fire(value):
-            nonlocal handle
-            handle = self.sim.schedule(0.0, self._resume, value, None)
-
-        remover = signal.add_waiter(on_fire)
-
-        def cancel():
-            remover()
-            if handle is not None:
-                handle.cancel()
-
-        self._cancel_wait = cancel
-
-    def _finish(self, value):
-        self._state = DONE
-        self._value = value
-        self.done.fire(value)
-
-    def _crash(self, exc):
-        # Deliver the error into the generator so its cleanup runs, then
-        # propagate: kernel bugs should fail tests loudly, not vanish.
-        self._state = DONE
+            problem = f"unsupported {type(delay).__name__!s}: {delay!r}"
+        # Close the generator so its cleanup runs, then propagate:
+        # kernel misuse should fail tests loudly, not vanish.
         self._gen.close()
-        raise exc
+        raise SimulationError(f"process {self.name} yielded {problem}")
 
     def __repr__(self):
-        return f"<Process {self.name!r} {self._state}>"
+        return f"<Process {self.name!r}>"

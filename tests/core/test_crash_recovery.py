@@ -254,8 +254,10 @@ def test_coordinator_crashed_mid_round_absorbs_nothing():
         return fan_out(targets, *args, **kwargs)
 
     net.rpc_batch = spy
+    # Advance one hop at a time: a probe sent inside a slice lands
+    # after the slice ends.
     while not rounds:
-        sim.step()
+        sim.run(until=sim.now + net.latency)
     # The tick just sent its probes (the job's host among them); none
     # has been delivered yet.
     assert host in rounds[0]

@@ -76,8 +76,8 @@ def test_message_to_crashed_node_dropped(sim, net):
 def test_rpc_roundtrip(sim, net):
     net.attach(make_echo_node("server"))
     outcomes = []
-    result = net.rpc("server", "echo", "hello")
-    result.add_waiter(lambda outcome: outcomes.append((sim.now, outcome)))
+    net.rpc("server", "echo", "hello",
+            callback=lambda outcome: outcomes.append((sim.now, outcome)))
     sim.run()
     assert outcomes == [(0.02, ("ok", ("echoed", "hello")))]
 
@@ -87,7 +87,7 @@ def test_rpc_to_crashed_node_times_out(sim, net):
     net.attach(node)
     node.crashed = True
     outcomes = []
-    net.rpc("server", "echo", None, timeout=0.5).add_waiter(outcomes.append)
+    net.rpc("server", "echo", None, timeout=0.5, callback=outcomes.append)
     sim.run()
     assert outcomes == [("timeout", None)]
 
@@ -95,7 +95,7 @@ def test_rpc_to_crashed_node_times_out(sim, net):
 def test_rpc_timeout_does_not_double_fire(sim, net):
     net.attach(make_echo_node("server"))
     outcomes = []
-    net.rpc("server", "echo", "x", timeout=10.0).add_waiter(outcomes.append)
+    net.rpc("server", "echo", "x", timeout=10.0, callback=outcomes.append)
     sim.run()
     assert len(outcomes) == 1
     assert outcomes[0][0] == "ok"
@@ -119,7 +119,7 @@ def test_lossy_rpc_times_out(sim):
     net = Network(sim, loss_probability=1.0, loss_stream=stream)
     net.attach(make_echo_node("server"))
     outcomes = []
-    net.rpc("server", "echo", None, timeout=0.2).add_waiter(outcomes.append)
+    net.rpc("server", "echo", None, timeout=0.2, callback=outcomes.append)
     sim.run()
     assert outcomes == [("timeout", None)]
 
@@ -131,7 +131,7 @@ def test_loss_needs_stream(sim):
 
 def test_transfer_duration_matches_bandwidth(sim, net):
     outcomes = []
-    net.transfer("a", "b", 2.0).add_waiter(outcomes.append)
+    net.transfer("a", "b", 2.0, callback=outcomes.append)
     sim.run()
     assert len(outcomes) == 1
     status, finish = outcomes[0]
@@ -141,8 +141,8 @@ def test_transfer_duration_matches_bandwidth(sim, net):
 
 def test_transfers_serialize_per_endpoint(sim, net):
     outcomes = []
-    net.transfer("a", "b", 1.0).add_waiter(outcomes.append)
-    net.transfer("a", "c", 1.0).add_waiter(outcomes.append)
+    net.transfer("a", "b", 1.0, callback=outcomes.append)
+    net.transfer("a", "c", 1.0, callback=outcomes.append)
     sim.run()
     first = 0.01 + 1.0
     second = first + 0.01 + 1.0
@@ -153,24 +153,26 @@ def test_transfers_serialize_per_endpoint(sim, net):
 
 def test_transfers_on_disjoint_endpoints_overlap(sim, net):
     outcomes = []
-    net.transfer("a", "b", 1.0).add_waiter(outcomes.append)
-    net.transfer("c", "d", 1.0).add_waiter(outcomes.append)
+    net.transfer("a", "b", 1.0, callback=outcomes.append)
+    net.transfer("c", "d", 1.0, callback=outcomes.append)
     sim.run()
     assert outcomes[0][1] == pytest.approx(outcomes[1][1])
 
 
 def test_negative_transfer_rejected(net):
     with pytest.raises(SimulationError):
-        net.transfer("a", "b", -1.0)
+        net.transfer("a", "b", -1.0, callback=lambda outcome: None)
 
 
 def test_traffic_counters(sim, net):
     net.attach(make_echo_node("server"))
-    net.rpc("server", "echo", None)
-    net.transfer("a", "b", 3.0)
+    outcomes = []
+    net.rpc("server", "echo", None, callback=outcomes.append)
+    net.transfer("a", "b", 3.0, callback=outcomes.append)
     sim.run()
     assert net.messages_sent == 2      # request + reply
     assert net.bytes_transferred_mb == 3.0
+    assert len(outcomes) == 2
 
 
 class TestJitter:

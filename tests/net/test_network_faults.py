@@ -1,7 +1,7 @@
 """Network failure-model tests: crashes, partitions, loss, NIC release.
 
-The net layer's contract under faults — transfers *fail with a signal*
-instead of silently completing, NIC reservations never outlive a dead
+The net layer's contract under faults — transfers *call back with a
+failure* instead of silently completing, NIC reservations never outlive a dead
 transfer, counters never move for traffic that could not exist, and
 deadline-less RPCs stay observable — is what the recovery machinery in
 the schedulers is built on.
@@ -38,7 +38,7 @@ class TestTransferEndpointCrash:
         nodes = attach(net, "a", "b")
         nodes["b"].crashed = True
         outcomes = []
-        net.transfer("a", "b", 5.0).add_waiter(outcomes.append)
+        net.transfer("a", "b", 5.0, callback=outcomes.append)
         sim.run()
         assert outcomes == [("failed", "endpoint_crashed")]
         assert net.transfers_failed == 1
@@ -50,15 +50,15 @@ class TestTransferEndpointCrash:
         nodes = attach(net, "a", "b")
         nodes["a"].crashed = True
         outcomes = []
-        net.transfer("a", "b", 5.0).add_waiter(outcomes.append)
+        net.transfer("a", "b", 5.0, callback=outcomes.append)
         sim.run()
         assert outcomes == [("failed", "endpoint_crashed")]
 
     def test_aborts_when_endpoint_crashes_mid_transfer(self, sim, net):
         nodes = attach(net, "a", "b")
         outcomes = []
-        net.transfer("a", "b", 10.0).add_waiter(
-            lambda outcome: outcomes.append((sim.now, outcome)))
+        net.transfer("a", "b", 10.0, callback=lambda outcome:
+                     outcomes.append((sim.now, outcome)))
 
         def crash_b():
             nodes["b"].crashed = True
@@ -71,7 +71,8 @@ class TestTransferEndpointCrash:
 
     def test_abort_releases_both_nic_reservations(self, sim, net):
         nodes = attach(net, "a", "b")
-        net.transfer("a", "b", 100.0)     # would hold NICs ~100 s
+        net.transfer("a", "b", 100.0,     # would hold NICs ~100 s
+                     callback=lambda outcome: None)
 
         def crash_and_check():
             nodes["b"].crashed = True
@@ -85,7 +86,7 @@ class TestTransferEndpointCrash:
         def follow_up():
             # A new transfer from the surviving endpoint starts at once
             # instead of queueing behind the dead copy.
-            net.transfer("a", "c", 1.0).add_waiter(outcomes.append)
+            net.transfer("a", "c", 1.0, callback=outcomes.append)
 
         sim.schedule(6.0, follow_up)
         sim.run()
@@ -95,9 +96,10 @@ class TestTransferEndpointCrash:
 
     def test_abort_keeps_reservation_for_surviving_transfer(self, sim, net):
         nodes = attach(net, "a", "b")
-        net.transfer("a", "b", 10.0)      # dies at t=2
+        net.transfer("a", "b", 10.0,      # dies at t=2
+                     callback=lambda outcome: None)
         ok = []
-        net.transfer("a", "c", 10.0).add_waiter(ok.append)   # queued after
+        net.transfer("a", "c", 10.0, callback=ok.append)   # queued after
 
         def crash_b():
             nodes["b"].crashed = True
@@ -115,15 +117,15 @@ class TestTransferPartitionAndLoss:
         attach(net, "a", "b")
         net.partition(["b"])
         outcomes = []
-        net.transfer("a", "b", 5.0).add_waiter(outcomes.append)
+        net.transfer("a", "b", 5.0, callback=outcomes.append)
         sim.run()
         assert outcomes == [("failed", "partitioned")]
 
     def test_aborts_crossing_transfer_when_partition_lands(self, sim, net):
         attach(net, "a", "b")
         outcomes = []
-        net.transfer("a", "b", 10.0).add_waiter(
-            lambda outcome: outcomes.append((sim.now, outcome)))
+        net.transfer("a", "b", 10.0, callback=lambda outcome:
+                     outcomes.append((sim.now, outcome)))
         sim.schedule(4.0, net.partition, ["b"])
         sim.run()
         assert outcomes == [(4.0, ("failed", "partitioned"))]
@@ -132,7 +134,7 @@ class TestTransferPartitionAndLoss:
         attach(net, "a", "b")
         net.partition(["a", "b"])
         outcomes = []
-        net.transfer("a", "b", 2.0).add_waiter(outcomes.append)
+        net.transfer("a", "b", 2.0, callback=outcomes.append)
         sim.run()
         assert outcomes[0][0] == "ok"
 
@@ -141,8 +143,8 @@ class TestTransferPartitionAndLoss:
                       loss_probability=1.0,
                       loss_stream=RandomStream(5, "loss"))
         outcomes = []
-        net.transfer("a", "b", 2.0).add_waiter(
-            lambda outcome: outcomes.append((sim.now, outcome)))
+        net.transfer("a", "b", 2.0, callback=lambda outcome:
+                     outcomes.append((sim.now, outcome)))
         sim.run()
         # The sender discovers the corruption when the copy should have
         # completed, not instantly.
@@ -167,7 +169,7 @@ class TestPartitionControlTraffic:
         net.partition(["b"])
         outcomes = []
         net.rpc("b", "echo", None, timeout=0.5,
-                src="a").add_waiter(outcomes.append)
+                src="a", callback=outcomes.append)
         sim.run()
         assert outcomes == [("timeout", None)]
 
@@ -176,7 +178,7 @@ class TestPartitionControlTraffic:
         net.partition(["b"])
         net.heal()
         outcomes = []
-        net.rpc("b", "echo", "x", src="a").add_waiter(outcomes.append)
+        net.rpc("b", "echo", "x", src="a", callback=outcomes.append)
         sim.run()
         assert outcomes == [("ok", ("echoed", "x"))]
 
@@ -185,7 +187,7 @@ class TestPartitionControlTraffic:
         attach(net, "b")
         net.partition(["b"])
         outcomes = []
-        net.rpc("b", "echo", "x").add_waiter(outcomes.append)
+        net.rpc("b", "echo", "x", callback=outcomes.append)
         sim.run()
         assert outcomes == [("ok", ("echoed", "x"))]
 
@@ -199,7 +201,7 @@ class TestCounterDiscipline:
 
     def test_unknown_rpc_destination_raises_before_counting(self, net):
         with pytest.raises(SimulationError):
-            net.rpc("ghost", "echo", None)
+            net.rpc("ghost", "echo", None, callback=lambda outcome: None)
         assert net.messages_sent == 0
         assert net.messages_dropped == 0
 
@@ -266,9 +268,8 @@ class TestRpcTickets:
         ticket.abandon()                  # idempotent
         assert net.rpcs_abandoned == 1
 
-    def test_signal_and_timeout_rpcs_get_no_ticket(self, sim, net):
+    def test_timeout_rpcs_get_no_ticket(self, sim, net):
         attach(net, "b")
-        assert net.rpc("b", "echo", 1) is not None            # Signal
         assert net.rpc("b", "echo", 1, timeout=5.0,
                        callback=lambda outcome: None) is None
         assert net.outstanding_rpcs() == []
@@ -276,9 +277,9 @@ class TestRpcTickets:
 
 
 class TestMissingCallbackFailsAtTheCallSite:
-    """A deadline-less Signal RPC could hang forever and a callback-less
-    batch died inside the kernel one latency later; both now raise where
-    the call is made, before any counter moves or loss draw is spent."""
+    """An RPC or a fan-out without a callback has no one to report to;
+    it raises where the call is made, before any counter moves or loss
+    draw is spent."""
 
     def lossy(self, sim):
         stream = RandomStream(3, "loss")
@@ -297,6 +298,12 @@ class TestMissingCallbackFailsAtTheCallSite:
         net, stream = self.lossy(sim)
         with pytest.raises(SimulationError, match="callback"):
             net.rpc("b", "echo", 1, timeout=None)
+        self.assert_untouched(sim, net, stream)
+
+    def test_timed_rpc_without_callback(self, sim):
+        net, stream = self.lossy(sim)
+        with pytest.raises(SimulationError, match="callback"):
+            net.rpc("b", "echo", 1, timeout=1.0)
         self.assert_untouched(sim, net, stream)
 
     def test_rpc_batch_without_callback(self, sim):

@@ -171,9 +171,8 @@ PARENT_ALL = {
         "StandbyCoordinator", "StationAgent",
     ],
     "sim": [
-        "Simulation", "Signal", "Process", "EventHandle", "SimulationError",
-        "Interrupted", "StopProcess", "SignalAlreadyFired", "RandomStream",
-        "Distribution", "Constant", "Uniform", "Exponential",
+        "Simulation", "Process", "EventHandle", "SimulationError",
+        "RandomStream", "Distribution", "Constant", "Uniform", "Exponential",
         "Hyperexponential", "LogNormal", "Mixture",
         "fit_hyperexponential", "SECOND", "MINUTE", "HOUR", "DAY", "WEEK",
     ],

@@ -69,6 +69,19 @@ def test_schedule_at_in_past_rejected():
         sim.schedule_at(5.0, lambda: None)
 
 
+@pytest.mark.parametrize("schedule", [
+    lambda sim: sim.schedule(float("nan"), lambda: None),
+    lambda sim: sim.schedule_at(float("nan"), lambda: None),
+], ids=["schedule", "schedule_at"])
+def test_nan_time_rejected(schedule):
+    sim = Simulation()
+    with pytest.raises(SimulationError, match="NaN"):
+        schedule(sim)
+    sim.schedule(1.0, lambda: None)
+    sim.run()
+    assert sim.now == 1.0
+
+
 def test_cancel_prevents_callback():
     sim = Simulation()
     seen = []
@@ -116,33 +129,6 @@ def test_event_at_exact_until_boundary_fires():
     sim.schedule(5.0, seen.append, "edge")
     sim.run(until=5.0)
     assert seen == ["edge"]
-
-
-def test_step_returns_false_when_empty():
-    sim = Simulation()
-    assert sim.step() is False
-
-
-def test_step_skips_cancelled_events():
-    sim = Simulation()
-    seen = []
-    sim.schedule(1.0, seen.append, "a").cancel()
-    sim.schedule(2.0, seen.append, "b")
-    assert sim.step() is True
-    assert seen == ["b"]
-
-
-def test_peek_reports_next_pending_time():
-    sim = Simulation()
-    first = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    assert sim.peek() == 1.0
-    first.cancel()
-    assert sim.peek() == 2.0
-
-
-def test_peek_empty_is_none():
-    assert Simulation().peek() is None
 
 
 def test_events_dispatched_counter():
@@ -237,15 +223,6 @@ def test_cancel_notes_are_balanced_by_lazy_pops():
             handle.cancel()
     sim.run()
     assert live == [0, 2, 4, 6, 8]
-    assert sim._ncancelled == 0
-
-
-def test_peek_discards_dead_prefix():
-    sim = Simulation()
-    sim.schedule(1.0, lambda: None).cancel()
-    sim.schedule(2.0, lambda: None).cancel()
-    sim.schedule(3.0, lambda: None)
-    assert sim.peek() == 3.0
     assert sim._ncancelled == 0
 
 

@@ -1,15 +1,8 @@
-"""Unit tests for generator-based processes, signals, and interrupts."""
+"""Unit tests for generator-based processes: each yield is a delay."""
 
 import pytest
 
-from repro.sim import (
-    Interrupted,
-    Signal,
-    SignalAlreadyFired,
-    Simulation,
-    SimulationError,
-    StopProcess,
-)
+from repro.sim import Simulation, SimulationError
 
 
 def test_process_runs_timeouts():
@@ -34,218 +27,30 @@ def test_spawn_requires_generator():
         sim.spawn(lambda: None)
 
 
-def test_process_return_value_exposed():
+def test_a_send_and_close_stand_in_is_driven_like_a_generator():
+    """The kernel drives a process only through ``send``, ``close`` and
+    ``__name__`` — what a wrapper around a generator (a tracer's, say)
+    has to offer."""
+
+    class StandIn:
+        __slots__ = ("__name__", "send", "close")
+
+        def __init__(self, generator):
+            self.__name__ = "stand-in"
+            self.send = generator.send
+            self.close = generator.close
+
     sim = Simulation()
+    seen = []
 
     def proc():
-        yield 1.0
-        return 42
-
-    p = sim.spawn(proc())
-    sim.run()
-    assert p.value == 42
-    assert not p.alive
-
-
-def test_process_done_signal_fires_with_value():
-    sim = Simulation()
-    seen = []
-
-    def proc():
-        yield 1.0
-        return "finished"
-
-    p = sim.spawn(proc())
-    p.done.add_waiter(seen.append)
-    sim.run()
-    assert seen == ["finished"]
-
-
-def test_wait_on_signal_receives_value():
-    sim = Simulation()
-    sig = Signal("data")
-    seen = []
-
-    def waiter():
-        value = yield sig
-        seen.append((sim.now, value))
-
-    def firer():
-        yield 3.0
-        sig.fire("payload")
-
-    sim.spawn(waiter())
-    sim.spawn(firer())
-    sim.run()
-    assert seen == [(3.0, "payload")]
-
-
-def test_wait_on_already_fired_signal_resumes_immediately():
-    sim = Simulation()
-    sig = Signal()
-    sig.fire(7)
-    seen = []
-
-    def waiter():
-        value = yield sig
-        seen.append((sim.now, value))
-
-    sim.spawn(waiter())
-    sim.run()
-    assert seen == [(0.0, 7)]
-
-
-def test_signal_fires_once_only():
-    sig = Signal()
-    sig.fire()
-    with pytest.raises(SignalAlreadyFired):
-        sig.fire()
-
-
-def test_multiple_waiters_all_woken():
-    sim = Simulation()
-    sig = Signal()
-    seen = []
-
-    def waiter(tag):
-        yield sig
-        seen.append(tag)
-
-    for tag in ("a", "b", "c"):
-        sim.spawn(waiter(tag))
-
-    def firer():
-        yield 1.0
-        sig.fire()
-
-    sim.spawn(firer())
-    sim.run()
-    assert sorted(seen) == ["a", "b", "c"]
-
-
-def test_wait_on_other_process_gets_return_value():
-    sim = Simulation()
-    seen = []
-
-    def child():
-        yield 4.0
-        return "child-result"
-
-    def parent():
-        result = yield sim.spawn(child())
-        seen.append((sim.now, result))
-
-    sim.spawn(parent())
-    sim.run()
-    assert seen == [(4.0, "child-result")]
-
-
-def test_interrupt_during_timeout():
-    sim = Simulation()
-    seen = []
-
-    def sleeper():
-        try:
-            yield 100.0
-            seen.append("completed")
-        except Interrupted as exc:
-            seen.append(("interrupted", sim.now, exc.cause))
-
-    p = sim.spawn(sleeper())
-    sim.schedule(10.0, p.interrupt, "owner-returned")
-    sim.run()
-    assert seen == [("interrupted", 10.0, "owner-returned")]
-
-
-def test_interrupt_during_signal_wait():
-    sim = Simulation()
-    sig = Signal()
-    seen = []
-
-    def waiter():
-        try:
-            yield sig
-        except Interrupted:
-            seen.append(sim.now)
-
-    p = sim.spawn(waiter())
-    sim.schedule(2.0, p.interrupt)
-    sim.run()
-    assert seen == [2.0]
-    # Firing the signal later must not resume the (dead) waiter.
-    sig.fire()
-
-
-def test_interrupted_process_can_continue():
-    sim = Simulation()
-    seen = []
-
-    def resilient():
-        try:
-            yield 100.0
-        except Interrupted:
-            pass
-        yield 5.0
+        yield 2.0
         seen.append(sim.now)
 
-    p = sim.spawn(resilient())
-    sim.schedule(10.0, p.interrupt)
+    process = sim.spawn(StandIn(proc()))
     sim.run()
-    assert seen == [15.0]
-
-
-def test_interrupt_finished_process_is_error():
-    sim = Simulation()
-
-    def quick():
-        yield 1.0
-
-    p = sim.spawn(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
-
-def test_kill_terminates_without_exception_delivery():
-    sim = Simulation()
-    seen = []
-
-    def stubborn():
-        try:
-            yield 100.0
-            seen.append("done")
-        finally:
-            seen.append("cleanup")
-
-    p = sim.spawn(stubborn())
-    sim.schedule(1.0, p.kill)
-    sim.run()
-    assert seen == ["cleanup"]
-    assert not p.alive
-
-
-def test_kill_is_idempotent():
-    sim = Simulation()
-
-    def proc():
-        yield 100.0
-
-    p = sim.spawn(proc())
-    sim.schedule(1.0, p.kill)
-    sim.run()
-    p.kill()  # no error
-
-
-def test_stop_process_exception_sets_value():
-    sim = Simulation()
-
-    def proc():
-        yield 1.0
-        raise StopProcess("early")
-
-    p = sim.spawn(proc())
-    sim.run()
-    assert p.value == "early"
+    assert seen == [2.0]
+    assert process.name == "stand-in"
 
 
 def test_negative_yield_is_error():
@@ -259,6 +64,37 @@ def test_negative_yield_is_error():
         sim.run()
 
 
+def test_nan_yield_is_error_and_leaves_the_clock_alone():
+    sim = Simulation()
+    later = []
+
+    def proc():
+        yield float("nan")
+        sim.schedule(1.0, later.append, sim.now)
+
+    sim.spawn(proc())
+    with pytest.raises(SimulationError, match="NaN"):
+        sim.run()
+    assert sim.now == 0.0
+    assert later == []
+
+
+def test_bad_yield_closes_the_generator():
+    sim = Simulation()
+    seen = []
+
+    def proc():
+        try:
+            yield -1.0
+        finally:
+            seen.append("cleanup")
+
+    sim.spawn(proc())
+    with pytest.raises(SimulationError):
+        sim.run()
+    assert seen == ["cleanup"]
+
+
 def test_yield_garbage_is_error():
     sim = Simulation()
 
@@ -268,30 +104,6 @@ def test_yield_garbage_is_error():
     sim.spawn(proc())
     with pytest.raises(SimulationError):
         sim.run()
-
-
-def test_signal_fired_from_process_does_not_reenter_synchronously():
-    # A waiter woken by a signal must resume via the agenda, after the
-    # firing process has finished its current step.
-    sim = Simulation()
-    sig = Signal()
-    order = []
-
-    def waiter():
-        yield sig
-        order.append("waiter-resumed")
-
-    def firer():
-        yield 1.0
-        sig.fire()
-        order.append("firer-after-fire")
-        yield 0.0
-
-    sim.spawn(waiter())
-    sim.spawn(firer())
-    sim.run()
-    assert order[0] == "firer-after-fire"
-    assert order[1] == "waiter-resumed"
 
 
 def test_two_processes_interleave():
