@@ -349,6 +349,8 @@ def _cmd_query(args):
                   f"{args.check_replay} bit-for-bit "
                   f"({len(head)} scalars)")
         return 0
+    except BrokenPipeError:
+        raise                   # not a store error: main handles it
     except (OSError, sqlite3.Error, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -841,7 +843,15 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        status = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (``... | head``): what it wanted is out.
+        # Point stdout at devnull so the interpreter's last flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return status
 
 
 if __name__ == "__main__":

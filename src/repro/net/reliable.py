@@ -28,7 +28,7 @@ recovery machinery, not just its outcome.
 On a healthy network the first attempt is acknowledged and **no RNG is
 drawn** — jitter is sampled only when a retry actually happens — so
 fault-free runs remain byte-identical with the pre-retry build, and the
-sender's draw-on-demand stream never builds its generator.  Each
+sender's stream, never drawn, stays its seed and path.  Each
 :meth:`ReliableSender.send` is one slotted :class:`_Delivery` record
 whose bound methods are the retry loop — no closures, so nothing here
 needs the cycle collector (the rule is in :mod:`repro.net.network`).

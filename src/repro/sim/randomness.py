@@ -7,64 +7,95 @@ per-user job demands, batch arrivals, ...) draws from its own named
 same master seed, so adding a new consumer never perturbs existing ones —
 the property that makes ablation experiments comparable run-to-run.
 
-Streams are **draw-on-demand**: a stream is its ``seed`` and ``path``
-until the first draw builds the generator those two determine, so one
-that only forks, or waits for a rare event (a station's retry jitter),
-never pays the 2.5 KB Mersenne Twister.
+Streams are **draw-on-demand**: a stream is its ``seed``, its ``path``
+and how many values it has drawn.  A stream that never draws is just its
+seed and path.  A *light* stream (an owner's, drawn a few dozen times a
+day) holds only its next few draws: each refill rebuilds the generator
+that ``seed`` and ``path`` determine, skips what was already served,
+fills the next chunk into an ``array('d')`` and drops the generator
+again, so 5 000 quiet stations do not keep 5 000 Mersenne Twisters
+(2.5 KB each) alive all day.  A *heavy* stream, one that draws past
+``KEEP_AFTER`` values, keeps its generator and costs what an eagerly
+built one does.  Either way the sequence is the one generator's, draw
+for draw.
 """
 
 import hashlib
 import math
 import random
+from array import array
 
 from repro.sim.errors import SimulationError
+
+#: Values a stream's first refill draws.  A station's busyness stream
+#: draws once, at construction, so a small first fill keeps building a
+#: 5 000-station pool as cheap as one draw per station.
+FIRST_FILL = 4
+#: Values each later refill draws.  A rebuild (seeding a Mersenne
+#: Twister) costs about as much as a hundred draws, and a buffered value
+#: 8 bytes for as long as the stream lives; an owner draws a median 25
+#: values a simulated day, so it refills about twice on its first day
+#: and about once a day after that.
+FILL = 32
+#: A refill at or past this many draws keeps its generator for good.
+KEEP_AFTER = 128
 
 
 class RandomStream:
     """An independent, seedable random stream with stable named forks."""
 
+    # Class-level defaults, so a stream that never drew is two fields.
+    _drawn = 0          # values drawn into buffers so far
+    _next = ()          # the values still to serve, last one first
+    _rng = None         # the generator, once the stream is heavy
+    _key = None         # the generator's integer seed, once computed
+    gauss_next = None   # the stdlib's ``gauss`` keeps its pair here
+
     def __init__(self, seed, path="root"):
         self.seed = seed
         self.path = path
-
-    def __getattr__(self, name):
-        # Reached only while ``_rng`` is missing: the first draw builds
-        # it, later draws find a plain instance attribute.
-        if name != "_rng":
-            raise AttributeError(name)
-        digest = hashlib.sha256(
-            f"{self.seed}:{self.path}".encode("utf-8")).digest()
-        rng = self._rng = random.Random(int.from_bytes(digest[:8], "big"))
-        return rng
 
     def fork(self, name):
         """Derive an independent substream identified by ``name``."""
         return RandomStream(self.seed, f"{self.path}/{name}")
 
-    # Thin pass-throughs, so distributions only ever see this interface.
+    # The stdlib's own functions, run against this stream's ``random``
+    # and ``gauss_next``: the arithmetic stays the interpreter's, so a
+    # stream draws what its eagerly seeded generator would.
+    uniform = random.Random.uniform
+    expovariate = random.Random.expovariate
+    gauss = random.Random.gauss
+
     def random(self):
-        return self._rng.random()
+        ahead = self._next
+        if ahead:
+            return ahead.pop()
+        rng = self._rng
+        if rng is not None:
+            return rng.random()
+        return self._refill()
 
-    def uniform(self, a, b):
-        return self._rng.uniform(a, b)
-
-    def expovariate(self, lambd):
-        return self._rng.expovariate(lambd)
-
-    def gauss(self, mu, sigma):
-        return self._rng.gauss(mu, sigma)
-
-    def randint(self, a, b):
-        return self._rng.randint(a, b)
-
-    def choice(self, seq):
-        return self._rng.choice(seq)
-
-    def choices(self, seq, weights):
-        return self._rng.choices(seq, weights=weights, k=1)[0]
-
-    def shuffle(self, seq):
-        self._rng.shuffle(seq)
+    def _refill(self):
+        """Rebuild the generator, skip the served draws and serve the
+        first of the next chunk; keep the generator past KEEP_AFTER."""
+        key = self._key
+        if key is None:
+            digest = hashlib.sha256(
+                f"{self.seed}:{self.path}".encode("utf-8")).digest()
+            key = self._key = int.from_bytes(digest[:8], "big")
+        rng = random.Random(key)
+        drawn = self._drawn
+        if drawn:
+            # ``random()`` takes two 32-bit words per double.
+            rng.getrandbits(64 * drawn)
+        if drawn >= KEEP_AFTER:
+            self._rng = rng
+            return rng.random()
+        size = FILL if drawn else FIRST_FILL
+        self._drawn = drawn + size
+        ahead = self._next = array("d", [rng.random() for _ in range(size)])
+        ahead.reverse()
+        return ahead.pop()
 
     def __repr__(self):
         return f"<RandomStream seed={self.seed} path={self.path!r}>"

@@ -18,6 +18,7 @@ from repro.sim import (
     SimulationError,
     Uniform,
     fit_hyperexponential,
+    randomness,
 )
 
 
@@ -63,8 +64,17 @@ def eager(seed, path):
 
 
 def built(stream):
-    """Whether the stream has constructed its Mersenne Twister yet."""
-    return "_rng" in vars(stream)
+    """Whether the stream holds a Mersenne Twister (it drew past the
+    bound after which a refill keeps its generator)."""
+    return vars(stream).get("_rng") is not None
+
+
+def keep_point():
+    """Draws a stream serves from its buffers before it keeps a generator."""
+    drawn = randomness.FIRST_FILL
+    while drawn < randomness.KEEP_AFTER:
+        drawn += randomness.FILL
+    return drawn
 
 
 #: method name -> (draw on a RandomStream, the same draw on the spec)
@@ -74,18 +84,12 @@ DRAWS = {
     "expovariate": (lambda s: s.expovariate(0.25),
                     lambda r: r.expovariate(0.25)),
     "gauss": (lambda s: s.gauss(1.0, 3.0), lambda r: r.gauss(1.0, 3.0)),
-    "randint": (lambda s: s.randint(3, 90), lambda r: r.randint(3, 90)),
-    "choice": (lambda s: s.choice("abcdefg"), lambda r: r.choice("abcdefg")),
-    "choices": (lambda s: s.choices("abc", [1, 2, 3]),
-                lambda r: r.choices("abc", weights=[1, 2, 3], k=1)[0]),
-    "shuffle": (lambda s: _shuffled(s), lambda r: _shuffled(r)),
 }
 
-
-def _shuffled(source):
-    items = list(range(12))
-    source.shuffle(items)
-    return items
+CLONES = {
+    "pickle": lambda s: pickle.loads(pickle.dumps(s)),
+    "deepcopy": copy.deepcopy,
+}
 
 
 class TestDrawOnDemand:
@@ -94,10 +98,9 @@ class TestDrawOnDemand:
         draw, spec_draw = DRAWS[method]
         stream = RandomStream(42, "root/station-7.owner")
         spec = eager(42, "root/station-7.owner")
-        assert not built(stream)
+        assert vars(stream) == {"seed": 42, "path": "root/station-7.owner"}
         drawn = [draw(stream) for _ in range(100)]
         expected = [spec_draw(spec) for _ in range(100)]
-        assert built(stream)
         assert drawn[0] == expected[0] and drawn[99] == expected[99]
         assert drawn == expected
 
@@ -107,9 +110,10 @@ class TestDrawOnDemand:
         leaf = middle.fork("ws-3.owner")
         assert "cluster/ws-3.owner" in repr(leaf)
         assert (leaf.seed, leaf.path) == (9, "root/cluster/ws-3.owner")
-        assert not built(root) and not built(middle) and not built(leaf)
+        assert len(vars(root)) == len(vars(middle)) == len(vars(leaf)) == 2
         assert leaf.random() == eager(9, "root/cluster/ws-3.owner").random()
-        assert built(leaf) and not built(root) and not built(middle)
+        assert len(vars(root)) == len(vars(middle)) == 2
+        assert not built(leaf)
 
     def test_unknown_attribute_is_still_an_attribute_error(self):
         stream = RandomStream(1)
@@ -134,6 +138,80 @@ class TestDrawOnDemand:
         later = clone(fresh)
         assert [later.random() for _ in range(3)] == tail
         assert [fresh.random() for _ in range(3)] == tail
+
+
+class TestBufferedStream:
+    """A light stream serves buffered draws and a heavy one keeps its
+    generator; neither may show in the sequence."""
+
+    @given(calls=st.lists(st.sampled_from(sorted(DRAWS)),
+                          min_size=250, max_size=400),
+           copies=st.dictionaries(st.integers(0, 399),
+                                  st.sampled_from(sorted(CLONES)),
+                                  max_size=8),
+           seed=st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_any_calls_match_the_eager_spec(self, calls, copies, seed):
+        stream = RandomStream(seed, "root/ws-1.owner")
+        spec = eager(seed, "root/ws-1.owner")
+        for index, call in enumerate(calls):
+            if index in copies:
+                stream = CLONES[copies[index]](stream)
+            draw, spec_draw = DRAWS[call]
+            assert draw(stream) == spec_draw(spec)
+        # 250 calls draw at least 250 values (no more gauss calls reuse a
+        # pair than draw one): past the first fill, the later refills and
+        # the bound after which the generator stays.
+        assert keep_point() < 250
+        assert built(stream)
+
+    def test_gauss_straddling_the_switch_to_a_kept_generator(self):
+        stream = RandomStream(3, "jobs")
+        spec = eager(3, "jobs")
+        for _ in range(keep_point() - 1):
+            assert stream.random() == spec.random()
+        assert not built(stream)
+        # gauss draws the last buffered value, then the kept generator's
+        # first; a stale ``random`` looked up before the switch must not
+        # serve either twice.
+        assert stream.gauss(0.0, 1.0) == spec.gauss(0.0, 1.0)
+        assert built(stream)
+        assert stream.gauss(0.0, 1.0) == spec.gauss(0.0, 1.0)
+        assert [stream.random() for _ in range(5)] == [
+            spec.random() for _ in range(5)]
+
+    @pytest.mark.parametrize("clone", sorted(CLONES))
+    def test_a_copy_past_the_bound_draws_independently(self, clone):
+        stream = RandomStream(8, "jobs")
+        for _ in range(keep_point() + 3):
+            stream.random()
+        assert built(stream)
+        spec = eager(8, "jobs")
+        for _ in range(keep_point() + 3):
+            spec.random()
+        tail = [spec.random() for _ in range(10)]
+        twin = CLONES[clone](stream)
+        assert [twin.random() for _ in range(10)] == tail
+        assert [stream.random() for _ in range(10)] == tail
+
+    @pytest.mark.parametrize("clone", sorted(CLONES))
+    @pytest.mark.parametrize("at", [
+        0, 1, randomness.FIRST_FILL, randomness.FIRST_FILL + 1,
+        randomness.KEEP_AFTER, "keep", "keep+1"])
+    def test_a_copy_at_any_point_continues_the_sequence(self, clone, at):
+        at = {"keep": keep_point(), "keep+1": keep_point() + 1}.get(at, at)
+        stream = RandomStream(4, "arrivals")
+        spec = eager(4, "arrivals")
+        for _ in range(at):
+            assert stream.random() == spec.random()
+        stream.gauss(0.0, 1.0)      # leave the stdlib's pair half used
+        spec.gauss(0.0, 1.0)
+        twin = CLONES[clone](stream)
+        rest = [spec.gauss(0.0, 1.0) for _ in range(3)]
+        rest += [spec.random() for _ in range(2 * randomness.FILL)]
+        for source in (twin, stream):
+            assert [source.gauss(0.0, 1.0) for _ in range(3)] + [
+                source.random() for _ in range(2 * randomness.FILL)] == rest
 
 
 class TestDistributionMeans:

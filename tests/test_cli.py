@@ -1,10 +1,17 @@
 """Tests for the repro-condor command line."""
 
+import fcntl
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import ABLATIONS, build_parser, main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 def test_parser_requires_subcommand():
@@ -365,3 +372,49 @@ def test_chaos_suite_help_lists_every_suite(capsys):
         main(["chaos", "--help"])
     out = " ".join(capsys.readouterr().out.split())
     assert ", ".join(sorted([*SUITES, "service"])) in out
+
+
+def _reader_closes_after(argv, lines):
+    """Run ``repro-condor argv`` into a one-page pipe whose reader takes
+    ``lines`` lines and closes it; return (exit status, stderr).
+
+    The pipe holds one page, so a verb that prints more than a page past
+    those lines must still be writing when the reader has gone."""
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    with os.fdopen(read_end, "rb", buffering=0) as reader:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": SRC})
+        os.close(write_end)
+        for _ in range(lines):
+            while reader.read(1) not in (b"\n", b""):
+                pass
+    err = proc.communicate(timeout=120)[1].decode()
+    return proc.returncode, err
+
+
+def test_month_output_to_a_reader_that_closes_early_exits_zero():
+    # ``month ... | head -1``: the exhibits are 13 KB after the first line.
+    status, err = _reader_closes_after(
+        ["month", "--days", "1", "--scale", "0.03"], lines=1)
+    assert (status, err) == (0, "")
+
+
+def test_query_output_to_a_reader_that_closes_early_exits_zero(
+        mini_trace, tmp_path):
+    status, err = _reader_closes_after(
+        ["query", "sql", "SELECT seq, kind FROM events",
+         "--trace", str(mini_trace), "--db", str(tmp_path / "ops.sqlite")],
+        lines=1)
+    assert (status, err) == (0, "")
+
+
+def test_replay_output_to_a_reader_that_closes_early_exits_zero(mini_trace):
+    # Replay prints under a kilobyte, all of which a pipe holds, so only
+    # a reader gone before the first line (``replay ... | true``) makes
+    # it write to a closed pipe every time.
+    status, err = _reader_closes_after(
+        ["replay", str(mini_trace)], lines=0)
+    assert (status, err) == (0, "")

@@ -8,9 +8,10 @@ Two properties of the simulator that are easy to lose without noticing
   slotted record freed by reference count, so a whole run hands the
   cycle collector nothing.  A per-message closure web (25 objects per
   pushed delta) once made the collector a fifth of a 5 000-station day.
-* **draw-on-demand streams** — a station pays for a Mersenne Twister only
-  for the streams it draws from; the retry-jitter stream of a station on
-  a healthy network is never built.
+* **draw-on-demand streams** — a stream that never draws is its seed and
+  path (the retry-jitter stream of a station on a healthy network), and
+  one that draws a few dozen values a day (an owner's) holds only its
+  next draws: a station keeps no Mersenne Twister alive.
 """
 
 import gc
@@ -103,3 +104,22 @@ def test_a_station_builds_only_the_generators_it_draws_from(monkeypatch):
                      for scheduler in exp.system.schedulers.values()]
     assert len(retry_streams) == stations
     assert not any("_rng" in vars(stream) for stream in retry_streams)
+
+
+def live_generators():
+    return [obj for obj in gc.get_objects() if isinstance(obj, random.Random)]
+
+
+def test_a_pool_day_keeps_no_owner_generator():
+    # Held, so no generator made by the run can reuse an older one's id.
+    older = live_generators()
+    exp = ExperimentRun(
+        seed=42, days=1, stations=300, job_scale=0.1,
+        config=CondorConfig(max_machines_per_station=6,
+                            coordinator_mode="delta"))
+    exp.execute()
+    seen = {id(obj) for obj in older}
+    kept = [obj for obj in live_generators() if id(obj) not in seen]
+    # A few heavy workload streams, not one generator per station.
+    assert len(kept) <= 10
+    assert len(exp.system.stations) == 300
