@@ -16,30 +16,18 @@ Measures the live coordinator daemon over real localhost sockets:
 
 Latency metrics are also exported inverted (``*_per_sec``) so the
 perf-smoke gate — which asserts higher-is-better throughput floors —
-covers recovery time as well.  Usage::
-
-    PYTHONPATH=src python benchmarks/bench_service.py \
-        --output benchmarks/results/BENCH_service.json
-
-Kept stdlib-only like the other benchmarks.
+covers recovery time as well.  Run through ``perf_smoke.py --suite
+service``; kept stdlib-only like the other benchmarks.
 """
 
-import argparse
-import json
 import os
-import socket
-import sys
 import tempfile
 import time
 
+from repro.service.harness import free_port
+
 INSTANT = "repro.service.samples:instant"
 COUNT = "repro.service.samples:count_steps"
-
-
-def _free_port():
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
 
 
 def _wait(predicate, timeout=60.0, poll=0.005):
@@ -112,7 +100,7 @@ def bench_recovery(jobs=12):
 
     with tempfile.TemporaryDirectory() as tmp:
         db = os.path.join(tmp, "svc.sqlite")
-        port = _free_port()
+        port = free_port()
         endpoint = ("127.0.0.1", port)
         first = CoordinatorDaemon(db, port=port, poll_interval=0.01)
         first.start()
@@ -159,7 +147,7 @@ def bench_failover(check_interval=0.05, misses=3):
 
     with tempfile.TemporaryDirectory() as tmp:
         db = os.path.join(tmp, "svc.sqlite")
-        standby_port = _free_port()
+        standby_port = free_port()
         primary = CoordinatorDaemon(db, poll_interval=0.01)
         primary.start()
         standby = StandbyCoordinator(
@@ -196,25 +184,5 @@ def measure():
         "end_to_end": bench_end_to_end(),
         "recovery": bench_recovery(),
         "failover": bench_failover(),
-        "python": sys.version.split()[0],
     }
 
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", metavar="FILE",
-                        default="BENCH_service.json")
-    args = parser.parse_args(argv)
-    print("# measuring service-plane throughput and recovery ...")
-    results = measure()
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"# wrote {args.output}")
-    for key, value in sorted(results.items()):
-        print(f"  {key}: {value}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

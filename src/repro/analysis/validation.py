@@ -107,7 +107,8 @@ def demand_distribution_ks(run, profile):
 
     def model_cdf(x):
         # Hyperexponential CDF: sum p_i (1 - exp(-x / m_i)).
-        return sum(p * (1.0 - math.exp(-x / m)) for p, m in dist.branches)
+        return sum(p * (1.0 - math.exp(-x / branch.mean()))
+                   for p, branch in dist.branches)
 
     return ks_statistic(demands, model_cdf)
 

@@ -201,11 +201,16 @@ class StationAgent:
 
     #: Seconds :meth:`stop` waits for the agent thread.
     stop_timeout = 5.0
+    #: Reconnect backoff: seconds before the first retry, doubling per
+    #: attempt up to the cap, each wait stretched by up to the jitter
+    #: fraction at random.
+    RECONNECT_BASE = 0.05
+    RECONNECT_CAP = 2.0
+    JITTER_FRAC = 0.5
 
     def __init__(self, name, endpoints, ckpt_root,
                  heartbeat_interval=0.1, rpc_timeout=5.0,
-                 reconnect_base=0.05, reconnect_cap=2.0,
-                 jitter_frac=0.5, seed=1, grace_period=300.0):
+                 seed=1, grace_period=300.0):
         if not endpoints:
             raise ServiceError("agent needs at least one endpoint")
         self.name = name
@@ -213,9 +218,6 @@ class StationAgent:
         self.store = FencedCheckpointStore(ckpt_root)
         self.heartbeat_interval = heartbeat_interval
         self.rpc_timeout = rpc_timeout
-        self.reconnect_base = reconnect_base
-        self.reconnect_cap = reconnect_cap
-        self.jitter_frac = jitter_frac
         self._rng = random.Random(seed)
         self.reaction = OwnerReaction(grace_period, False)
         self._owner_active = False
@@ -323,9 +325,9 @@ class StationAgent:
     # connection management (ReliableSender discipline on real sockets)
 
     def _backoff(self, attempt):
-        base = min(self.reconnect_cap,
-                   self.reconnect_base * 2.0 ** max(0, attempt - 1))
-        return base * (1.0 + self.jitter_frac * self._rng.random())
+        base = min(self.RECONNECT_CAP,
+                   self.RECONNECT_BASE * 2.0 ** max(0, attempt - 1))
+        return base * (1.0 + self.JITTER_FRAC * self._rng.random())
 
     def _connect(self):
         """Socket to the first answering endpoint; ``None`` on halt."""

@@ -31,17 +31,20 @@ class _Deposed(ProtocolError):
 class ServiceClient:
     """Issue client verbs against whichever coordinator is answering."""
 
-    def __init__(self, endpoints, timeout=5.0, retries=8,
-                 retry_base=0.05, retry_cap=1.0, jitter_frac=0.5,
+    #: Retry backoff: seconds before the second round over the
+    #: endpoints, doubling per round up to ``retry_cap``, each wait
+    #: stretched by up to the jitter fraction at random.
+    RETRY_BASE = 0.05
+    JITTER_FRAC = 0.5
+
+    def __init__(self, endpoints, timeout=5.0, retries=8, retry_cap=1.0,
                  seed=1, sleep=time.sleep):
         if not endpoints:
             raise ServiceError("client needs at least one endpoint")
         self.endpoints = list(endpoints)
         self.timeout = timeout
         self.retries = retries
-        self.retry_base = retry_base
         self.retry_cap = retry_cap
-        self.jitter_frac = jitter_frac
         self._rng = random.Random(seed)
         self._sleep = sleep
         self._lock = threading.Lock()
@@ -121,8 +124,8 @@ class ServiceClient:
                         last_error = f"{endpoint[0]}:{endpoint[1]}: {exc}"
                 if attempt < self.retries:
                     base = min(self.retry_cap,
-                               self.retry_base * 2.0 ** (attempt - 1))
-                    self._sleep(base * (1.0 + self.jitter_frac
+                               self.RETRY_BASE * 2.0 ** (attempt - 1))
+                    self._sleep(base * (1.0 + self.JITTER_FRAC
                                         * self._rng.random()))
         raise ServiceError(
             f"no coordinator reachable after {self.retries} attempts "

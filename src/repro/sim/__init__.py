@@ -19,8 +19,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "SimulationError": "errors",
     "RandomStream": "randomness", "Distribution": "randomness",
     "Constant": "randomness", "Uniform": "randomness",
-    "Exponential": "randomness", "Hyperexponential": "randomness",
-    "LogNormal": "randomness", "Mixture": "randomness",
+    "Exponential": "randomness", "LogNormal": "randomness",
+    "Mixture": "randomness",
     "fit_hyperexponential": "randomness",
     "SECOND": "kernel", "MINUTE": "kernel", "HOUR": "kernel",
     "DAY": "kernel", "WEEK": "kernel",

@@ -167,54 +167,13 @@ class Exponential(Distribution):
         return f"Exponential(mean={self._mean})"
 
 
-class Hyperexponential(Distribution):
-    """Probabilistic mixture of exponentials.
-
-    ``branches`` is a sequence of ``(probability, mean)`` pairs.  Used for
-    the heavy-tailed quantities in the paper: job service demand (mean 5 h
-    but median under 3 h) and workstation available-interval lengths.
-    """
-
-    def __init__(self, branches):
-        if not branches:
-            raise SimulationError("Hyperexponential needs at least one branch")
-        total = sum(p for p, _ in branches)
-        if not math.isclose(total, 1.0, rel_tol=1e-9):
-            raise SimulationError(f"branch probabilities sum to {total}, not 1")
-        for p, m in branches:
-            if p < 0 or m <= 0:
-                raise SimulationError(f"bad branch (p={p}, mean={m})")
-        self.branches = [(float(p), float(m)) for p, m in branches]
-
-    def sample(self, stream):
-        u = stream.random()
-        acc = 0.0
-        for p, m in self.branches:
-            acc += p
-            if u <= acc:
-                return stream.expovariate(1.0 / m)
-        # Floating-point slack: fall through to the last branch.
-        return stream.expovariate(1.0 / self.branches[-1][1])
-
-    def mean(self):
-        return sum(p * m for p, m in self.branches)
-
-    def cv2(self):
-        """Squared coefficient of variation."""
-        m1 = self.mean()
-        m2 = sum(p * 2.0 * m * m for p, m in self.branches)
-        return m2 / (m1 * m1) - 1.0
-
-    def __repr__(self):
-        return f"Hyperexponential({self.branches})"
-
-
 def fit_hyperexponential(mean, cv2):
     """Fit a balanced-means two-phase hyperexponential to (mean, CV^2).
 
-    Returns a :class:`Hyperexponential`.  Requires ``cv2 >= 1`` (a
-    hyperexponential cannot be less variable than an exponential); at
-    exactly 1 an :class:`Exponential` is returned instead.
+    Returns a :class:`Mixture` of two :class:`Exponential` branches.
+    Requires ``cv2 >= 1`` (a hyperexponential cannot be less variable
+    than an exponential); at exactly 1 an :class:`Exponential` is
+    returned instead.
     """
     if mean <= 0:
         raise SimulationError(f"mean must be > 0, got {mean}")
@@ -228,7 +187,7 @@ def fit_hyperexponential(mean, cv2):
     p2 = 1.0 - p1
     m1 = mean / (2.0 * p1)
     m2 = mean / (2.0 * p2)
-    return Hyperexponential([(p1, m1), (p2, m2)])
+    return Mixture([(p1, Exponential(m1)), (p2, Exponential(m2))])
 
 
 class LogNormal(Distribution):
@@ -256,7 +215,9 @@ class Mixture(Distribution):
 
     ``branches`` is ``((probability, distribution), ...)``; probabilities
     must sum to 1.  Used e.g. for owner sessions: many brief interactions
-    plus a tail of long work spells.
+    plus a tail of long work spells.  With :class:`Exponential` branches
+    it is a hyperexponential, the heavy-tailed job service demand (mean
+    5 h but median under 3 h; see :func:`fit_hyperexponential`).
     """
 
     def __init__(self, branches):

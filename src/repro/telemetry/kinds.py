@@ -101,11 +101,8 @@ FEDERATION_KINDS = (
 
 # -- machine substrate --------------------------------------------------
 #: One CPU-attribution ledger entry (category, interval, fraction).
+#: Owner presence is carried by the owner/remote-job ledger intervals.
 LEDGER_ENTRY = "ledger_entry"
-#: Owner presence changes (live workers; the simulator's equivalent is
-#: carried by the owner/remote-job ledger intervals).
-OWNER_ARRIVED = "owner_arrived"
-OWNER_DEPARTED = "owner_departed"
 
 # -- the spine itself ---------------------------------------------------
 #: A subscriber callback raised; the exception was isolated and recorded.
@@ -123,5 +120,5 @@ JOB_LIFECYCLE = (
 CHECKPOINT_KINDS = (JOB_VACATED, JOB_PERIODIC_CHECKPOINT)
 
 ALL_KINDS = JOB_LIFECYCLE + FAULT_KINDS + STORAGE_KINDS + FEDERATION_KINDS + (
-    LEDGER_ENTRY, OWNER_ARRIVED, OWNER_DEPARTED, TELEMETRY_ERROR,
+    LEDGER_ENTRY, TELEMETRY_ERROR,
 )

@@ -173,7 +173,7 @@ PARENT_ALL = {
     "sim": [
         "Simulation", "Process", "EventHandle", "SimulationError",
         "RandomStream", "Distribution", "Constant", "Uniform", "Exponential",
-        "Hyperexponential", "LogNormal", "Mixture",
+        "LogNormal", "Mixture",
         "fit_hyperexponential", "SECOND", "MINUTE", "HOUR", "DAY", "WEEK",
     ],
     "telemetry": [

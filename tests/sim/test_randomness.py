@@ -12,14 +12,19 @@ from hypothesis import strategies as st
 from repro.sim import (
     Constant,
     Exponential,
-    Hyperexponential,
     LogNormal,
+    Mixture,
     RandomStream,
     SimulationError,
     Uniform,
     fit_hyperexponential,
     randomness,
 )
+
+
+def hyperexponential(branches):
+    """A mixture of exponentials from ``(probability, mean)`` pairs."""
+    return Mixture([(p, Exponential(m)) for p, m in branches])
 
 
 def sample_many(dist, n=20000, seed=1):
@@ -220,7 +225,7 @@ class TestDistributionMeans:
         (Uniform(2.0, 8.0), 0.1),
         (Exponential(10.0), 0.4),
         (LogNormal(5.0, 1.0), 0.5),
-        (Hyperexponential([(0.7, 2.0), (0.3, 20.0)]), 0.5),
+        (hyperexponential([(0.7, 2.0), (0.3, 20.0)]), 0.5),
     ])
     def test_empirical_mean_matches_theoretical(self, dist, tol):
         values = sample_many(dist)
@@ -228,7 +233,7 @@ class TestDistributionMeans:
         assert empirical == pytest.approx(dist.mean(), abs=tol + 0.05 * dist.mean())
 
     def test_all_samples_nonnegative(self):
-        for dist in [Exponential(1.0), Hyperexponential([(0.5, 1.0), (0.5, 9.0)]),
+        for dist in [Exponential(1.0), hyperexponential([(0.5, 1.0), (0.5, 9.0)]),
                      Uniform(0, 5), LogNormal(2.0, 0.5)]:
             assert all(v >= 0 for v in sample_many(dist, n=2000))
 
@@ -240,11 +245,11 @@ class TestValidation:
 
     def test_hyperexponential_probs_must_sum_to_one(self):
         with pytest.raises(SimulationError):
-            Hyperexponential([(0.5, 1.0), (0.4, 2.0)])
+            hyperexponential([(0.5, 1.0), (0.4, 2.0)])
 
     def test_hyperexponential_needs_branches(self):
         with pytest.raises(SimulationError):
-            Hyperexponential([])
+            Mixture([])
 
     def test_uniform_ordering(self):
         with pytest.raises(SimulationError):
@@ -261,7 +266,10 @@ class TestFitHyperexponential:
     def test_fit_matches_requested_moments(self, mean, cv2):
         dist = fit_hyperexponential(mean, cv2)
         assert dist.mean() == pytest.approx(mean, rel=1e-6)
-        assert dist.cv2() == pytest.approx(cv2, rel=1e-6)
+        # E[X^2] of an exponential branch with mean m is 2 m^2.
+        second = sum(p * 2.0 * branch.mean() ** 2
+                     for p, branch in dist.branches)
+        assert second / dist.mean() ** 2 - 1.0 == pytest.approx(cv2, rel=1e-6)
 
     def test_fit_cv2_one_gives_exponential(self):
         dist = fit_hyperexponential(5.0, 1.0)
@@ -290,7 +298,7 @@ class TestHypothesisProperties:
     def test_hyperexponential_mean_is_weighted_average(self, raw):
         total = sum(p for p, _ in raw)
         branches = [(p / total, m) for p, m in raw]
-        dist = Hyperexponential(branches)
+        dist = hyperexponential(branches)
         expected = sum(p * m for p, m in branches)
         assert dist.mean() == pytest.approx(expected, rel=1e-9)
 

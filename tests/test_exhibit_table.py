@@ -12,8 +12,9 @@ import pathlib
 import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-#: Wall-clock tables: pytest benchmarks archive them, no row checks them.
-TIMING_TABLES = {"scaling_delta_protocol", "trace_ingest"}
+#: Wall-clock tables: ``perf_smoke.py --suite coordinator --full``
+#: rewrites this one, no row checks it.
+TIMING_TABLES = {"scaling_delta_protocol"}
 
 
 def _row_ids():
